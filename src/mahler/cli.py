@@ -9,8 +9,7 @@ self-check battery).
 
 Exit codes: 0 success, 1 numerical check failed, 2 invalid arguments. CSV
 uses '.' decimals, ``\\n`` line endings, and 17 significant digits; the
-literal ``inf`` is accepted wherever ``s`` is. The quadrature order may be
-overridden through the ``MAHLER_QUAD_ORDER`` environment variable.
+literal ``inf`` is accepted wherever ``s`` is.
 """
 
 from __future__ import annotations

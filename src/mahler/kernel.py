@@ -18,7 +18,7 @@ from scipy.special import gammaln
 
 from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
                      QuadratureError, ResidualError)
-from .polys import (eps_pi, p_eval_sequence, pi_even_core, pi_odd_core,
+from .polys import (eps_monomials, p_eval_sequence, pi_even_core, pi_odd_core,
                     s_norm, weight)
 from .quadrature import adaptive, halfline, leg_nodes
 
@@ -72,21 +72,31 @@ class PointConfig:
 
 
 class _Tables:
-    """Weighted-polynomial coefficient tables for one parameter pair."""
+    """Coefficient matrices of the weighted family for one parameter pair.
+
+    Row ``j`` of ``even`` holds the core of ``pi_{2j}`` and row ``j`` of
+    ``odd`` the core of ``pi_{2j+1}/u``, both in ``t = u^2`` and zero-padded.
+    For odd ``N`` the last even row is the top member ``pi_{2J}``, and each
+    row ``j < J`` has ``(s_{2j}/s_{2J}) pi_{2J}`` subtracted: this is the
+    odd-N correction of the pair sum, folded into the basis.
+    """
 
     def __init__(self, N: int, s: float):
         self.N = N
         self.s = s
         self.J = N // 2
         self.odd_N = N % 2 == 1
-        # even members pi_{2j}, j = 0..J (index J only used for odd N)
-        top = self.J if self.odd_N else self.J - 1
-        self.even_cores = [pi_even_core(j) for j in range(top + 1)]
-        self.odd_cores = [pi_odd_core(j, s) for j in range(self.J)]
+        K = N - self.J          # even members pi_{2j}, j < K
+        self.even = np.zeros((K, K))
+        for j in range(K):
+            self.even[j, :j + 1] = pi_even_core(j)
+        self.odd = np.zeros((self.J, self.J))
+        for j in range(self.J):
+            self.odd[j, :j + 1] = pi_odd_core(j, s)
         if self.odd_N:
-            s2 = [s_norm(j, s) for j in range(self.J + 1)]
+            s2 = np.array([s_norm(j, s) for j in range(self.J + 1)])
             self.s2J = s2[self.J]
-            self.ratios = np.array([s2[j] / self.s2J for j in range(self.J)])
+            self.even[:self.J] -= np.outer(s2[:self.J] / self.s2J, self.even[self.J])
 
 
 @lru_cache(maxsize=64)
@@ -94,47 +104,40 @@ def _tables(N: int, s: float) -> _Tables:
     return _Tables(N, s)
 
 
-def _horner(core: np.ndarray, t):
-    acc = np.zeros_like(t)
-    for c in core[::-1]:
-        acc = acc * t + c
-    return acc
+def _family(tab: _Tables, u):
+    """``(w pi_{2j}(u), w pi_{2j+1}(u))`` for every ``j``, stacked on a leading
+    axis: the coefficient matrices times the powers of ``u^2``. Vectorized."""
+    u = np.asarray(u)
+    powers = np.vander((u * u).ravel(), tab.even.shape[1], increasing=True).T
+    w = weight(tab.s, u)
+    pe = (tab.even @ powers).reshape(tab.even.shape[:1] + u.shape) * w
+    po = (tab.odd @ powers[:tab.J]).reshape((tab.J,) + u.shape) * (u * w)
+    return pe, po
 
 
 class _Features:
     """Values of the weighted family and its eps-transform at one argument.
 
-    ``pe[j] = w(u) pi_{2j}(u)``, ``po[j] = w(u) pi_{2j+1}(u)``, and ``epe``,
-    ``epo`` their eps-transforms: closed-form antiderivatives for real
-    arguments, ``i sgn(Im u) (.)(conj u)`` for complex ones. Vectorized over
-    arrays of one species.
+    ``pe``, ``po`` as returned by :func:`_family`, and ``epe``, ``epo`` their
+    eps-transforms: the matrices times the closed-form monomial transforms
+    for real arguments, ``i sgn(Im u) conj(.)`` for complex ones (the cores
+    are real and the weight depends on ``|u|`` only). Vectorized over arrays
+    of one species.
     """
 
     def __init__(self, tab: _Tables, u, is_real: bool):
-        s = tab.s
+        u = np.asarray(u, dtype=float if is_real else complex)
+        self.pe, self.po = _family(tab, u)
         if is_real:
-            x = np.asarray(u, dtype=float)
-            t = x * x
-            w = weight(s, x)
-            self.pe = [_horner(c, t) * w for c in tab.even_cores]
-            self.po = [x * _horner(c, t) * w for c in tab.odd_cores]
-            self.epe = [eps_pi("even", j, s, x)
-                        for j in range(len(tab.even_cores))]
-            self.epo = [eps_pi("odd", j, s, x)
-                        for j in range(len(tab.odd_cores))]
-            self.chi = np.ones_like(x)
+            eps = eps_monomials(np.arange(tab.N), tab.s, u.ravel())
+            self.epe = (tab.even @ eps[0::2]).reshape(self.pe.shape)
+            self.epo = (tab.odd @ eps[1::2]).reshape(self.po.shape)
+            self.chi = 1.0
         else:
-            z = np.asarray(u, dtype=complex)
-            zc = np.conj(z)
-            w = weight(s, z)
-            phase = 1j * np.sign(z.imag)
-            self.pe = [_horner(c, z * z) * w for c in tab.even_cores]
-            self.po = [z * _horner(c, z * z) * w for c in tab.odd_cores]
-            self.epe = [phase * _horner(c, zc * zc) * w for c in tab.even_cores]
-            self.epo = [phase * zc * _horner(c, zc * zc) * w
-                        for c in tab.odd_cores]
-            self.chi = np.zeros_like(w)
-        self.is_real = is_real
+            phase = 1j * np.sign(u.imag)
+            self.epe = phase * np.conj(self.pe)
+            self.epo = phase * np.conj(self.po)
+            self.chi = 0.0
 
 
 def _is_real_arg(u) -> bool:
@@ -142,30 +145,18 @@ def _is_real_arg(u) -> bool:
 
 
 def _pair_sum(tab: _Tables, au, bu, av, bv):
-    """``2 sum_j [au_j bv_j - av_j bu_j]`` with the odd-N correction applied.
-
-    ``au/av`` are even-family values (length J, plus the top member at index
-    J for odd N), ``bu/bv`` odd-family values (length J).
-    """
+    """``2 sum_{j<J} [au_j bv_j - av_j bu_j]`` over even-family values
+    ``au/av`` and odd-family values ``bu/bv`` (the odd-N correction is in
+    the table rows)."""
     J = tab.J
-    total = 0.0
-    for j in range(J):
-        total = total + (au[j] * bv[j] - av[j] * bu[j])
-    total = 2.0 * total
-    if tab.odd_N:
-        corr = 0.0
-        for j in range(J):
-            corr = corr + tab.ratios[j] * (au[J] * bv[j] - av[J] * bu[j])
-        total = total - 2.0 * corr
-    return total
+    return 2.0 * np.sum(au[:J] * bv - av[:J] * bu, axis=0)
 
 
 def kappa_n(P: EnsembleParams, u, v):
     """Scalar kernel (the (1,1) entry), including the weights; vectorized."""
     tab = _tables(P.N, P.s)
-    fu = _Features(tab, u, _is_real_arg(u) if np.ndim(u) == 0 else False)
-    fv = _Features(tab, v, _is_real_arg(v) if np.ndim(v) == 0 else False)
-    return _pair_sum(tab, fu.pe, fu.po, fv.pe, fv.po)
+    u, v = np.broadcast_arrays(u, v)
+    return _pair_sum(tab, *_family(tab, u), *_family(tab, v))
 
 
 def _entry_12(tab: _Tables, fu: _Features, fv: _Features):
@@ -218,9 +209,8 @@ def intensity_complex(P: EnsembleParams, z):
     """
     tab = _tables(P.N, P.s)
     z = np.asarray(z, dtype=complex)
-    fz = _Features(tab, z, False)
-    fzc = _Features(tab, np.conj(z), False)
-    val = 1j * np.sign(z.imag) * _pair_sum(tab, fz.pe, fz.po, fzc.pe, fzc.po)
+    pe, po = _family(tab, z)
+    val = 1j * np.sign(z.imag) * _pair_sum(tab, pe, po, np.conj(pe), np.conj(po))
     return np.real(val)
 
 

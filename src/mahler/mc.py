@@ -76,10 +76,7 @@ def mahler_measure(p: PolyCoeffs, cross_check: bool = False) -> float:
     if cross_check:
         n = 512
         theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-        z = np.exp(1j * theta)
-        pv = np.zeros_like(z)
-        for ck in c[::-1]:
-            pv = pv * z + ck
+        pv = p(np.exp(1j * theta))
         jensen = math.exp(float(np.mean(np.log(np.abs(pv)))))
         if abs(jensen - val) > 1e-4 * max(1.0, abs(val)):
             raise ConditioningError(

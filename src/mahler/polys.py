@@ -68,24 +68,19 @@ def p_poly(n: int, alpha: float, beta: float) -> PolyCoeffs:
 
 
 def p_eval(n: int, alpha: float, beta: float, z):
-    """Evaluate ``P_n^{alpha,beta}(z)`` by the three-term recurrence.
-
-    ``P_0 = 1``, ``P_1 = (1+beta) + (1+alpha) z`` and for ``n >= 2``
-    ``P_n = [((n+alpha)/n) z + (n+beta)/n] P_{n-1} - ((n+alpha+beta)/n) z P_{n-2}``.
-    """
-    z = np.asarray(z, dtype=complex)
-    p_prev = np.ones_like(z)
-    if n == 0:
-        return p_prev[()] if z.ndim == 0 else p_prev
-    p = (1.0 + beta) + (1.0 + alpha) * z
-    for k in range(2, n + 1):
-        p, p_prev = (((k + alpha) / k) * z + (k + beta) / k) * p \
-            - ((k + alpha + beta) / k) * z * p_prev, p
-    return p[()] if z.ndim == 0 else p
+    """Evaluate ``P_n^{alpha,beta}(z)`` by the recurrence of :func:`p_eval_sequence`."""
+    return p_eval_sequence(n + 1, alpha, beta, z)[n]
 
 
 def p_eval_sequence(count: int, alpha: float, beta: float, z) -> np.ndarray:
-    """Stack ``[P_0(z), ..., P_{count-1}(z)]`` along a new leading axis."""
+    """Stack ``[P_0(z), ..., P_{count-1}(z)]`` along a new leading axis.
+
+    Three-term recurrence: ``P_0 = 1``, ``P_1 = (1+beta) + (1+alpha) z`` and
+    for ``n >= 2``
+    ``P_n = [((n+alpha)/n) z + (n+beta)/n] P_{n-1} - ((n+alpha+beta)/n) z P_{n-2}``.
+    """
+    if count < 1:
+        raise DomainError(f"count must be positive, got {count}")
     z = np.asarray(z, dtype=complex)
     out = np.empty((count,) + z.shape, dtype=complex)
     p_prev = np.ones_like(z)
@@ -153,52 +148,28 @@ def weight(s: float, z):
 # ---------------------------------------------------------------------------
 
 
-def eps_monomial_even(k: int, s: float, y):
-    """``eps(x^{2k} max(1,|x|)^{-s})(y)`` for real ``y``; requires ``s > 2k+1``.
+def eps_monomials(degrees, s: float, y) -> np.ndarray:
+    """``eps(x^m max(1,|x|)^{-s})(y)`` for each ``m`` in ``degrees``, real ``y``.
 
-    Equals ``-int_0^y x^{2k} max(1,|x|)^{-s} dx`` (the weighted monomial is
-    even, so its half-line masses cancel).
+    Stacked along a new leading axis; requires ``s > m + 1`` for every ``m``.
+    With ``G_m(t) = int_0^t x^m max(1,x)^{-s} dx`` the transform is
+    ``-sgn(y) G_m(|y|)`` for even ``m`` (the half-line masses cancel) and
+    ``G_m(inf) - G_m(|y|)`` for odd ``m``.
     """
-    if not math.isinf(s) and s <= 2 * k + 1:
-        raise IntegrabilityError(f"eps of x^{2*k} requires s > {2*k+1}, got {s}")
+    m = np.asarray(degrees, dtype=int)
+    if not math.isinf(s) and m.size and s <= m.max() + 1:
+        bad = int(m[m + 1 >= s][0])
+        raise IntegrabilityError(f"eps of x^{bad} requires s > {bad + 1}, got {s}")
     y = np.asarray(y, dtype=float)
     t = np.abs(y)
-    inner = np.minimum(t, 1.0) ** (2 * k + 1) / (2 * k + 1)
+    e = (m + 1).astype(float).reshape(m.shape + (1,) * y.ndim)
+    g = np.minimum(t, 1.0) ** e / e
     if math.isinf(s):
-        outer = np.zeros_like(t)
+        g_inf = 1.0 / e
     else:
-        with np.errstate(over="ignore"):
-            outer = np.where(
-                t > 1.0,
-                (np.maximum(t, 1.0) ** (2 * k + 1 - s) - 1.0) / (2 * k + 1 - s),
-                0.0,
-            )
-    g = np.sign(y) * (np.where(t > 1.0, 1.0 / (2 * k + 1), inner) + outer)
-    out = -g
-    return out[()] if np.ndim(y) == 0 else out
-
-
-def eps_monomial_odd(k: int, s: float, y):
-    """``eps(x^{2k+1} max(1,|x|)^{-s})(y)`` for real ``y``; requires ``s > 2k+2``."""
-    if not math.isinf(s) and s <= 2 * k + 2:
-        raise IntegrabilityError(f"eps of x^{2*k+1} requires s > {2*k+2}, got {s}")
-    y = np.asarray(y, dtype=float)
-    t = np.abs(y)
-    if math.isinf(s):
-        half = 1.0 / (2 * k + 2)
-        outer = np.zeros_like(t)
-    else:
-        half = 1.0 / (2 * k + 2) + 1.0 / (s - 2 * k - 2)
-        with np.errstate(over="ignore"):
-            outer = np.where(
-                t > 1.0,
-                (np.maximum(t, 1.0) ** (2 * k + 2 - s) - 1.0) / (2 * k + 2 - s),
-                0.0,
-            )
-    inner = np.minimum(t, 1.0) ** (2 * k + 2) / (2 * k + 2)
-    g = np.where(t > 1.0, 1.0 / (2 * k + 2), inner) + outer
-    out = half - g
-    return out[()] if np.ndim(y) == 0 else out
+        g = g + (np.maximum(t, 1.0) ** (e - s) - 1.0) / (e - s)
+        g_inf = 1.0 / e + 1.0 / (s - e)
+    return np.where(e % 2 == 1, -np.sign(y) * g, g_inf - g)
 
 
 def eps_pi(kind: str, n: int, s: float, y):
@@ -209,28 +180,19 @@ def eps_pi(kind: str, n: int, s: float, y):
     ``eps(pi_{2n+1} w)(y)``. Vectorized over real ``y``.
     """
     if kind == "even":
-        core = pi_even_core(n)
-        pieces = [c * eps_monomial_even(k, s, y) for k, c in enumerate(core)]
+        core, degrees = pi_even_core(n), 2 * np.arange(n + 1)
     elif kind == "odd":
-        core = pi_odd_core(n, s)
-        pieces = [c * eps_monomial_odd(k, s, y) for k, c in enumerate(core)]
+        core, degrees = pi_odd_core(n, s), 2 * np.arange(n + 1) + 1
     else:
         raise DomainError(f"kind must be 'even' or 'odd', got {kind!r}")
-    return sum(pieces)
+    return np.tensordot(core, eps_monomials(degrees, s, y), axes=1)[()]
 
 
 def eps_poly(coeffs, s: float, y):
     """``eps`` of a general weighted real polynomial given ascending coeffs."""
     coeffs = np.asarray(coeffs, dtype=float)
-    total = 0.0
-    for m, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        if m % 2 == 0:
-            total = total + c * eps_monomial_even(m // 2, s, y)
-        else:
-            total = total + c * eps_monomial_odd((m - 1) // 2, s, y)
-    return total
+    degrees = np.flatnonzero(coeffs)
+    return np.tensordot(coeffs[degrees], eps_monomials(degrees, s, y), axes=1)[()]
 
 
 def s_norm(n: int, s: float) -> float:

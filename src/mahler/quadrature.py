@@ -9,13 +9,11 @@ Conventions used throughout the package:
 * integrals over the unit circle use a periodic trapezoid rule in the angle.
 
 Integrands must be vectorized over numpy arrays (real or complex output).
-The default panel order is 64 and may be overridden globally through the
-``MAHLER_QUAD_ORDER`` environment variable (consumed by the CLI) or per call.
+The panel order is ``DEFAULT_ORDER`` (64) unless a call passes ``order``.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
@@ -23,17 +21,6 @@ import numpy as np
 from .errors import QuadratureError
 
 DEFAULT_ORDER = 64
-
-
-def default_order() -> int:
-    """Panel order, honoring the MAHLER_QUAD_ORDER environment override."""
-    raw = os.environ.get("MAHLER_QUAD_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER
-    order = int(raw)
-    if order < 2:
-        raise ValueError("quadrature order must be at least 2")
-    return order
 
 
 @lru_cache(maxsize=32)
@@ -45,7 +32,7 @@ def leg_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def fixed_panel(f, a: float, b: float, order: int | None = None):
     """One Gauss–Legendre panel for ``f`` over ``[a, b]``."""
-    order = order or default_order()
+    order = order or DEFAULT_ORDER
     x, w = leg_nodes(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * np.sum(w * f(mid + half * x))
@@ -58,14 +45,20 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None
     Bisects the panel with the largest error estimate (difference between the
     panel value and the sum over its two halves) until the global estimate is
     below ``tol`` (absolute, scaled by the integral magnitude when that is
-    larger than one). Returns ``(value, error_estimate)``.
+    larger than one). Returns ``(value, error_estimate)``. A panel whose
+    value or halves are not finite raises at once: bisection cannot remove
+    a non-finite value from the running total.
     """
-    order = order or default_order()
+    order = order or DEFAULT_ORDER
 
     def panel(lo, hi):
         whole = fixed_panel(f, lo, hi, order)
         mid = 0.5 * (lo + hi)
         halves = fixed_panel(f, lo, mid, order) + fixed_panel(f, mid, hi, order)
+        if not (np.isfinite(whole) and np.isfinite(halves)):
+            raise QuadratureError(
+                f"non-finite integrand on [{lo}, {hi}]: panel {whole}, "
+                f"halves {halves}")
         return halves, abs(whole - halves)
 
     value, err = panel(a, b)

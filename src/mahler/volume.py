@@ -136,15 +136,9 @@ def bilinear_r(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> fl
     The double integral against ``sgn(y - x)`` collapses to one dimension via
     the eps antiderivative of the weighted polynomial.
     """
-    fc = np.asarray(f.coeffs, dtype=float)
-    gc = np.asarray(g.coeffs, dtype=float)
-
     def simple(x):
         xv = np.asarray(x, dtype=float)
-        fx = np.zeros_like(xv)
-        for c in fc[::-1]:
-            fx = fx * xv + c
-        return 2.0 * fx * weight(s, xv) * eps_poly(gc, s, xv)
+        return 2.0 * f(xv) * weight(s, xv) * eps_poly(g.coeffs, s, xv)
 
     val, err = adaptive(simple, -1.0, 1.0, tol=tol)
     total = val
@@ -166,14 +160,8 @@ def bilinear_c(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10,
 
     def radial(r):
         z = np.multiply.outer(np.asarray(r, dtype=float), etheta)
-        fz = np.zeros_like(z)
-        for c in np.asarray(f.coeffs)[::-1]:
-            fz = fz * z + c
-        gz = np.zeros_like(z)
-        for c in np.asarray(g.coeffs)[::-1]:
-            gz = gz * z + c
         w2 = weight(s, z) ** 2 if not math.isinf(s) else weight(s, z)
-        vals = np.imag(np.conj(fz) * gz) * w2
+        vals = np.imag(np.conj(f(z)) * g(z)) * w2
         return 4.0 * (vals * wtheta).sum(axis=-1) * np.asarray(r)
 
     val, err = adaptive(radial, 0.0, 1.0, tol=tol)

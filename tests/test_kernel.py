@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from mahler.errors import (DomainError, NotAntisymmetricError,
-                           OddDimensionError)
+                           OddDimensionError, QuadratureError)
 from mahler.kernel import (EnsembleParams, PointConfig, correlation,
                            expected_counts, expected_in_exact,
                            expected_out_exact, intensity_complex,
@@ -95,6 +96,29 @@ class TestMatrixKernel:
             ref = 0.25 + (s - 2) / (4 * s) * x * x
             assert K.e12.real == pytest.approx(ref, rel=1e-12)
             assert pf == pytest.approx(ref, rel=1e-12)
+
+
+    @pytest.mark.parametrize("N", [4, 5, 16])
+    @pytest.mark.parametrize("s_kind", ["finite", "inf"])
+    def test_eps_slots_by_finite_difference(self, N, s_kind):
+        # eps f(y) = (1/2) int f(t) sgn(t - y) dt has derivative -f(y), so
+        # d/dv K12(u, v) = -K11(u, v) for real v and d/du K22(u, v) =
+        # -K12(u, v) for real u: a second route to the real-point eps values
+        P = EnsembleParams(N, N + 1.5 if s_kind == "finite" else math.inf)
+        h = 1e-5
+        reals = (0.3, -0.6, 1.7, -2.4)
+        for x in reals:
+            for p in reals + (0.4 + 0.7j,):
+                if p == x:
+                    continue
+                d12 = (matrix_kernel(P, p, x + h).e12
+                       - matrix_kernel(P, p, x - h).e12) / (2 * h)
+                ref = -matrix_kernel(P, p, x).e11
+                assert abs(d12 - ref) <= 1e-8 * max(1.0, abs(ref))
+                d22 = (matrix_kernel(P, x + h, p).e22
+                       - matrix_kernel(P, x - h, p).e22) / (2 * h)
+                ref = -matrix_kernel(P, x, p).e12
+                assert abs(d22 - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
 class TestPfaffian:
@@ -238,6 +262,15 @@ class TestExpectedCounts:
         P = EnsembleParams(4, math.inf)
         assert expected_counts(P, "outside") == 0.0
         assert expected_out_exact(4, math.inf) == 0.0
+
+    def test_outside_overflow_fails_fast(self):
+        # the monomial basis overflows at N = 96 beyond the disk; the
+        # quadrature must stop at the first non-finite panel
+        P = EnsembleParams(96, 97.0)
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError):
+            expected_counts(P, "outside")
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("N", [2, 4, 5])
     @pytest.mark.parametrize("kind", ["plus1", "double", "inf"])

@@ -24,6 +24,10 @@ class TestPPoly:
     def test_degree_zero(self):
         assert p_poly(0, 0.3, -0.4).coeffs == (1.0,)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(DomainError):
+            p_eval(-1, 0.3, -0.4, 0.5)
+
     def test_degree_one(self):
         c = p_poly(1, 0.3, -0.4).coeffs
         assert c == pytest.approx((0.6, 1.3), rel=1e-14)
