@@ -24,11 +24,8 @@ import numpy as np
 
 from . import kernel, limits, mc, volume
 from .errors import MahlerError
+from .mc import _fmt
 from .specfun import iota
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_s(text: str) -> float:

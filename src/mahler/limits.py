@@ -84,41 +84,39 @@ def k_zeta(lam: float, zeta: complex, z: complex, w: complex) -> complex:
     return omega(lam, zz) * omega(lam, ww) * integral / math.pi
 
 
+def _xi_side(lam: float, xi: float, u):
+    """``(omega(xi u), M, M')`` with ``M, M'`` at ``u xi tau`` on the unit
+    nodes ``tau`` (last axis); ``u`` is a scalar or an array."""
+    u = np.asarray(u, dtype=complex)
+    tau, _ = _unit_nodes()
+    M, Mp = big_m_pair(np.multiply.outer(u, xi * tau))
+    return omega(lam, xi * u), M, Mp
+
+
 def kappa_xi(lam: float, xi: float, u, v):
     """Scaled scalar kernel at the real anchor ``xi = +-1``; vectorized."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
     tau, wt = _unit_nodes()
-    Mu, Mpu = big_m_pair(np.multiply.outer(u, xi * tau))
-    Mv, Mpv = big_m_pair(np.multiply.outer(v, xi * tau))
+    wu, Mu, Mpu = _xi_side(lam, xi, u)
+    wv, Mv, Mpv = _xi_side(lam, xi, v)
     core = wt * tau * (1.0 - lam * tau)
     integral = ((Mpu * Mv - Mu * Mpv) * core).sum(axis=-1)
-    val = omega(lam, xi * u) * omega(lam, xi * v) * (xi / 4.0) * integral
-    if u.ndim == 0 and v.ndim == 0:
+    val = wu * wv * (xi / 4.0) * integral
+    if np.ndim(val) == 0:
         return complex(val)
     return val
 
 
-def _kappa_xi_matrix(lam: float, xi: float, u, v):
-    """Outer matrix ``[kappa_xi(u_i, v_j)]`` for 1-d node arrays."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+def _xi_blocks(lam: float, xi: float, side_u, side_v):
+    """From the sides of two 1-d node arrays ``u``, ``v``: the outer matrix
+    ``[kappa_xi(u_i, v_j)]`` and, for each side, the boundary terms
+    ``(omega(xi u)/4) int_0^1 (1 - lam t) M(u xi t) dt``."""
     tau, wt = _unit_nodes()
-    Mu, Mpu = big_m_pair(np.multiply.outer(u, xi * tau))
-    Mv, Mpv = big_m_pair(np.multiply.outer(v, xi * tau))
+    (wu, Mu, Mpu), (wv, Mv, Mpv) = side_u, side_v
     core = wt * tau * (1.0 - lam * tau)
     mat = (Mpu * core) @ Mv.T - (Mu * core) @ Mpv.T
-    return np.multiply.outer(omega(lam, xi * u), omega(lam, xi * v)) \
-        * (xi / 4.0) * mat
-
-
-def _boundary_term(lam: float, xi: float, v):
-    """``(omega(v xi)/4) int_0^1 (1 - lam u) M(v xi u) du``; vectorized."""
-    v = np.asarray(v, dtype=complex)
-    tau, wt = _unit_nodes()
-    Mv, _ = big_m_pair(np.multiply.outer(v, xi * tau))
-    integral = (Mv * (wt * (1.0 - lam * tau))).sum(axis=-1)
-    return omega(lam, xi * v) * integral / 4.0
+    kmat = np.multiply.outer(wu, wv) * (xi / 4.0) * mat
+    edge = wt * (1.0 - lam * tau)
+    return kmat, wu * (Mu @ edge) / 4.0, wv * (Mv @ edge) / 4.0
 
 
 def a_xi(lam: float, xi: float, a: float, b: float) -> complex:
@@ -126,14 +124,11 @@ def a_xi(lam: float, xi: float, a: float, b: float) -> complex:
     scaled scalar kernel over [0,a] x [0,b] plus the anchoring boundary
     terms."""
     t, wt = _unit_nodes()
-    un, uw = a * t, a * wt
-    vn, vw = b * t, b * wt
-    kmat = _kappa_xi_matrix(lam, xi, un, vn)
-    double = uw @ kmat @ vw
-    bnd = float(np.real(vw @ _boundary_term(lam, xi, vn)
-                        - uw @ _boundary_term(lam, xi, un)))
-    val = double + bnd
-    return complex(val)
+    uw, vw = a * wt, b * wt
+    kmat, bu, bv = _xi_blocks(lam, xi, _xi_side(lam, xi, a * t),
+                              _xi_side(lam, xi, b * t))
+    bnd = float(np.real(vw @ bv - uw @ bu))
+    return complex(uw @ kmat @ vw + bnd)
 
 
 def a_xi_iform(lam: float, xi: float, a: float, b: float) -> complex:
@@ -157,17 +152,17 @@ def a_xi_iform(lam: float, xi: float, a: float, b: float) -> complex:
 def da_xi(lam: float, xi: float, a, b: float) -> complex:
     """First-slot derivative of the antiderivative kernel (closed form)."""
     t, wt = _unit_nodes()
-    vn, vw = b * t, b * wt
-    row = _kappa_xi_matrix(lam, xi, np.asarray([a], dtype=complex), vn)[0]
-    return complex(row @ vw - _boundary_term(lam, xi, np.asarray([a]))[0])
+    kmat, ba, _ = _xi_blocks(lam, xi, _xi_side(lam, xi, [a]),
+                             _xi_side(lam, xi, b * t))
+    return complex(kmat[0] @ (b * wt) - ba[0])
 
 
 def ad_xi(lam: float, xi: float, a: float, b) -> complex:
     """Second-slot derivative of the antiderivative kernel (closed form)."""
     t, wt = _unit_nodes()
-    un, uw = a * t, a * wt
-    col = _kappa_xi_matrix(lam, xi, un, np.asarray([b], dtype=complex))[:, 0]
-    return complex(uw @ col + _boundary_term(lam, xi, np.asarray([b]))[0])
+    kmat, _, bb = _xi_blocks(lam, xi, _xi_side(lam, xi, a * t),
+                             _xi_side(lam, xi, [b]))
+    return complex((a * wt) @ kmat[:, 0] + bb[0])
 
 
 # ---------------------------------------------------------------------------
@@ -183,65 +178,57 @@ def sqrt_minus_tau(tau):
     return np.exp(0.5j * (theta - np.pi))
 
 
-def _disk_nodes():
-    theta = (np.arange(_CIRCLE_N) + 0.5) * (2.0 * np.pi / _CIRCLE_N)
-    tau = np.exp(1j * theta)
-    p = np.exp(0.5j * (theta - np.pi))     # sqrt(-tau) on the stated branch
-    return tau, p, 2.0 * np.pi / _CIRCLE_N
+# midpoint trapezoid nodes on the unit circle, offset by half a step so no
+# node sits on the branch cut of sqrt(-tau) at angle 0
+_DISK_TAU = np.exp(1j * (np.arange(_CIRCLE_N) + 0.5) * (2.0 * np.pi / _CIRCLE_N))
+_DISK_TC = np.conj(_DISK_TAU)
+_DISK_P = sqrt_minus_tau(_DISK_TAU)
+_DISK_Q = np.conj(_DISK_P)
 
 
-def _check_disk(*pts):
-    for z in pts:
+def _disk_factors(u, v):
+    """Check that ``u, v`` lie in the open unit disk and return the circle
+    factors ``p = sqrt(-tau)``, ``q = conj(p)``, ``tau``, ``conj(tau)``,
+    ``ru = (1 - u^2 conj(tau))^{-1/2}`` and ``rv = (1 - v^2 tau)^{-1/2}``."""
+    for z in (u, v):
         if abs(complex(z)) >= 1.0:
             raise DomainError(f"argument {z} not inside the open unit disk")
+    ru = (1.0 - u * u * _DISK_TC) ** -0.5
+    rv = (1.0 - v * v * _DISK_TAU) ** -0.5
+    return _DISK_P, _DISK_Q, _DISK_TAU, _DISK_TC, ru, rv
+
+
+def _circle_mean(integrand) -> complex:
+    """``(1/(4 pi)) int_0^{2 pi} integrand d theta`` on the disk nodes."""
+    return complex(np.sum(integrand) * (2.0 * np.pi / _CIRCLE_N) / (4.0 * np.pi))
 
 
 def a_disk(u, v):
     """Antiderivative kernel inside the disk: a circle average of
     ``(v sqrt(-tau) - u sqrt(-conj tau)) / sqrt((1-u^2 conj tau)(1-v^2 tau))``."""
-    _check_disk(u, v)
-    tau, p, dth = _disk_nodes()
-    q = np.conj(p)
-    ru = (1.0 - u * u * np.conj(tau)) ** -0.5
-    rv = (1.0 - v * v * tau) ** -0.5
-    val = np.sum((v * p - u * q) * ru * rv) * dth / (4.0 * np.pi)
-    return complex(val)
+    p, q, _, _, ru, rv = _disk_factors(u, v)
+    return _circle_mean((v * p - u * q) * ru * rv)
 
 
 def da_disk(u, v):
     """First-slot derivative of the disk kernel (differentiation under the
     integral sign)."""
-    _check_disk(u, v)
-    tau, p, dth = _disk_nodes()
-    q, tc = np.conj(p), np.conj(tau)
-    ru = (1.0 - u * u * tc) ** -0.5
-    rv = (1.0 - v * v * tau) ** -0.5
-    integrand = -q * ru * rv + (v * p - u * q) * u * tc * ru ** 3 * rv
-    return complex(np.sum(integrand) * dth / (4.0 * np.pi))
+    p, q, _, tc, ru, rv = _disk_factors(u, v)
+    return _circle_mean(-q * ru * rv + (v * p - u * q) * u * tc * ru ** 3 * rv)
 
 
 def ad_disk(u, v):
     """Second-slot derivative of the disk kernel."""
-    _check_disk(u, v)
-    tau, p, dth = _disk_nodes()
-    q, tc = np.conj(p), np.conj(tau)
-    ru = (1.0 - u * u * tc) ** -0.5
-    rv = (1.0 - v * v * tau) ** -0.5
-    integrand = p * ru * rv + (v * p - u * q) * v * tau * ru * rv ** 3
-    return complex(np.sum(integrand) * dth / (4.0 * np.pi))
+    p, q, tau, _, ru, rv = _disk_factors(u, v)
+    return _circle_mean(p * ru * rv + (v * p - u * q) * v * tau * ru * rv ** 3)
 
 
 def dad_disk(u, v):
     """Mixed derivative of the disk kernel: the unscaled limit of the scalar
     kernel inside the disk."""
-    _check_disk(u, v)
-    tau, p, dth = _disk_nodes()
-    q, tc = np.conj(p), np.conj(tau)
-    ru = (1.0 - u * u * tc) ** -0.5
-    rv = (1.0 - v * v * tau) ** -0.5
-    integrand = (p * u * tc * ru ** 3 * rv - q * v * tau * ru * rv ** 3
-                 + (v * p - u * q) * u * v * ru ** 3 * rv ** 3)
-    return complex(np.sum(integrand) * dth / (4.0 * np.pi))
+    p, q, tau, tc, ru, rv = _disk_factors(u, v)
+    return _circle_mean(p * u * tc * ru ** 3 * rv - q * v * tau * ru * rv ** 3
+                        + (v * p - u * q) * u * v * ru ** 3 * rv ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +253,20 @@ def _check_outside(*pts):
             raise DomainError(f"argument {z} not outside the closed unit disk")
 
 
+def _b_core(c: float, u, v):
+    """The outside limit without the square-root trace factors."""
+    uv = u * v
+    return (c + 1.0 / (uv - 1.0)) / (np.abs(uv) ** c * math.pi) \
+        * (v - u) / (uv - 1.0)
+
+
 def b_outside(c: float, u, v):
     """Unscaled outside limit of the (phase-corrected) scalar kernel."""
     _check_outside(u, v)
     if math.isinf(c):
         # c |uv|^{-c} -> 0 for |uv| > 1
         return 0.0 * (u * v)
-    uv = u * v
-    return ((c + 1.0 / (uv - 1.0)) / (np.abs(uv) ** c * math.pi)
-            * (v - u) / ((uv - 1.0) * sqrt_z2m1(u) * sqrt_z2m1(v)))
+    return _b_core(c, u, v) / (sqrt_z2m1(u) * sqrt_z2m1(v))
 
 
 def _c_const(c: float) -> float:
@@ -283,42 +275,34 @@ def _c_const(c: float) -> float:
         / math.sqrt(math.pi)
 
 
-def _g_tail(c: float, y: float, order: int = 256) -> float:
-    """``int_{sgn(y) inf}^y du / (|u|^c sqrt(u^2-1))`` for ``|y| > 1``.
+def _tail_nodes(y: float, order: int):
+    """Nodes and weights for ``int_{sgn(y) inf}^y f(u) du / sqrt(u^2-1)``,
+    ``|y| > 1``, up to its sign.
 
-    The substitution ``|u| = cosh(t)`` removes the edge singularity; the
-    result is ``-int_{arccosh|y|}^inf cosh(t)^{-c} dt`` regardless of the
-    sign of ``y`` (the square-root trace flips sign with ``u``).
+    The substitution ``|u| = cosh(t)`` removes the edge singularity, and
+    ``t = arccosh|y| - log(x)`` maps ``[arccosh|y|, inf)`` to ``(0, 1]``:
+    the nodes are ``sgn(y) cosh(t)`` and the weights ``w/x`` on the unit
+    Gauss–Legendre rule. On the trace branch ``du / sqrt(u^2-1) = dt`` for
+    either sign of ``y`` (both flip together); the downward orientation from
+    ``sgn(y) inf`` to ``y`` contributes a factor -1 left to the caller.
     """
-    t0 = math.acosh(abs(y))
-    # map [t0, inf) to (0, 1] by t = t0 - log(x)
-    x, w = leg_nodes(order)
-    xs = 0.5 * (x + 1.0)
-    ws = 0.5 * w
-    t = t0 - np.log(xs)
-    return -float(np.sum(ws * np.cosh(t) ** (-c) / xs))
+    x, w = _unit_nodes(order)
+    t = math.acosh(abs(y)) - np.log(x)
+    return math.copysign(1.0, y) * np.cosh(t), w / x
 
 
-def _b_core(c: float, u, v):
-    """The outside limit without the square-root trace factors."""
-    uv = u * v
-    return (c + 1.0 / (uv - 1.0)) / (np.abs(uv) ** c * math.pi) \
-        * (v - u) / (uv - 1.0)
+def _g_tail(c: float, y: float, order: int = 256) -> float:
+    """``int_{sgn(y) inf}^y du / (|u|^c sqrt(u^2-1))`` for ``|y| > 1``,
+    that is ``-int_{arccosh|y|}^inf cosh(t)^{-c} dt`` for either sign of
+    ``y``."""
+    u, wu = _tail_nodes(y, order)
+    return -float(np.sum(wu * np.abs(u) ** (-c)))
 
 
 def _b_single(c: float, z, y: float, order: int = 256):
     """``int_{sgn(y) inf}^y B(z, v) dv`` with ``z`` possibly complex."""
-    sy = math.copysign(1.0, y)
-    t0 = math.acosh(abs(y))
-    x, w = leg_nodes(order)
-    xs = 0.5 * (x + 1.0)
-    ws = 0.5 * w
-    t = t0 - np.log(xs)
-    v = sy * np.cosh(t)
-    # dv / sqrt(v^2-1) = dt on the trace branch (both flip sign together);
-    # the downward orientation from sgn(y)*inf to y contributes the -1
-    vals = _b_core(c, z, v) / sqrt_z2m1(z)
-    return -np.sum(vals * ws / xs)
+    v, wv = _tail_nodes(y, order)
+    return -np.sum(_b_core(c, z, v) * wv) / sqrt_z2m1(z)
 
 
 def a_outside(c: float, x: float, y: float, order: int = 96) -> float:
@@ -328,18 +312,11 @@ def a_outside(c: float, x: float, y: float, order: int = 96) -> float:
     if math.isinf(c):
         return 0.0
     sx, sy = math.copysign(1.0, x), math.copysign(1.0, y)
-    tx0, ty0 = math.acosh(abs(x)), math.acosh(abs(y))
-    xg, wg = leg_nodes(order)
-    xs = 0.5 * (xg + 1.0)
-    ws = 0.5 * wg
-    tu = tx0 - np.log(xs)
-    tv = ty0 - np.log(xs)
-    u = sx * np.cosh(tu)
-    v = sy * np.cosh(tv)
-    # du dv / (sqrt(u^2-1) sqrt(v^2-1)) = dt dt' on the trace branch; both
-    # integrals run from infinity down to the endpoint, the two (-1)s cancel
-    core = _b_core(c, u[:, None], v[None, :])
-    double = float(np.real((ws / xs) @ core @ (ws / xs)))
+    u, wu = _tail_nodes(x, order)
+    v, wv = _tail_nodes(y, order)
+    # both integrals run from infinity down to the endpoint; the two (-1)s
+    # cancel
+    double = float(np.real(wu @ _b_core(c, u[:, None], v[None, :]) @ wv))
     single = _c_const(c) * (sx * _g_tail(c, y) - sy * _g_tail(c, x))
     return double + single
 
@@ -685,8 +662,7 @@ def compare_report(im_list=(5.0, 10.0, 20.0), re_list=(0.0, 0.5)) -> list[dict]:
         errs = []
         for x in re_list:
             z = complex(x, h)
-            M, Mp = big_m_pair(z)
-            Mc, Mpc = big_m_pair(np.conj(z))
+            (M, Mc), (Mp, Mpc) = big_m_pair([z, np.conj(z)])
             val = iota(z) / 4.0 * (Mp * Mc - M * Mpc)
             errs.append(abs(val - math.exp(2.0 * x) / math.pi))
         rows.append({"regime": "compare", "im": h,

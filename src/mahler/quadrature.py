@@ -97,12 +97,3 @@ def halfline(f, a: float, tol: float = 1e-12, order: int | None = None):
 
     return adaptive(g, 0.0, 1.0 / a, tol=tol, order=order)
 
-
-def circle_trapezoid(f, n: int = 1024, midpoint: bool = False):
-    """Periodic-trapezoid integral of ``f(e^{i\\theta})`` d\\theta over [0, 2pi).
-
-    With ``midpoint=True`` the nodes are offset by half a step, which avoids
-    placing a node exactly at angle 0.
-    """
-    theta = (np.arange(n) + (0.5 if midpoint else 0.0)) * (2.0 * np.pi / n)
-    return (2.0 * np.pi / n) * np.sum(f(np.exp(1j * theta)))

@@ -64,75 +64,76 @@ def gamma_ratio_table(n: int, alpha: float) -> np.ndarray:
     return sign * np.exp(log_val)
 
 
+def _hyp1f1_pair(a: float, b: float, z, max_terms: int = 100000):
+    """``(1F1(a; b; z), d/dz 1F1(a; b; z))`` from one term sequence; arrays.
+
+    The terms are ``t_0 = 1``, ``t_{n+1} = t_n (n+a)/((n+b)(n+1)) z`` and the
+    derivative is ``sum t_n (n+a)/(n+b)``, since ``(n+1) t_{n+1}/z`` is that
+    summand. Points with ``Re z < 0`` are summed through Kummer's
+    transformation ``e^z 1F1(b-a; b; -z)`` (DLMF 13.2.39), with derivative
+    ``e^z sum t_n a/(n+b)``, so neither series alternates on the negative
+    real axis.
+    """
+    z = np.asarray(z, dtype=complex)
+    kummer = z.real < 0.0
+    w = np.where(kummer, -z, z)
+    top = np.where(kummer, b - a, a)       # numerator parameter of the series
+    step = np.where(kummer, 0.0, 1.0)      # derivative factor (n*step + a)/(n+b)
+    term = np.ones_like(w)
+    val = term.copy()
+    der = np.zeros_like(w)
+    quiet = 0
+    for n in range(max_terms):
+        der = der + term * ((n * step + a) / (n + b))
+        term = term * ((n + top) / ((n + b) * (n + 1.0))) * w
+        val = val + term
+        if np.max(np.abs(term)) <= _TRUNC * max(np.max(np.abs(val)), _TINY):
+            quiet += 1
+            if quiet >= 3:
+                break
+        else:
+            quiet = 0
+    scale = np.exp(np.where(kummer, z, 0.0))
+    return scale * val, scale * der
+
+
 def hyp1f1_M(alpha: float, beta: float, z, max_terms: int = 100000):
     """Confluent-hypergeometric family ``M_{alpha,beta}(z)``.
 
     Defined by the normalized series with coefficient ratio
-    ``(n+1+alpha)/((n+1+gamma)(n+1))`` where ``gamma = 1+alpha+beta``; the
-    value at 0 is 1. The special case ``(1/2, -3/2)`` is the kernel of the
-    circle scaling limits. Accepts scalars or numpy arrays.
+    ``(n+1+alpha)/((n+1+gamma)(n+1))`` where ``gamma = 1+alpha+beta``, that is
+    ``1F1(1+alpha; 1+gamma; z)``; the value at 0 is 1. The special case
+    ``(1/2, -3/2)`` is the kernel of the circle scaling limits. Accepts
+    scalars or numpy arrays.
     """
     g = 1.0 + alpha + beta
     if _is_nonpositive_integer(g + 1.0):
         # poles occur when 1+gamma hits a non-positive integer, i.e. gamma in {-1,-2,...}
         raise PoleError(f"hyp1f1_M: parameter gamma = {g} is a negative integer")
-    z_arr = np.asarray(z, dtype=complex)
-    term = np.ones_like(z_arr)
-    total = term.copy()
-    quiet = 0
-    for n in range(max_terms):
-        term = term * ((n + 1.0 + alpha) / ((n + 1.0 + g) * (n + 1.0))) * z_arr
-        total = total + term
-        if np.max(np.abs(term)) <= _TRUNC * max(np.max(np.abs(total)), _TINY):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return complex(total)
-    return total
+    val, _ = _hyp1f1_pair(1.0 + alpha, 1.0 + g, z, max_terms)
+    return complex(val) if val.ndim == 0 else val
 
 
 def big_m_pair(z):
     """``(M(z), M'(z))`` for ``M = M_{1/2,-3/2} = 1F1(3/2, 1; z)``, vectorized.
 
-    Both series are accumulated in a single pass so kernel integrands pay for
-    one loop only.
+    Both come from one pass of the confluent series, so kernel integrands
+    pay for one loop only.
     """
     z_arr = np.asarray(z, dtype=complex)
     if np.max(np.abs(z_arr)) > 25.0:
-        # the alternating series loses ~e^{|z|} eps to cancellation; switch
-        # to arbitrary precision for large arguments (cold path)
+        # the series loses ~e^{|z|} eps to cancellation off the real axis;
+        # switch to arbitrary precision for large arguments (cold path)
         import mpmath
         with mpmath.workdps(30):
             flat = z_arr.ravel()
-            m_hi = np.array([complex(mpmath.hyp1f1(1.5, 1.0, zz))
-                             for zz in flat]).reshape(z_arr.shape)
-            d_hi = np.array([1.5 * complex(mpmath.hyp1f1(2.5, 2.0, zz))
-                             for zz in flat]).reshape(z_arr.shape)
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return complex(m_hi), complex(d_hi)
-        return m_hi, d_hi
-    term = np.ones_like(z_arr)            # a_n z^n
-    m_val = term.copy()
-    d_val = np.zeros_like(z_arr)          # sum n a_n z^{n-1}
-    quiet = 0
-    for n in range(100000):
-        # a_{n+1} z^{n+1} from a_n z^n ; gamma = 0 for (1/2, -3/2)
-        term = term * ((n + 1.5) / ((n + 1.0) * (n + 1.0))) * z_arr
-        m_val = m_val + term
-        with np.errstate(invalid="ignore", divide="ignore"):
-            d_term = np.where(z_arr != 0, (n + 1.0) * term / z_arr,
-                              1.5 if n == 0 else 0.0)
-        d_val = d_val + d_term
-        if np.max(np.abs(term)) <= _TRUNC * max(np.max(np.abs(m_val)), _TINY):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
+            m_val = np.array([complex(mpmath.hyp1f1(1.5, 1.0, zz))
+                              for zz in flat]).reshape(z_arr.shape)
+            d_val = np.array([1.5 * complex(mpmath.hyp1f1(2.5, 2.0, zz))
+                              for zz in flat]).reshape(z_arr.shape)
+    else:
+        m_val, d_val = _hyp1f1_pair(1.5, 1.0, z_arr)
+    if z_arr.ndim == 0:
         return complex(m_val), complex(d_val)
     return m_val, d_val
 
@@ -147,40 +148,12 @@ def big_m_prime(z):
     return big_m_pair(z)[1]
 
 
-def e_gamma(g: float, tau, tol: float = 1e-13) -> complex:
-    """``(1+g) \\int_0^1 x^g e^{tau x} dx``, normalized so the value at 0 is 1.
+def _endpoint_moment(g: float, core, tol: float) -> complex:
+    """``(1+g) \\int_0^1 x^g core(x) dx`` for ``g > -1``.
 
     For ``g < 0`` the algebraic endpoint singularity is removed with the
     substitution ``x = t^{2/(1+g)}`` before Gauss–Legendre integration.
     """
-    if g <= -1.0:
-        raise DomainError(f"e_gamma requires g > -1, got {g}")
-    tau = complex(tau)
-    if g < 0.0:
-        p = 2.0 / (1.0 + g)
-
-        def f(t):
-            return p * t * np.exp(tau * t**p)
-    else:
-
-        def f(x):
-            return x**g * np.exp(tau * x)
-
-    val, _ = adaptive(f, 0.0, 1.0, tol=tol)
-    return (1.0 + g) * val
-
-
-def e_pair(a1: float, b1: float, a2: float, b2: float, t1, t2,
-           tol: float = 1e-12) -> complex:
-    """``(1+g) \\int_0^1 x^g M_{a1,b1}(t1 x) M_{a2,b2}(t2 x) dx``, ``g = 2+a1+b1+a2+b2``."""
-    g = 2.0 + a1 + b1 + a2 + b2
-    if g <= -1.0:
-        raise DomainError(f"e_pair requires 2+a1+b1+a2+b2 > -1, got {g}")
-    t1, t2 = complex(t1), complex(t2)
-
-    def core(x):
-        return hyp1f1_M(a1, b1, t1 * x) * hyp1f1_M(a2, b2, t2 * x)
-
     if g < 0.0:
         p = 2.0 / (1.0 + g)
 
@@ -193,6 +166,25 @@ def e_pair(a1: float, b1: float, a2: float, b2: float, t1, t2,
 
     val, _ = adaptive(f, 0.0, 1.0, tol=tol)
     return (1.0 + g) * val
+
+
+def e_gamma(g: float, tau, tol: float = 1e-13) -> complex:
+    """``(1+g) \\int_0^1 x^g e^{tau x} dx``, normalized so the value at 0 is 1."""
+    if g <= -1.0:
+        raise DomainError(f"e_gamma requires g > -1, got {g}")
+    tau = complex(tau)
+    return _endpoint_moment(g, lambda x: np.exp(tau * x), tol)
+
+
+def e_pair(a1: float, b1: float, a2: float, b2: float, t1, t2,
+           tol: float = 1e-12) -> complex:
+    """``(1+g) \\int_0^1 x^g M_{a1,b1}(t1 x) M_{a2,b2}(t2 x) dx``, ``g = 2+a1+b1+a2+b2``."""
+    g = 2.0 + a1 + b1 + a2 + b2
+    if g <= -1.0:
+        raise DomainError(f"e_pair requires 2+a1+b1+a2+b2 > -1, got {g}")
+    t1, t2 = complex(t1), complex(t2)
+    return _endpoint_moment(
+        g, lambda x: hyp1f1_M(a1, b1, t1 * x) * hyp1f1_M(a2, b2, t2 * x), tol)
 
 
 def hyp2f1(a: float, b: float, c: float, z, tol: float = 1e-12,

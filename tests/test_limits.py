@@ -60,16 +60,24 @@ class TestCircleRealKernel:
         assert a_xi(0.5, 1.0, -0.4, -0.4) == pytest.approx(0.0, abs=1e-13)
 
     def test_antiderivative_integral_form(self):
-        assert a_xi(0.5, 1.0, -0.7, -0.2) == pytest.approx(
-            a_xi_iform(0.5, 1.0, -0.7, -0.2), abs=1e-8)
+        # the single-integral form needs a*xi, b*xi < 0
+        for xi, a, b in ((1.0, -0.7, -0.2), (-1.0, 0.7, 0.2)):
+            assert a_xi(0.5, xi, a, b) == pytest.approx(
+                a_xi_iform(0.5, xi, a, b), abs=1e-8)
 
     def test_slot_derivatives_match_finite_differences(self):
-        lam, xi, h = 0.5, 1.0, 1e-5
-        a, b = -0.6, -0.25
-        fd_da = (a_xi(lam, xi, a + h, b) - a_xi(lam, xi, a - h, b)) / (2 * h)
-        fd_ad = (a_xi(lam, xi, a, b + h) - a_xi(lam, xi, a, b - h)) / (2 * h)
-        assert da_xi(lam, xi, a, b) == pytest.approx(fd_da, abs=1e-8)
-        assert ad_xi(lam, xi, a, b) == pytest.approx(fd_ad, abs=1e-8)
+        # a*xi > 0 puts the damped side omega < 1 into play when lam > 0
+        h = 1e-5
+        for xi in (1.0, -1.0):
+            for lam in (0.5, 1.0):
+                for a, b in ((-0.6, -0.25), (0.7, -0.4), (-1.5, 2.0),
+                             (3.0, 1.2)):
+                    fd_da = (a_xi(lam, xi, a + h, b)
+                             - a_xi(lam, xi, a - h, b)) / (2 * h)
+                    fd_ad = (a_xi(lam, xi, a, b + h)
+                             - a_xi(lam, xi, a, b - h)) / (2 * h)
+                    assert da_xi(lam, xi, a, b) == pytest.approx(fd_da, abs=1e-8)
+                    assert ad_xi(lam, xi, a, b) == pytest.approx(fd_ad, abs=1e-8)
 
 
 class TestInsideDiskKernel:

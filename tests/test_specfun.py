@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from mahler.errors import (DivergenceError, DomainError, InfiniteValueError,
                            PoleError)
 from mahler.quadrature import adaptive
-from mahler.specfun import (big_m, big_m_prime, e_gamma, e_pair, gamma_ratio,
-                            gamma_ratio_table, hyp1f1_M, hyp2f1, iota,
-                            lambda_weight, omega)
+from mahler.specfun import (big_m, big_m_pair, big_m_prime, e_gamma, e_pair,
+                            gamma_ratio, gamma_ratio_table, hyp1f1_M, hyp2f1,
+                            iota, lambda_weight, omega)
 
 
 class TestGammaRatio:
@@ -83,6 +83,31 @@ class TestConfluent:
     def test_pole_raises(self):
         with pytest.raises(PoleError):
             hyp1f1_M(0.5, -2.5, 1.0)  # gamma = 1+a+b = -1
+
+    def test_negative_real_part_matches_mpmath(self):
+        # |z| < 25 keeps every point on the series path, where the plain
+        # series would alternate for Re z < 0; 0 and 3+4i put both branches
+        # into one array
+        zs = [-20.0, -24.9, -20.0 + 10.0j, 0.0, 3.0 + 4.0j]
+        for x in np.linspace(-24.9, -1.0, 12):
+            top = min(10.0, abs(x), 0.99 * math.sqrt(625.0 - x * x))
+            zs.extend(complex(x, y) for y in np.linspace(-top, top, 5))
+        z = np.array(zs)
+        m, dm = big_m_pair(z)
+        with mpmath.workdps(40):
+            ref_m = [complex(mpmath.hyp1f1(1.5, 1.0, zz)) for zz in zs]
+            ref_d = [1.5 * complex(mpmath.hyp1f1(2.5, 2.0, zz)) for zz in zs]
+        for k, zz in enumerate(zs):
+            assert m[k] == pytest.approx(ref_m[k], rel=1e-12), zz
+            assert dm[k] == pytest.approx(ref_d[k], rel=1e-12), zz
+
+    def test_family_negative_real_part_matches_mpmath(self):
+        for alpha, beta in ((0.5, -0.5), (1.5, -1.5), (-0.3, 0.8)):
+            for z in (-8.0, -15.0 + 4.0j, -22.0 - 9.0j):
+                with mpmath.workdps(40):
+                    ref = complex(mpmath.hyp1f1(1.0 + alpha,
+                                                2.0 + alpha + beta, z))
+                assert hyp1f1_M(alpha, beta, z) == pytest.approx(ref, rel=1e-12)
 
     def test_ode_residual(self, rng):
         # z M'' + (1 - z) M' - (3/2) M = 0 for the (1/2,-3/2) member
