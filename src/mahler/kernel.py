@@ -17,10 +17,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
-                     QuadratureError, ResidualError)
+                     ResidualError)
 from .polys import (eps_monomials, p_eval_sequence, pi_even_core, pi_odd_core,
                     s_norm, weight)
-from .quadrature import adaptive, halfline, leg_nodes
+from .quadrature import _check_quad, adaptive, halfline, leg_nodes
 
 
 @dataclass(frozen=True)
@@ -333,11 +333,6 @@ def expected_counts(P: EnsembleParams, region, tol: float = 1e-9) -> float:
         return expected_counts(P, "realline", tol) \
             + _complex_count(P, r_max=None, tol=tol)
     raise DomainError(f"unknown region {region!r}")
-
-
-def _check_quad(val, err):
-    if err > 1e-6 * max(1.0, abs(val)):
-        raise QuadratureError(f"quadrature error {err:.3e} too large for value {val:.3e}")
 
 
 def _outside_count(P: EnsembleParams, tol: float) -> float:

@@ -7,6 +7,9 @@ measure stays at most 1 (uniform sampling of the monic star body); at finite
 ``s`` the acceptance ratio is the Mahler-measure power ``(M'/M)^{-s}``.
 Proposals are never auto-rejected silently: a rejected step re-emits the
 current state, which is what keeps the chain's invariant density correct.
+Each proposal is solved once, by the eigenvalues of the companion matrix
+``np.roots`` would build. ``roots_classify`` and ``mahler_measure`` reuse the
+roots of the state ``sample`` emitted last, given exactly its coefficients.
 """
 
 from __future__ import annotations
@@ -50,14 +53,19 @@ class RootSet:
     pairs: tuple[complex, ...]
 
 
+# (coefficients, read-only roots) of the state ``sample`` emitted last: one
+# tuple, so a reader never pairs one state's key with another's roots
+_emitted = (None, None)
+
+
 def _poly_roots(coeffs) -> np.ndarray:
     """Roots via the companion-matrix eigenvalues (descending for np.roots)."""
-    c = np.asarray(coeffs, dtype=float)
-    c = np.trim_zeros(c, trim="b")
+    key, roots = _emitted
+    if isinstance(coeffs, tuple) and coeffs == key:
+        return roots
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), trim="b")
     if c.size == 0:
         raise DomainError("mahler measure of the zero polynomial")
-    if c.size == 1:
-        return np.array([])
     return np.roots(c[::-1])
 
 
@@ -69,10 +77,9 @@ def mahler_measure(p: PolyCoeffs, cross_check: bool = False) -> float:
     average for roots near the circle is why the check is opt-in.
     """
     c = np.asarray(p.coeffs, dtype=float)
-    roots = _poly_roots(c)
+    roots = _poly_roots(p.coeffs)
     lead = np.trim_zeros(c, trim="b")[-1]
-    val = abs(lead) * float(np.prod(np.maximum(1.0, np.abs(roots)))) \
-        if roots.size else abs(lead)
+    val = abs(lead) * float(np.prod(np.maximum(1.0, np.abs(roots))))
     if cross_check:
         n = 512
         theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
@@ -84,38 +91,40 @@ def mahler_measure(p: PolyCoeffs, cross_check: bool = False) -> float:
     return val
 
 
-def _monic_measure(b: np.ndarray) -> float:
-    """Mahler measure of ``z^N + sum b_k z^k`` from its roots."""
-    coeffs = np.concatenate([b, [1.0]])
-    roots = np.roots(coeffs[::-1])
-    return float(np.prod(np.maximum(1.0, np.abs(roots))))
-
-
 def sample(cfg: SamplerConfig):
     """Generator of monic samples from the ball walk; deterministic per seed.
 
     Emits every ``thin``-th post-burn-in state (rejected proposals re-emit
     the current state, they are not skipped).
     """
+    global _emitted
     rng = np.random.default_rng(cfg.seed)
     N = cfg.N
-    b = np.zeros(N)
-    m_cur = 1.0
+    companion = np.diag(np.ones(N - 1), -1)     # first row: -b[::-1]
+    b, roots, m_cur = np.zeros(N), np.zeros(N), 1.0     # z^N: N roots at 0
     for step in range(cfg.steps):
         direction = rng.standard_normal(N)
         norm = float(np.linalg.norm(direction))
         radius = rng.random() ** (1.0 / N)
         prop = b + cfg.step_length * radius * direction / norm
-        m_prop = _monic_measure(prop)
+        if prop[0] == 0.0:      # np.roots splits the zero roots off first
+            r_prop = np.roots(np.append(prop, 1.0)[::-1])
+        else:
+            np.negative(prop[::-1], out=companion[0])
+            r_prop = np.linalg.eigvals(companion)
+        m_prop = float(np.prod(np.maximum(1.0, np.abs(r_prop))))
         if math.isinf(cfg.s):
             accept = m_prop <= 1.0 + 1e-12
         else:
             ratio = (m_prop / m_cur) ** (-cfg.s)
             accept = ratio >= 1.0 or rng.random() < ratio
         if accept:
-            b, m_cur = prop, m_prop
+            b, m_cur, roots = prop, m_prop, r_prop
         if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
-            yield PolyCoeffs(tuple(b) + (1.0,))
+            coeffs = tuple(b) + (1.0,)
+            roots.flags.writeable = False
+            _emitted = (coeffs, roots)
+            yield PolyCoeffs(coeffs)
 
 
 def roots_classify(p: PolyCoeffs, tol: float = 1e-9) -> RootSet:
@@ -128,27 +137,21 @@ def roots_classify(p: PolyCoeffs, tol: float = 1e-9) -> RootSet:
     if tol <= 0:
         raise DomainError("tol must be positive")
     roots = _poly_roots(p.coeffs)
-    reals, complexes = [], []
-    for r in roots:
-        if abs(r.imag) <= tol * (1.0 + abs(r)):
-            reals.append(float(r.real))
-        else:
-            complexes.append(complex(r))
-    uppers = [z for z in complexes if z.imag > 0]
-    lowers = [z for z in complexes if z.imag < 0]
+    # np.hypot, not np.abs: it rounds |r| as the scalar abs(r) does
+    real = np.abs(roots.imag) <= tol * (1.0 + np.hypot(roots.real, roots.imag))
+    reals, complexes = roots.real[real].tolist(), roots[~real]
+    uppers = complexes[complexes.imag > 0].tolist()
+    lowers = complexes[complexes.imag < 0].tolist()
     if len(uppers) != len(lowers):
         raise PairingError("unequal numbers of upper and lower roots")
     pairs = []
-    remaining = list(lowers)
     for z in uppers:
-        if not remaining:
-            raise PairingError("ran out of conjugate partners")
-        dist = [abs(np.conj(z) - w) for w in remaining]
+        dist = [abs(np.conj(z) - w) for w in lowers]
         k = int(np.argmin(dist))
         if dist[k] > max(tol * (1.0 + abs(z)) * 1e3, 1e-6 * (1.0 + abs(z))):
             raise PairingError(
                 f"root {z} has no conjugate partner within tolerance")
-        remaining.pop(k)
+        lowers.pop(k)
         pairs.append(z)
     return RootSet(tuple(sorted(reals)), tuple(pairs))
 
@@ -193,20 +196,17 @@ def empirical_stats(samples, real_edges, complex_x_edges,
     real_rows = []
     chist_total = np.zeros((cx.size - 1, cy.size - 1))
     chist_sq = np.zeros_like(chist_total)
-    n = 0
     for p in samples:
         rs = roots_classify(p)
         counts.append(len(rs.reals))
         row, _ = np.histogram(rs.reals, bins=real_edges)
         real_rows.append(row)
-        pts_x, pts_y = [], []
-        for z in rs.pairs:
-            pts_x.extend([z.real, z.real])
-            pts_y.extend([z.imag, -z.imag])
-        crow, _, _ = np.histogram2d(pts_x, pts_y, bins=(cx, cy))
+        z = np.array(rs.pairs, dtype=complex)
+        z = np.concatenate([z, z.conj()])     # each pair and its mirror
+        crow, _, _ = np.histogram2d(z.real, z.imag, bins=(cx, cy))
         chist_total += crow
         chist_sq += crow ** 2
-        n += 1
+    n = len(counts)
     if n < 1:
         raise DomainError("no samples provided")
     counts = np.asarray(counts, dtype=float)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .kernel import pfaffian
 from .polys import PolyCoeffs, eps_poly, weight
-from .quadrature import adaptive, halfline, leg_nodes
+from .quadrature import _check_quad, adaptive, halfline, leg_nodes
 
 
 def skew_moment(n: int, m: int, s: float) -> float:
@@ -140,12 +140,12 @@ def bilinear_r(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> fl
         xv = np.asarray(x, dtype=float)
         return 2.0 * f(xv) * weight(s, xv) * eps_poly(g.coeffs, s, xv)
 
-    val, err = adaptive(simple, -1.0, 1.0, tol=tol)
-    total = val
+    total, toterr = adaptive(simple, -1.0, 1.0, tol=tol)
     if not math.isinf(s):
         v1, e1 = halfline(simple, 1.0, tol=tol)
         v2, e2 = halfline(lambda x: simple(-x), 1.0, tol=tol)
-        total += v1 + v2
+        total, toterr = total + (v1 + v2), toterr + e1 + e2
+    _check_quad(total, toterr)
     return total
 
 
@@ -164,11 +164,11 @@ def bilinear_c(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10,
         vals = np.imag(np.conj(f(z)) * g(z)) * w2
         return 4.0 * (vals * wtheta).sum(axis=-1) * np.asarray(r)
 
-    val, err = adaptive(radial, 0.0, 1.0, tol=tol)
-    total = val
+    total, toterr = adaptive(radial, 0.0, 1.0, tol=tol)
     if not math.isinf(s):
         v1, e1 = halfline(radial, 1.0, tol=tol)
-        total += v1
+        total, toterr = total + v1, toterr + e1
+    _check_quad(total, toterr)
     return total
 
 

@@ -70,7 +70,90 @@ class TestRootsClassify:
         assert len(rs.reals) + 2 * len(rs.pairs) == len(coeffs)
 
 
+def _reference_walk(cfg):
+    """The ball walk with one ``np.roots`` call per proposal: a second route
+    to every emitted coefficient tuple, on the same RNG stream."""
+    rng = np.random.default_rng(cfg.seed)
+    b, m_cur, out = np.zeros(cfg.N), 1.0, []
+    for step in range(cfg.steps):
+        direction = rng.standard_normal(cfg.N)
+        norm = float(np.linalg.norm(direction))
+        radius = rng.random() ** (1.0 / cfg.N)
+        prop = b + cfg.step_length * radius * direction / norm
+        roots = np.roots(np.concatenate([prop, [1.0]])[::-1])
+        m_prop = float(np.prod(np.maximum(1.0, np.abs(roots))))
+        if math.isinf(cfg.s):
+            accept = m_prop <= 1.0 + 1e-12
+        else:
+            ratio = (m_prop / m_cur) ** (-cfg.s)
+            accept = ratio >= 1.0 or rng.random() < ratio
+        if accept:
+            b, m_cur = prop, m_prop
+        if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
+            out.append(tuple(b) + (1.0,))
+    return out
+
+
+def _reference_classify(coeffs, tol=1e-9):
+    """Root split from ``np.roots`` of the coefficients, one root at a time
+    (pairs are the upper roots in solver order, as the greedy match keeps)."""
+    reals, uppers = [], []
+    for r in np.roots(np.asarray(coeffs, dtype=float)[::-1]):
+        if abs(r.imag) <= tol * (1.0 + abs(r)):
+            reals.append(float(r.real))
+        elif r.imag > 0:
+            uppers.append(complex(r))
+    return RootSet(tuple(sorted(reals)), tuple(uppers))
+
+
 class TestSampler:
+    @pytest.mark.parametrize("N,s,thin,burn_in", [
+        (1, math.inf, 3, 0), (2, math.inf, 2, 0), (4, math.inf, 5, 0),
+        (20, math.inf, 3, 0), (4, 8.0, 4, 30), (20, 40.0, 1, 0)])
+    def test_states_and_roots_match_np_roots_route(self, N, s, thin, burn_in):
+        for seed in (1, 7, 23):
+            cfg = SamplerConfig(N=N, s=s, step_length=0.25 if N == 20 else 0.5,
+                                steps=burn_in + 150 * thin, burn_in=burn_in,
+                                thin=thin, seed=seed)
+            ref = _reference_walk(cfg)
+            got = [(p.coeffs, roots_classify(p)) for p in sample(cfg)]
+            assert [c for c, _ in got] == ref
+            assert [rs for _, rs in got] == [_reference_classify(c)
+                                             for c in ref]
+
+    def test_emitted_state_is_not_solved_again(self, monkeypatch):
+        cfg = SamplerConfig(N=4, s=8.0, steps=300, burn_in=0, seed=4)
+        calls = []
+        real_roots = np.roots
+        monkeypatch.setattr(np, "roots",
+                            lambda p: calls.append(1) or real_roots(p))
+        for p in sample(cfg):
+            roots_classify(p)
+            mahler_measure(p)
+        assert calls == []
+        roots_classify(PolyCoeffs((0.5, -1.0, 0.25, 0.0, 1.0)))
+        assert len(calls) == 1
+
+    def test_interleaved_chains_match_sequential(self):
+        # advancing two chains alternately leaves each consumer holding a
+        # state that is not the last one emitted, so its roots are solved
+        # afresh; results must not depend on that
+        cfgs = (SamplerConfig(N=4, s=math.inf, steps=400, burn_in=0, seed=31),
+                SamplerConfig(N=3, s=7.0, steps=400, burn_in=0, thin=2,
+                              seed=32))
+
+        def record(p):
+            return p.coeffs, roots_classify(p), mahler_measure(p)
+
+        sequential = [[record(p) for p in sample(cfg)] for cfg in cfgs]
+        interleaved = ([], [])
+        for pa, pb in zip(*(sample(cfg) for cfg in cfgs)):
+            interleaved[0].append(record(pa))
+            interleaved[1].append(record(pb))
+        assert len(interleaved[0]) == len(interleaved[1]) == 200
+        assert interleaved[0] == sequential[0][:200]
+        assert interleaved[1] == sequential[1]
+
     def test_reproducible(self):
         cfg = SamplerConfig(N=3, s=7.0, steps=400, burn_in=100, thin=3,
                             seed=11)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahler.errors import DomainError
+from mahler import volume
+from mahler.errors import DomainError, QuadratureError
 from mahler.polys import PolyCoeffs, pi_pair
-from mahler.volume import (GramMatrix, bilinear, chern_vaaler_f, gram_matrix,
-                           gram_pf, monomial_moment, skew_moment, volume_ball)
+from mahler.volume import (GramMatrix, bilinear, bilinear_c, bilinear_r,
+                           chern_vaaler_f, gram_matrix, gram_pf,
+                           monomial_moment, skew_moment, volume_ball)
 
 
 class TestSkewMoments:
@@ -156,3 +158,23 @@ class TestSkewOrthonormality:
                     0.0, abs=1e-7)
                 assert bilinear(odd_n, odd_m, s) == pytest.approx(
                     0.0, abs=1e-7)
+
+
+class TestBilinearErrorCheck:
+    @pytest.mark.parametrize("part", [bilinear_r, bilinear_c])
+    @pytest.mark.parametrize("rule", ["adaptive", "halfline"])
+    def test_large_error_estimate_raises(self, monkeypatch, part, rule):
+        # each quadrature piece's error estimate reaches the check: inflate
+        # one piece's estimate and the form must refuse its value
+        real = getattr(volume, rule)
+
+        def inflated(*args, **kwargs):
+            val, _ = real(*args, **kwargs)
+            return val, 1e-3
+
+        even, _ = pi_pair(1, 11.0)
+        _, odd = pi_pair(1, 11.0)
+        part(even, odd, 11.0)
+        monkeypatch.setattr(volume, rule, inflated)
+        with pytest.raises(QuadratureError):
+            part(even, odd, 11.0)
