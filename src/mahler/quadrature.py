@@ -83,7 +83,7 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None
 
 
 def _check_quad(val, err):
-    """Raise unless an error estimate is within 1e-6 of ``max(1, |val|)``."""
+    """Raise when an error estimate exceeds ``1e-6 * max(1, |val|)``."""
     if err > 1e-6 * max(1.0, abs(val)):
         raise QuadratureError(f"quadrature error {err:.3e} too large for value {val:.3e}")
 
