@@ -31,7 +31,10 @@ from .specfun import iota
 def _parse_s(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise MahlerError(f"--s must be a number or 'inf', got {text!r}") from None
 
 
 def _open_out(path):
@@ -161,11 +164,11 @@ def run_intensity(args) -> int:
 
 
 def run_convergence(args) -> int:
-    n_list = tuple(int(t) for t in args.N_list.split(","))
-    if list(n_list) != sorted(set(n_list)) or n_list[-1] > 64:
-        print("convergence: N list must be strictly increasing, <= 64",
-              file=sys.stderr)
-        return 2
+    try:
+        n_list = tuple(int(t) for t in args.N_list.split(","))
+    except ValueError:
+        raise MahlerError("--N-list must be comma-separated integers, got "
+                          f"{args.N_list!r}") from None
     report = limits.full_report(n_list)
     fh, close = _open_out(args.out)
     try:

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
                      ResidualError)
 from .polys import (eps_monomials, p_eval_sequence, pi_even_core, pi_odd_core,
                     s_norm, weight)
 from .quadrature import _check_quad, adaptive, halfline, leg_nodes
+from .specfun import gammaln_signed
 
 
 @dataclass(frozen=True)
@@ -385,12 +385,13 @@ def expected_in_exact(N: int, s: float) -> float:
     if N % 2 != 0:
         raise DomainError("exact count sums require even N")
     J = N // 2
+    # every argument is k + 1/2 (H) or k + 1 (G) for an integer 0 <= k <= N
+    H, G = (gammaln_signed(np.arange(N + 1) + a)[0] for a in (0.5, 1.0))
     total = 0.0 if math.isinf(s) else J / s
     for n in range(J):
         m = np.arange(n + 1, dtype=float)
-        log_t = (gammaln(m + 0.5) + gammaln(n - m + 0.5) + gammaln(n + m + 1.0)
-                 + gammaln(m + 1.5) - 2.0 * gammaln(m + 1.0)
-                 - gammaln(n - m + 1.0) - gammaln(n + m + 2.5))
+        log_t = (H[:n + 1] + H[n::-1] + G[n:2 * n + 1] + H[1:n + 2]
+                 - 2.0 * G[:n + 1] - G[n::-1] - H[n + 2:2 * n + 3])
         t = np.exp(log_t)
         if math.isinf(s):
             inner = float(np.sum(t)) / math.pi
@@ -409,12 +410,12 @@ def expected_out_exact(N: int, s: float) -> float:
     if not s > N:
         raise DomainError("requires s > N")
     J = N // 2
+    # the arguments are k + 1/2, k + 1, s - k and s - 1/2 - k, 0 <= k < N
+    k = np.arange(N)
+    H, G, S, T = (gammaln_signed(a)[0] for a in (k + 0.5, k + 1.0, s - k, s - 0.5 - k))
     total = J / s
     for n in range(J):
-        i = np.arange(n + 1, dtype=float)
-        log_t = (gammaln(i + 1.5) + gammaln(n - i + 0.5) + gammaln(s - i)
-                 + gammaln(s - i - n - 1.5) - gammaln(i + 1.0)
-                 - gammaln(n - i + 1.0) - gammaln(s - i - 0.5)
-                 - gammaln(s - i - n))
+        log_t = (H[1:n + 2] + H[n::-1] + S[:n + 1] + T[n + 1:2 * n + 2]
+                 - G[:n + 1] - G[n::-1] - T[:n + 1] - S[n:2 * n + 1])
         total += 2.0 * float(np.sum(np.exp(log_t))) / (math.pi * s)
     return total

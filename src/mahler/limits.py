@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .kernel import (EnsembleParams, KernelValue2x2, kappa_n, matrix_kernel,
                      sum_k)
 from .quadrature import leg_nodes
-from .specfun import big_m_pair, e_gamma, e_pair, iota, omega
+from .specfun import big_m_pair, e_gamma, e_pair, gamma_ratio_table, iota, omega
 
 _ORDER = 96          # all limit integrals over [0, 1] (integrands entire)
 _CIRCLE_N = 1024     # periodic trapezoid nodes for circle integrals
@@ -490,8 +489,9 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
     ``grid`` is a list of argument pairs appropriate to the regime (complex
     offsets for the circle regimes, disk or exterior points otherwise).
     """
-    if list(N_list) != sorted(N_list) or max(N_list) > 64:
-        raise DomainError("N_list must be increasing with entries <= 64")
+    if not N_list or list(N_list) != sorted(set(N_list)) or max(N_list) > 64:
+        raise DomainError("N_list must be non-empty and strictly increasing, "
+                          f"with entries <= 64, got {list(N_list)}")
     rows = []
     for N in N_list:
         s = _schedule(spec, N)
@@ -611,13 +611,12 @@ def sum_inside_limit(a1: float, b1: float, a2: float, b2: float,
         raise DomainError("requires b1 + b2 + 1 < 0")
     if abs(z) >= 1.0 or abs(w) >= 1.0:
         raise DomainError("arguments must lie in the open unit disk")
-    j = np.arange(terms, dtype=float)
-    cz = np.exp(gammaln(j + 1.0 + a1) - gammaln(j + 1.0)
-                - math.lgamma(1.0 + a1)) * np.asarray(z) ** j
-    cw = np.exp(gammaln(j + 1.0 + a2) - gammaln(j + 1.0)
-                - math.lgamma(1.0 + a2)) * np.asarray(w) ** j
-    lam = np.array([[_lambda_fourier(b1, b2, int(jj - kk)) for kk in range(terms)]
-                    for jj in range(terms)])
+    j = np.arange(terms)
+    cz = gamma_ratio_table(terms - 1, a1) * np.asarray(z) ** j
+    cw = gamma_ratio_table(terms - 1, a2) * np.asarray(w) ** j
+    # Toeplitz: entry (j, k) is the coefficient of index j - k
+    coef = np.array([_lambda_fourier(b1, b2, m) for m in range(1 - terms, terms)])
+    lam = coef[np.subtract.outer(j, j) + terms - 1]
     return complex(cz @ lam @ cw)
 
 
@@ -628,8 +627,7 @@ def kasymp_report(N_list, params=(0.5, -0.8, 1.5, -1.5)) -> list[dict]:
     a1, b1, a2, b2 = params
     z_in, w_in = 0.3, 0.2
     z_out, w_out = 1.5, 1.3
-    lim_origin = math.gamma(-b1 - b2 - 1.0) / (math.gamma(-b1)
-                                               * math.gamma(-b2))
+    lim_origin = _lambda_fourier(b1, b2, 0)
     lim_inside = sum_inside_limit(a1, b1, a2, b2, z_in, w_in)
     lim_outside = 1.0 / (math.gamma(1.0 + a1) * math.gamma(1.0 + a2)) \
         / ((z_out * w_out - 1.0) * (1.0 - 1.0 / z_out) ** (1.0 + b1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError, IntegrabilityError, PoleError
-from .specfun import gamma_ratio_table, gammaln_signed
+from .specfun import _gamma_quotient, gamma_ratio_table
 
 _INF = math.inf
 
@@ -201,11 +201,8 @@ def s_norm(n: int, s: float) -> float:
         return 2.0
     if s <= 2 * n + 1:
         raise DomainError(f"s_norm requires s > {2*n+1}, got {s}")
-    num1, sg1 = gammaln_signed((s + 2.0) / 2.0)
-    num2, sg2 = gammaln_signed((s - 2.0 * n - 1.0) / 2.0)
-    den1, sg3 = gammaln_signed((s + 1.0) / 2.0)
-    den2, sg4 = gammaln_signed((s - 2.0 * n) / 2.0)
-    return 2.0 * sg1 * sg2 * sg3 * sg4 * math.exp(num1 + num2 - den1 - den2)
+    return 2.0 * _gamma_quotient(((s + 2.0) / 2.0, (s - 2.0 * n - 1.0) / 2.0),
+                                 ((s + 1.0) / 2.0, (s - 2.0 * n) / 2.0))
 
 
 # ---------------------------------------------------------------------------

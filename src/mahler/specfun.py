@@ -1,9 +1,11 @@
 """Special functions used by the polynomial and kernel layers.
 
-Everything here is a pure function. Gamma-function ratios are computed in log
-space with explicit sign bookkeeping so they stay finite for large indices.
-Power series are truncated once the term magnitude stays below ``1e-16`` times
-the partial sum for three consecutive terms.
+Everything here is a pure function. This is the one Gamma layer of the
+package: :func:`gammaln_signed` applies ``math.lgamma`` elementwise and keeps
+the sign of ``Gamma`` apart, and Gamma quotients are summed in log space so
+they stay finite for large indices. Power series are truncated once the term
+magnitude stays below ``1e-16`` times the partial sum for three consecutive
+terms.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
-from scipy.special import gammaln, gammasgn, rgamma
 
 from .errors import DivergenceError, DomainError, InfiniteValueError, PoleError
 from .quadrature import adaptive
@@ -25,43 +25,57 @@ def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
     return x < 0.5 and abs(x - round(x)) < tol and round(x) <= 0
 
 
-def _is_nonnegative_integer(x: float, tol: float = 1e-12) -> bool:
-    return x > -0.5 and abs(x - round(x)) < tol and round(x) >= 0
+def _lgamma_one(x: float) -> tuple[float, float]:
+    # Gamma(x) < 0 exactly on the intervals (-2k - 1, -2k), k >= 0
+    if x > 0.0:
+        return math.lgamma(x), 1.0
+    if x % 1.0 == 0.0:
+        return math.inf, 0.0
+    return math.lgamma(x), 1.0 if x % 2.0 < 1.0 else -1.0
 
 
 def gammaln_signed(x):
-    """``(log|Gamma(x)|, sign(Gamma(x)))`` for real ``x`` (vectorized)."""
-    return gammaln(x), gammasgn(x)
+    """``(log|Gamma(x)|, sign(Gamma(x)))`` elementwise from ``math.lgamma``.
+
+    At the poles ``x = 0, -1, -2, ...`` these are ``inf`` and 0, so
+    ``sign * exp(-log)`` is ``1/Gamma(x)`` everywhere.
+    """
+    if isinstance(x, (int, float)):
+        return _lgamma_one(x)
+    x = np.asarray(x, dtype=float)
+    out = np.array([_lgamma_one(v) for v in x.ravel().tolist()]).reshape(-1, 2)
+    return out[:, 0].reshape(x.shape), out[:, 1].reshape(x.shape)
 
 
-def gamma_ratio(x: float, alpha: float) -> float:
+def _gamma_quotient(num, den):
+    """``prod Gamma(num) / prod Gamma(den)`` summed in log space, the signs
+    kept apart; arguments broadcast, and a pole in ``den`` gives 0."""
+    log_val, sign = 0.0, 1.0
+    for args, k in ((num, 1.0), (den, -1.0)):
+        for a in args:
+            lg, sg = gammaln_signed(a)
+            log_val, sign = log_val + k * lg, sign * sg
+    return sign * np.exp(log_val)
+
+
+def gamma_ratio(x, alpha: float):
     """The normalized Gamma ratio ``Gamma(x+1+alpha) / (Gamma(1+alpha) Gamma(x+1))``.
 
     For integer ``x = n`` this is the generalized binomial coefficient
     ``(1+alpha)(2+alpha)...(n+alpha)/n!`` that appears as a polynomial
-    coefficient throughout the package.
+    coefficient throughout the package. Vectorized over ``x``.
     """
     args = (x + 1.0 + alpha, 1.0 + alpha, x + 1.0)
     for a in args:
-        if _is_nonpositive_integer(a):
-            raise PoleError(f"gamma_ratio({x}, {alpha}): Gamma pole at argument {a}")
-    log_val = gammaln(args[0]) - gammaln(args[1]) - gammaln(args[2])
-    sign = gammasgn(args[0]) * gammasgn(args[1]) * gammasgn(args[2])
-    return sign * math.exp(log_val)
+        for v in np.ravel(a).tolist():
+            if _is_nonpositive_integer(v):
+                raise PoleError(f"gamma_ratio: Gamma pole at argument {v}")
+    return _gamma_quotient(args[:1], args[1:])
 
 
 def gamma_ratio_table(n: int, alpha: float) -> np.ndarray:
     """Vectorized ``gamma_ratio(k, alpha)`` for ``k = 0..n`` (inclusive)."""
-    k = np.arange(n + 1, dtype=float)
-    args = (k + 1.0 + alpha, 1.0 + alpha, k + 1.0)
-    for a in np.atleast_1d(args[0]):
-        if _is_nonpositive_integer(float(a)):
-            raise PoleError(f"gamma_ratio table: Gamma pole at argument {a}")
-    if _is_nonpositive_integer(1.0 + alpha):
-        raise PoleError(f"gamma_ratio table: Gamma pole at argument {1.0 + alpha}")
-    log_val = gammaln(args[0]) - gammaln(args[1]) - gammaln(args[2])
-    sign = gammasgn(args[0]) * gammasgn(args[1]) * gammasgn(args[2])
-    return sign * np.exp(log_val)
+    return gamma_ratio(np.arange(n + 1, dtype=float), alpha)
 
 
 def _hyp1f1_pair(a: float, b: float, z, max_terms: int = 100000):
@@ -138,16 +152,6 @@ def big_m_pair(z):
     return m_val, d_val
 
 
-def big_m(z):
-    """``M(z) = 1F1(3/2, 1; z)``."""
-    return big_m_pair(z)[0]
-
-
-def big_m_prime(z):
-    """``M'(z)``, the derivative of ``1F1(3/2, 1; z)``."""
-    return big_m_pair(z)[1]
-
-
 def _endpoint_moment(g: float, core, tol: float) -> complex:
     """``(1+g) \\int_0^1 x^g core(x) dx`` for ``g > -1``.
 
@@ -207,10 +211,7 @@ def hyp2f1(a: float, b: float, c: float, z, tol: float = 1e-12,
         raise DivergenceError(
             f"hyp2f1 series diverges on |z|=1 when c-a-b = {c - a - b} <= 0")
     if abs(z - 1.0) < 1e-12:
-        log_val = gammaln(c) + gammaln(c - a - b) - gammaln(c - a) - gammaln(c - b)
-        sign = (gammasgn(c) * gammasgn(c - a - b)
-                * gammasgn(c - a) * gammasgn(c - b))
-        return complex(sign * math.exp(log_val))
+        return complex(_gamma_quotient((c, c - a - b), (c - a, c - b)))
     term = 1.0 + 0.0j
     total = term
     quiet = 0
@@ -268,17 +269,15 @@ def lambda_weight(b1: float, b2: float, zeta) -> complex:
         raise InfiniteValueError(
             "lambda_weight has an integrable singularity at zeta = 1 "
             f"for b1+b2+1 = {b1 + b2 + 1.0} >= -1")
-    front = _gamma_fn(-b1 - b2 - 1.0)
-    if _is_nonnegative_integer(b1):
-        q = 2.0 + b1 + b2
-        pref = front * rgamma(-b2) * rgamma(1.0 + b2)
+    front, q = (-b1 - b2 - 1.0,), 2.0 + b1 + b2
+    if _is_nonpositive_integer(-b1):
+        pref = _gamma_quotient(front, (-b2, 1.0 + b2))
         return pref * zeta ** (1.0 + b1) * (1.0 - zeta) ** (-q)
-    if _is_nonnegative_integer(b2):
-        q = 2.0 + b1 + b2
+    if _is_nonpositive_integer(-b2):
         zb = np.conj(zeta)
-        pref = front * rgamma(-b1) * rgamma(1.0 + b1)
+        pref = _gamma_quotient(front, (-b1, 1.0 + b1))
         return pref * zb ** (1.0 + b2) * (1.0 - zb) ** (-q)
-    pref = front * rgamma(-b1) * rgamma(-b2)
+    pref = _gamma_quotient(front, (-b1, -b2))
     f1 = _hyp2f1_unit(1.0, 1.0 + b1, -b2, np.conj(zeta))
     f2 = _hyp2f1_unit(1.0, 1.0 + b2, -b1, zeta)
     return pref * (f1 + f2 - 1.0)

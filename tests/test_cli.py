@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mahler
 from mahler.cli import main
 from mahler.kernel import expected_in_exact
 
@@ -32,6 +36,7 @@ class TestVolumeCommand:
 
     def test_small_weight_rejected(self):
         assert run(["volume", "--N", "4", "--s", "3"]) == 2
+        assert run(["volume", "--N", "4", "--s", "abc"]) == 2
 
 
 class TestGridCommands:
@@ -92,6 +97,9 @@ class TestGridCommands:
 
     def test_intensity_requires_regime_or_ensemble(self):
         assert run(["intensity", "--re-steps", "2", "--im-steps", "2"]) == 2
+        for cmd in ("intensity", "kernel-grid"):
+            assert run([cmd, "--N", "2", "--s", "abc", "--re-steps", "2",
+                        "--im-steps", "2"]) == 2
 
 
 class TestConvergenceCommand:
@@ -105,7 +113,8 @@ class TestConvergenceCommand:
             assert all("sup_error" in row for row in rows)
 
     def test_bad_list_rejected(self):
-        assert run(["convergence", "--N-list", "16,8"]) == 2
+        for bad in ("16,8", "8,8", "", "8,x"):
+            assert run(["convergence", "--N-list", bad]) == 2
 
 
 class TestExpectedRootsCommand:
@@ -125,6 +134,7 @@ class TestExpectedRootsCommand:
 
     def test_odd_degree_rejected(self):
         assert run(["expected-roots", "--N", "5", "--s", "7"]) == 2
+        assert run(["expected-roots", "--N", "4", "--s", "abc"]) == 2
 
 
 class TestSampleCommand:
@@ -141,6 +151,8 @@ class TestSampleCommand:
         out = tmp_path / "x.csv"
         assert run(["sample", "--N", "2", "--s", "1", "--out",
                     str(out)]) == 2
+        assert run(["sample", "--N", "2", "--s", "abc", "--out",
+                    str(out)]) == 2
 
 
 class TestValidateCommand:
@@ -149,3 +161,14 @@ class TestValidateCommand:
         text = capsys.readouterr().out
         assert "FAIL" not in text
         assert text.count("PASS") >= 5
+
+
+class TestImport:
+    def test_import_loads_neither_scipy_nor_mpmath(self):
+        src = os.path.dirname(os.path.dirname(mahler.__file__))
+        code = ("import sys, mahler, mahler.cli; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -286,6 +287,29 @@ class TestExpectedCounts:
             expected_counts(P, "inside"), abs=1e-8)
         assert expected_out_exact(N, s) == pytest.approx(
             expected_counts(P, "outside"), abs=1e-8)
+
+    @pytest.mark.parametrize("s", [65.0, 129.0])
+    def test_exact_sums_match_mpmath_loggamma(self, s):
+        # the same double sums with every log-Gamma value from mpmath
+        N, J = 64, 32
+        lg = mpmath.loggamma
+        with mpmath.workdps(30):
+            e_in = e_out = mpmath.mpf(J) / s
+            for n in range(J):
+                inner = outer = mpmath.mpf(0)
+                for m in range(n + 1):
+                    inner += (s + 2 * m + 1) * mpmath.exp(
+                        lg(m + 0.5) + lg(n - m + 0.5) + lg(n + m + 1)
+                        + lg(m + 1.5) - 2 * lg(m + 1) - lg(n - m + 1)
+                        - lg(n + m + 2.5))
+                    outer += mpmath.exp(
+                        lg(m + 1.5) + lg(n - m + 0.5) + lg(s - m)
+                        + lg(s - m - n - 1.5) - lg(m + 1) - lg(n - m + 1)
+                        - lg(s - m - 0.5) - lg(s - m - n))
+                e_in += -2 / s + inner / (mpmath.pi * s)
+                e_out += 2 * outer / (mpmath.pi * s)
+        assert expected_in_exact(N, s) == pytest.approx(float(e_in), rel=1e-13)
+        assert expected_out_exact(N, s) == pytest.approx(float(e_out), rel=1e-13)
 
 
 class TestIntensities:

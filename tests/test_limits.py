@@ -229,6 +229,9 @@ class TestConvergenceHarness:
         spec = LimitKernelSpec("circle_real", lam=1.0, anchor=1.0)
         with pytest.raises(DomainError):
             convergence_report(spec, [(0.5, -0.3)], (16, 8))
+        for bad in ([], (8, 8), (8, 128)):
+            with pytest.raises(DomainError):
+                convergence_report(spec, [(0.5, -0.3)], bad)
 
     def test_oscillatory_comparison_converges_along_doublings(self):
         # the large-height limit of the paired-confluent expression is

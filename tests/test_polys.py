@@ -10,7 +10,7 @@ from mahler.errors import DomainError, IntegrabilityError
 from mahler.polys import (PolyCoeffs, eps_pi, eps_poly, p_eval, p_poly,
                           pi_pair, s_norm, weight, zero_check)
 from mahler.quadrature import adaptive, halfline
-from mahler.specfun import big_m, gamma_ratio, hyp1f1_M
+from mahler.specfun import gamma_ratio, hyp1f1_M
 
 
 def _polyval(p: PolyCoeffs, z):

@@ -3,14 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahler.errors import (DivergenceError, DomainError, InfiniteValueError,
                            PoleError)
 from mahler.quadrature import adaptive
-from mahler.specfun import (big_m, big_m_pair, big_m_prime, e_gamma, e_pair,
-                            gamma_ratio, gamma_ratio_table, hyp1f1_M, hyp2f1,
+from mahler.specfun import (big_m_pair, e_gamma, e_pair, gamma_ratio,
+                            gamma_ratio_table, gammaln_signed, hyp1f1_M, hyp2f1,
                             iota, lambda_weight, omega)
 
 
@@ -60,6 +61,51 @@ class TestGammaRatio:
         assert errs[0] > errs[1] > errs[2]
 
 
+class TestGammaLayer:
+    """``math.lgamma`` underneath every Gamma value, against its declared
+    second route ``scipy.special``."""
+
+    def test_log_and_sign_match_scipy(self, rng):
+        lattice = [s - k - d for s in (65, 201, 2001, 4001)
+                   for d in (0.0, 0.5) for k in range(s)]
+        x = np.concatenate([
+            -rng.uniform(0.0, 40.0, 400),           # negative non-integers
+            -np.arange(40) - 0.5, np.arange(4001) + 0.5,
+            np.arange(1.0, 200.0), rng.uniform(1e-8, 3.0, 100), lattice])
+        x = x[(x > 0) | (x != np.floor(x))]
+        lg, sign = gammaln_signed(x)
+        ref = sc.gammaln(x)
+        assert np.all(np.abs(lg - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        assert np.array_equal(sign, sc.gammasgn(x))
+
+    def test_poles(self):
+        lg, sign = gammaln_signed([0.0, -1.0, -7.0])
+        assert np.all(lg == np.inf) and np.all(sign == 0.0)
+        scalar = gammaln_signed(2.5)
+        assert np.ndim(scalar[0]) == 0 and scalar[1] == 1.0
+
+    def test_gauss_sum_matches_scipy(self):
+        # c - a = -1 is a pole of the denominator: the sum is 0
+        for a, b, c in ((0.2, 0.2, 1.0), (0.3, -0.5, 1.2), (0.5, -0.5, 1.0),
+                        (-1.3, 0.4, 0.6), (2.0, -1.5, 1.0)):
+            ref = sc.gamma(c) * sc.gamma(c - a - b) \
+                * sc.rgamma(c - a) * sc.rgamma(c - b)
+            assert hyp2f1(a, b, c, 1.0) == pytest.approx(ref, rel=1e-13)
+
+    def test_degenerate_lambda_weight_matches_scipy(self):
+        # one parameter a non-negative integer; 1 + (the other) at a pole of
+        # Gamma makes the weight vanish identically (rgamma = 0)
+        z = complex(math.cos(1.0), math.sin(1.0))
+        for b1, b2 in ((0.0, -2.5), (1.0, -3.5), (2.0, -4.5), (1.0, -4.0)):
+            q = 2.0 + b1 + b2
+            pref = sc.gamma(-b1 - b2 - 1.0) * sc.rgamma(-b2) * sc.rgamma(1.0 + b2)
+            ref = pref * z ** (1.0 + b1) * (1.0 - z) ** (-q)
+            assert lambda_weight(b1, b2, z) == pytest.approx(ref, rel=1e-13)
+            ref_swap = pref * np.conj(z) ** (1.0 + b1) * (1.0 - np.conj(z)) ** (-q)
+            assert lambda_weight(b2, b1, z) == pytest.approx(ref_swap, rel=1e-13)
+        assert lambda_weight(2.0, -4.0, z) == 0.0
+
+
 class TestConfluent:
     def test_at_zero(self):
         assert hyp1f1_M(0.5, -1.5, 0.0) == pytest.approx(1.0, abs=1e-14)
@@ -68,17 +114,17 @@ class TestConfluent:
         # the (1/2,-3/2) member is 1F1(3/2, 1; z)
         for z in (0.7, -1.3 + 0.4j, 2.0 + 1.0j):
             ref = complex(mpmath.hyp1f1(1.5, 1.0, z))
-            assert big_m(z) == pytest.approx(ref, rel=1e-12)
+            assert big_m_pair(z)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_derivative_relation_three_halves(self):
         z = 0.7
         assert hyp1f1_M(1.5, -1.5, z) == pytest.approx(
-            (2.0 / 3.0) * big_m_prime(z), rel=1e-12)
+            (2.0 / 3.0) * big_m_pair(z)[1], rel=1e-12)
 
     def test_derivative_relation_one_half(self):
         z = -1.3 + 0.4j
         assert hyp1f1_M(0.5, -0.5, z) == pytest.approx(
-            2.0 * (big_m_prime(z) - big_m(z)), rel=1e-12)
+            2.0 * (big_m_pair(z)[1] - big_m_pair(z)[0]), rel=1e-12)
 
     def test_pole_raises(self):
         with pytest.raises(PoleError):
@@ -116,15 +162,15 @@ class TestConfluent:
             z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             if abs(z) > 5:
                 continue
-            m0 = big_m(z)
-            f2, f1 = big_m(z + 2 * h), big_m(z + h)
-            g1, g2 = big_m(z - h), big_m(z - 2 * h)
+            m0 = big_m_pair(z)[0]
+            f2, f1 = big_m_pair(z + 2 * h)[0], big_m_pair(z + h)[0]
+            g1, g2 = big_m_pair(z - h)[0], big_m_pair(z - 2 * h)[0]
             d1 = (-f2 + 8 * f1 - 8 * g1 + g2) / (12 * h)
             d2 = (-f2 + 16 * f1 - 30 * m0 + 16 * g1 - g2) / (12 * h ** 2)
             res = z * d2 + (1 - z) * d1 - 1.5 * m0
             # finite differences lose ~eps/h^2 relative to the largest series
             # term, which is of order M(|z|) by positivity on the real axis
-            scale = (1.0 + abs(z) ** 2) * abs(big_m(abs(z)))
+            scale = (1.0 + abs(z) ** 2) * abs(big_m_pair(abs(z))[0])
             assert abs(res) <= 1e-8 * max(1.0, scale)
 
 
