@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
                      ResidualError)
-from .polys import (eps_monomials, p_eval_sequence, pi_even_core, pi_odd_core,
+from .polys import (_p_table, _pi_odd_table, eps_monomials, p_eval_sequence,
                     s_norm, weight)
 from .quadrature import _check_quad, adaptive, halfline, leg_nodes
 from .specfun import gammaln_signed
@@ -87,12 +87,8 @@ class _Tables:
         self.J = N // 2
         self.odd_N = N % 2 == 1
         K = N - self.J          # even members pi_{2j}, j < K
-        self.even = np.zeros((K, K))
-        for j in range(K):
-            self.even[j, :j + 1] = pi_even_core(j)
-        self.odd = np.zeros((self.J, self.J))
-        for j in range(self.J):
-            self.odd[j, :j + 1] = pi_odd_core(j, s)
+        self.even = _p_table(K - 1, 0.5, -0.5)
+        self.odd = _pi_odd_table(self.J - 1, s) if self.J else np.zeros((0, 0))
         if self.odd_N:
             s2 = np.array([s_norm(j, s) for j in range(self.J + 1)])
             self.s2J = s2[self.J]

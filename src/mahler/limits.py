@@ -22,7 +22,8 @@ from .errors import DomainError
 from .kernel import (EnsembleParams, KernelValue2x2, kappa_n, matrix_kernel,
                      sum_k)
 from .quadrature import leg_nodes
-from .specfun import big_m_pair, e_gamma, e_pair, gamma_ratio_table, iota, omega
+from .specfun import (_gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
+                      gamma_ratio_table, iota, omega)
 
 _ORDER = 96          # all limit integrals over [0, 1] (integrands entire)
 _CIRCLE_N = 1024     # periodic trapezoid nodes for circle integrals
@@ -270,8 +271,7 @@ def b_outside(c: float, u, v):
 
 def _c_const(c: float) -> float:
     """``Gamma((c+1)/2) / (sqrt(pi) Gamma(c/2))``."""
-    return math.exp(math.lgamma((c + 1.0) / 2.0) - math.lgamma(c / 2.0)) \
-        / math.sqrt(math.pi)
+    return _gamma_quotient(((c + 1.0) / 2.0,), (c / 2.0,)) / math.sqrt(math.pi)
 
 
 def _tail_nodes(y: float, order: int):
@@ -588,18 +588,16 @@ def ratio_sums_report(N_list, params=(0.5, -0.5, 1.5, -1.5)) -> list[dict]:
     return rows
 
 
-def _lambda_fourier(b1: float, b2: float, m: int) -> float:
-    """Fourier coefficient of the circle weight built from the product-sum
-    limits; requires ``b1 + b2 + 1 < 0``."""
-    pref = math.gamma(-b1 - b2 - 1.0)
-    if m == 0:
-        return pref / (math.gamma(-b1) * math.gamma(-b2))
-    if m > 0:
-        ratio = math.exp(math.lgamma(m + 1.0 + b2) - math.lgamma(m - b1))
-        return pref * ratio / (math.gamma(-b2) * math.gamma(1.0 + b2))
-    m = -m
-    ratio = math.exp(math.lgamma(m + 1.0 + b1) - math.lgamma(m - b2))
-    return pref * ratio / (math.gamma(-b1) * math.gamma(1.0 + b1))
+def _lambda_fourier(b1: float, b2: float, m) -> np.ndarray:
+    """Fourier coefficients of the circle weight, vectorized over integer ``m``:
+    ``Gamma(-b1-b2-1) Gamma(m+1+b2) / (Gamma(-b2) Gamma(1+b2) Gamma(m-b1))`` for
+    ``m >= 0``, with ``b1`` and ``b2`` swapped for ``m < 0``. Requires
+    ``b1 + b2 + 1 < 0``; a pole of ``Gamma(1+b2)`` raises :class:`PoleError`."""
+    m = np.asarray(m)
+    b1, b2 = np.where(m < 0, b2, b1), np.where(m < 0, b1, b2)
+    k = np.abs(m).astype(float)
+    return gamma_ratio(k, b2) * _gamma_quotient((-b1 - b2 - 1.0, k + 1.0),
+                                                (-b2, k - b1))
 
 
 def sum_inside_limit(a1: float, b1: float, a2: float, b2: float,
@@ -615,7 +613,7 @@ def sum_inside_limit(a1: float, b1: float, a2: float, b2: float,
     cz = gamma_ratio_table(terms - 1, a1) * np.asarray(z) ** j
     cw = gamma_ratio_table(terms - 1, a2) * np.asarray(w) ** j
     # Toeplitz: entry (j, k) is the coefficient of index j - k
-    coef = np.array([_lambda_fourier(b1, b2, m) for m in range(1 - terms, terms)])
+    coef = _lambda_fourier(b1, b2, np.arange(1 - terms, terms))
     lam = coef[np.subtract.outer(j, j) + terms - 1]
     return complex(cz @ lam @ cw)
 
@@ -627,9 +625,9 @@ def kasymp_report(N_list, params=(0.5, -0.8, 1.5, -1.5)) -> list[dict]:
     a1, b1, a2, b2 = params
     z_in, w_in = 0.3, 0.2
     z_out, w_out = 1.5, 1.3
-    lim_origin = _lambda_fourier(b1, b2, 0)
+    lim_origin = float(_lambda_fourier(b1, b2, 0))
     lim_inside = sum_inside_limit(a1, b1, a2, b2, z_in, w_in)
-    lim_outside = 1.0 / (math.gamma(1.0 + a1) * math.gamma(1.0 + a2)) \
+    lim_outside = _gamma_quotient((), (1.0 + a1, 1.0 + a2)) \
         / ((z_out * w_out - 1.0) * (1.0 - 1.0 / z_out) ** (1.0 + b1)
            * (1.0 - 1.0 / w_out) ** (1.0 + b2))
     rows = []

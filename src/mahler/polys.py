@@ -9,6 +9,10 @@ attached to the weight ``max(1,|x|)^{-s}`` is
 * ``pi_{2n+1}(z) = (1/4s) sum_k (s-2k-2) c_k(1/2) c_{n-k}(-3/2) z^{2k+1}``
   (odd, degree 2n+1), where ``(s-2k-2)/s`` is read as 1 when s is infinite.
 
+One builder, :func:`_p_table`, makes every coefficient: row ``j`` of its
+matrix is ``P_j``. ``p_poly`` and the ``pi`` cores read one row, and the
+kernel's matrices per ``(N, s)`` are whole tables.
+
 The eps-transform ``eps f(y) = (1/2) int f(t) sgn(t-y) dt`` of a weighted
 monomial has elementary closed forms on both sides of ``|y| = 1``; all
 eps-evaluations here reduce to those.
@@ -21,10 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, IntegrabilityError, PoleError
+from .errors import ConditioningError, DomainError, IntegrabilityError
 from .specfun import _gamma_quotient, gamma_ratio_table
-
-_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -58,13 +60,21 @@ class PolyCoeffs:
         return PolyCoeffs(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
 
-def p_poly(n: int, alpha: float, beta: float) -> PolyCoeffs:
-    """Coefficients of ``P_n^{alpha,beta}``."""
+def _p_table(n: int, alpha: float, beta: float) -> np.ndarray:
+    """Coefficients of ``P_j^{alpha,beta}`` for ``j = 0..n``: row ``j`` holds
+    ``c_k(alpha) c_{j-k}(beta)`` in column ``k <= j``, zeros above."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     ca = gamma_ratio_table(n, alpha)
     cb = gamma_ratio_table(n, beta)
-    return PolyCoeffs(tuple(ca[k] * cb[n - k] for k in range(n + 1)))
+    d = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))      # j - k
+    # clipping j - k at 0 above the diagonal keeps the dropped products finite
+    return np.where(d >= 0, ca * cb[np.maximum(d, 0)], 0.0)
+
+
+def p_poly(n: int, alpha: float, beta: float) -> PolyCoeffs:
+    """Coefficients of ``P_n^{alpha,beta}``."""
+    return PolyCoeffs(tuple(_p_table(n, alpha, beta)[n]))
 
 
 def p_eval(n: int, alpha: float, beta: float, z):
@@ -103,23 +113,23 @@ def p_eval_sequence(count: int, alpha: float, beta: float, z) -> np.ndarray:
 
 def pi_even_core(n: int) -> np.ndarray:
     """Coefficients of ``pi_{2n}`` in the variable ``t = z^2`` (length n+1)."""
-    ca = gamma_ratio_table(n, 0.5)
-    cb = gamma_ratio_table(n, -0.5)
-    return np.array([ca[k] * cb[n - k] for k in range(n + 1)])
+    return _p_table(n, 0.5, -0.5)[n]
+
+
+def _pi_odd_table(n: int, s: float) -> np.ndarray:
+    """Rows ``j = 0..n``: the cores of ``pi_{2j+1}/z`` in ``t = z^2``, that is
+    the ``P^{1/2,-3/2}`` table with column ``k`` times ``(s-2k-2)/(4s)``."""
+    if not (s > 0):
+        raise DomainError("pi_pair requires s > 0")
+    k = np.arange(n + 1, dtype=float)
+    factor = 0.25 if math.isinf(s) else (s - 2.0 * k - 2.0) / (4.0 * s)
+    # tril keeps the zero padding +0.0 where the factor is negative
+    return np.tril(factor * _p_table(n, 0.5, -1.5))
 
 
 def pi_odd_core(n: int, s: float) -> np.ndarray:
     """Coefficients of ``pi_{2n+1}/z`` in ``t = z^2`` (length n+1)."""
-    if not (s > 0):
-        raise DomainError("pi_pair requires s > 0")
-    ca = gamma_ratio_table(n, 0.5)
-    cb = gamma_ratio_table(n, -1.5)
-    k = np.arange(n + 1, dtype=float)
-    if math.isinf(s):
-        factor = 0.25 * np.ones(n + 1)
-    else:
-        factor = (s - 2.0 * k - 2.0) / (4.0 * s)
-    return factor * np.array([ca[j] * cb[n - j] for j in range(n + 1)])
+    return _pi_odd_table(n, s)[n]
 
 
 def pi_pair(n: int, s: float) -> tuple[PolyCoeffs, PolyCoeffs]:
@@ -135,12 +145,9 @@ def pi_pair(n: int, s: float) -> tuple[PolyCoeffs, PolyCoeffs]:
 
 def weight(s: float, z):
     """The ensemble weight ``max(1, |z|)^{-s}`` (vectorized, s may be inf)."""
-    mod = np.maximum(1.0, np.abs(z))
     if math.isinf(s):
-        w = np.where(np.abs(z) <= 1.0 + 1e-15, 1.0, 0.0)
-    else:
-        w = mod ** (-s)
-    return w
+        return np.where(np.abs(z) <= 1.0 + 1e-15, 1.0, 0.0)
+    return np.maximum(1.0, np.abs(z)) ** (-s)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +257,11 @@ def zero_check(n: int, alpha: float, beta: float, cluster_tol: float = 1e-6) -> 
     if max_res > 1e-6:
         raise ConditioningError(f"root residual {max_res:.3e} exceeds 1e-6")
 
-    tol = cluster_tol * (1.0 + scale)
     at_one = np.abs(roots - 1.0) < max(cluster_tol, 1e-8) * 10
     order_at_1 = int(np.sum(at_one))
     others = roots[~at_one]
-    simple = True
-    for i in range(len(others)):
-        for j in range(i + 1, len(others)):
-            if abs(others[i] - others[j]) < max(cluster_tol, 1e-8):
-                simple = False
+    gaps = np.abs(np.subtract.outer(others, others))[np.triu_indices(len(others), 1)]
+    simple = not np.any(gaps < max(cluster_tol, 1e-8))
 
     expected = _forced_order_at_1(n, alpha, beta)
     forced = expected > 0

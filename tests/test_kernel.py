@@ -4,10 +4,11 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln, gammasgn
 
 from mahler.errors import (DomainError, NotAntisymmetricError,
                            OddDimensionError, QuadratureError)
-from mahler.kernel import (EnsembleParams, PointConfig, correlation,
+from mahler.kernel import (EnsembleParams, PointConfig, _tables, correlation,
                            expected_counts, expected_in_exact,
                            expected_out_exact, intensity_complex,
                            intensity_real, kappa_n, matrix_kernel, pfaffian,
@@ -42,6 +43,54 @@ class TestSumK:
         errs = [abs(sum_k(N, 0.5, b1, 0.5, b2, 0.0, 0.0) - target)
                 for N in (8, 32, 128)]
         assert errs[0] > errs[1] > errs[2]
+
+
+def _ratio(k, a):
+    """``Gamma(k+1+a) / (Gamma(1+a) Gamma(k+1))`` from scipy's log-Gamma."""
+    x = (k + 1.0 + a, 1.0 + a, k + 1.0)
+    sign = gammasgn(x[0]) * gammasgn(x[1])
+    return sign * np.exp(gammaln(x[0]) - gammaln(x[1]) - gammaln(x[2]))
+
+
+class TestTables:
+    """Second route for the coefficient matrices of ``_tables``: each row
+    built on its own from scipy's Gamma layer, with the odd-N correction."""
+
+    @staticmethod
+    def _rows(N, s):
+        J, K = N // 2, N - N // 2
+        even = np.zeros((K, K))
+        odd = np.zeros((J, J))
+        for j in range(K):
+            k = np.arange(j + 1.0)
+            even[j, :j + 1] = _ratio(k, 0.5) * _ratio(j - k, -0.5)
+        for j in range(J):
+            k = np.arange(j + 1.0)
+            factor = 0.25 if math.isinf(s) else (s - 2.0 * k - 2.0) / (4.0 * s)
+            odd[j, :j + 1] = factor * _ratio(k, 0.5) * _ratio(j - k, -1.5)
+        if N % 2:
+            n = np.arange(J + 1.0)
+            s2 = 2.0 * np.ones(J + 1) if math.isinf(s) else 2.0 * np.exp(
+                gammaln((s + 2.0) / 2.0) + gammaln((s - 2.0 * n - 1.0) / 2.0)
+                - gammaln((s + 1.0) / 2.0) - gammaln((s - 2.0 * n) / 2.0))
+            even[:J] -= np.outer(s2[:J] / s2[J], even[J])
+        return even, odd
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 15, 16, 64])
+    @pytest.mark.parametrize("kind", ["plus", "inf"])
+    def test_rows_match_per_row_gamma_route(self, N, kind):
+        s = N + 1.5 if kind == "plus" else math.inf
+        tab = _tables(N, s)
+        for got, ref in zip((tab.even, tab.odd), self._rows(N, s)):
+            assert got.shape == ref.shape
+            for j, (row_got, row_ref) in enumerate(zip(got, ref)):
+                # either route rounds exp of a sum of log-Gammas as large as
+                # lgamma(j + 2), about eps * lgamma(j + 2) relative; 1e-14
+                # holds to j = 12, and at j = 31 both sit 1.4e-14 and 1.9e-14
+                # from 40-digit mpmath
+                tol = max(1e-14, 4e-16 * math.lgamma(j + 2.0))
+                scale = np.max(np.abs(row_ref))
+                assert np.max(np.abs(row_got - row_ref)) <= tol * scale
 
 
 class TestKappaN:
@@ -264,6 +313,7 @@ class TestExpectedCounts:
         assert expected_counts(P, "outside") == 0.0
         assert expected_out_exact(4, math.inf) == 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_outside_overflow_fails_fast(self):
         # the monomial basis overflows at N = 96 beyond the disk; the
         # quadrature must stop at the first non-finite panel

@@ -4,15 +4,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from mahler.errors import DomainError
-from mahler.limits import (LimitKernelSpec, a_disk, a_outside, a_xi,
+from mahler.errors import DomainError, PoleError
+from mahler.kernel import sum_k
+from mahler.limits import (LimitKernelSpec, _lambda_fourier, a_disk,
+                           a_outside, a_xi,
                            a_xi_iform, ad_disk, ad_outside, ad_xi,
                            assemble_matrix, asymptotic_real_counts,
                            b_outside, compare_report, convergence_report,
                            da_disk, da_outside, da_xi, dad_disk, disk_handle,
                            dsn_limit, k_zeta, kappa_xi, kasymp_report,
                            outside_handle, ratio_sums_report, sqrt_minus_tau,
-                           xi_handle)
+                           sum_inside_limit, xi_handle)
 from mahler.specfun import iota
 
 
@@ -203,6 +205,33 @@ class TestAsymptoticCounts:
             counts = asymptotic_real_counts(big, 4.0 * big)
             assert counts.regime == "ratio_below_one"
             assert abs(counts.e_out) <= 2.0 * math.sqrt(big / (4.0 * big))
+
+
+class TestCircleWeightCoefficients:
+    @pytest.mark.parametrize("b1,b2", [(-0.6, -1.4), (0.5, -2.3), (1.5, -3.2)])
+    def test_fourier_coefficients_match_mpmath(self, b1, b2):
+        # Gamma(m+1+b2) is negative at m = 1 for b2 = -2.3 and at m = 2 for
+        # b2 = -3.2, so these coefficients check the sign of the quotient
+        m = np.arange(-8, 9)
+        got = _lambda_fourier(b1, b2, m)
+        G = mpmath.gamma
+        with mpmath.workdps(30):
+            for mm, val in zip(m.tolist(), got):
+                c1, c2, k = (b2, b1, -mm) if mm < 0 else (b1, b2, mm)
+                ref = G(-c1 - c2 - 1) * G(k + 1 + c2) \
+                    / (G(-c2) * G(1 + c2) * G(k - c1))
+                assert val == pytest.approx(float(ref), rel=1e-13)
+
+    def test_inside_limit_matches_finite_sums(self):
+        a1, b1, a2, b2, z, w = 0.5, 0.5, 1.5, -2.3, 0.3, 0.2
+        lim = sum_inside_limit(a1, b1, a2, b2, z, w)
+        err = {N: abs(sum_k(N, a1, b1, a2, b2, z, w) - lim) for N in (256, 1024)}
+        assert err[1024] < 0.01
+        assert err[1024] < err[256]
+
+    def test_gamma_pole_raises_pole_error(self):
+        with pytest.raises(PoleError):
+            sum_inside_limit(0.5, 0.5, 1.5, -2.0, 0.3, 0.2)
 
 
 class TestConvergenceHarness:

@@ -8,7 +8,7 @@ from scipy.special import gammaln
 
 from mahler.errors import DomainError, IntegrabilityError
 from mahler.polys import (PolyCoeffs, eps_pi, eps_poly, p_eval, p_poly,
-                          pi_pair, s_norm, weight, zero_check)
+                          pi_even_core, pi_pair, s_norm, weight, zero_check)
 from mahler.quadrature import adaptive, halfline
 from mahler.specfun import gamma_ratio, hyp1f1_M
 
@@ -27,6 +27,14 @@ class TestPPoly:
     def test_negative_degree_rejected(self):
         with pytest.raises(DomainError):
             p_eval(-1, 0.3, -0.4, 0.5)
+        with pytest.raises(DomainError):
+            p_poly(-1, 0.3, -0.4)
+        with pytest.raises(DomainError):
+            pi_pair(-1, 5.0)
+        with pytest.raises(DomainError):
+            eps_pi("even", -1, 5.0, 0.3)
+        with pytest.raises(DomainError):
+            pi_even_core(-1)
 
     def test_degree_one(self):
         c = p_poly(1, 0.3, -0.4).coeffs
