@@ -19,7 +19,7 @@ from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
                      ResidualError)
 from .polys import (_p_table, _pi_odd_table, eps_monomials, p_eval_sequence,
                     s_norm, weight)
-from .quadrature import _check_quad, adaptive, halfline, leg_nodes
+from .quadrature import _check_quad, adaptive, halfline
 from .specfun import gammaln_signed
 
 
@@ -306,15 +306,19 @@ def correlation(P: EnsembleParams, pts: PointConfig) -> float:
 
 
 def expected_counts(P: EnsembleParams, region, tol: float = 1e-9) -> float:
-    """Expected number of roots in a region, by adaptive quadrature.
+    """Expected number of roots in a region.
 
     ``region`` is one of ``'inside'`` (real roots in [-1, 1]), ``'outside'``
     (real roots beyond), ``'realline'``, ``'complex'`` (conjugate pairs,
-    counted as 2 roots each), ``('disk', r)`` for pairs within radius ``r``,
-    or ``'all'`` (everything; integrates to N).
+    counted as 2 roots each), ``('disk', r)`` for pairs within radius
+    ``r >= 0``, or ``'all'`` (everything; integrates to N). Real-line counts
+    come from adaptive quadrature to ``tol``; non-real counts are exact
+    moment sums, which ``tol`` does not affect.
     """
-    if isinstance(region, tuple) and region[0] == "disk":
-        return _complex_count(P, r_max=float(region[1]), tol=tol)
+    if isinstance(region, tuple) and region[:1] == ("disk",):
+        if len(region) != 2 or not region[1] >= 0:
+            raise DomainError(f"a disk region is ('disk', r), r >= 0: {region!r}")
+        return _complex_count(P, float(region[1]))
     if region == "inside":
         val, err = adaptive(lambda x: intensity_real(P, x), -1.0, 1.0, tol=tol)
         _check_quad(val, err)
@@ -324,10 +328,9 @@ def expected_counts(P: EnsembleParams, region, tol: float = 1e-9) -> float:
     if region == "realline":
         return expected_counts(P, "inside", tol) + _outside_count(P, tol)
     if region == "complex":
-        return _complex_count(P, r_max=None, tol=tol)
+        return _complex_count(P, math.inf)
     if region == "all":
-        return expected_counts(P, "realline", tol) \
-            + _complex_count(P, r_max=None, tol=tol)
+        return expected_counts(P, "realline", tol) + _complex_count(P, math.inf)
     raise DomainError(f"unknown region {region!r}")
 
 
@@ -339,37 +342,28 @@ def _outside_count(P: EnsembleParams, tol: float) -> float:
     return 2.0 * val       # the density is even
 
 
-def _complex_count(P: EnsembleParams, r_max: float | None, tol: float = 1e-9,
-                   n_theta: int = 96, order: int = 96) -> float:
-    """Integral of the pair density over the upper half-plane (times two for
-    the conjugate extension, times two again because each pair is 2 roots)...
+def _complex_count(P: EnsembleParams, r_max: float) -> float:
+    """Expected number of non-real roots of modulus below ``r_max``: twice
+    the integral of ``R_{0,1}`` over the upper half-plane, in closed form.
 
-    Counting convention: the integral of ``R_{0,1}`` over the conjugate-
-    symmetric extension of the upper half-plane equals E[2M], the expected
-    number of non-real roots. That is ``2 * int_H R_{0,1}``.
+    With ``E = even[:J]``, ``O = odd`` and ``z = r e^{i theta}``,
+    ``pe_j conj(po_j) = w(r)^2 sum_{k,l} E_jk O_jl r^{2k+2l+1}
+    e^{i(2k-2l-1) theta}`` and the density is ``-4 sum_j Im(pe_j conj po_j)``.
+    Since ``int_0^pi sin(m theta) d theta = 2/m`` for odd ``m``, the count is
+    ``-16 sum_{j,k,l} E_jk O_jl mu_{k+l} / (2k-2l-1)`` with the radial moments
+    ``mu_n = int_0^r_max w(r)^2 r^{2n+2} dr``, finite for every ``n <= N-2``
+    because ``s > N``.
     """
-    xg, wg = leg_nodes(n_theta)
-    theta = 0.5 * np.pi * (xg + 1.0)
-    wtheta = 0.5 * np.pi * wg
-
-    def radial(r):
-        # sum over theta of R_{0,1}(r e^{i theta}) r
-        z = np.multiply.outer(r, np.exp(1j * theta))
-        vals = intensity_complex(P, z)
-        return (vals * wtheta).sum(axis=-1) * r
-
-    upper_lim = 1.0 if r_max is None else min(1.0, r_max)
-    val, err = adaptive(radial, 0.0, upper_lim, tol=tol, order=order)
-    total, toterr = val, err
-    if (r_max is None or r_max > 1.0) and not math.isinf(P.s):
-        hi = math.inf if r_max is None else r_max
-        if math.isinf(hi):
-            v2, e2 = halfline(radial, 1.0, tol=tol, order=order)
-        else:
-            v2, e2 = adaptive(radial, 1.0, hi, tol=tol, order=order)
-        total, toterr = total + v2, toterr + e2
-    _check_quad(total, toterr)
-    return 2.0 * total
+    tab = _tables(P.N, P.s)
+    k = np.arange(tab.even.shape[1])[:, None]
+    l = np.arange(tab.J)
+    e = 2.0 * (k + l) + 3.0
+    mu = min(r_max, 1.0) ** e / e
+    if r_max > 1.0 and not math.isinf(P.s):
+        d = 2.0 * P.s - e
+        mu = mu + (1.0 - r_max ** -d) / d
+    C = mu / (2.0 * (k - l) - 1.0)
+    return -16.0 * float(np.sum(tab.even[:tab.J] * (tab.odd @ C.T)))
 
 
 def expected_in_exact(N: int, s: float) -> float:

@@ -592,12 +592,19 @@ def _lambda_fourier(b1: float, b2: float, m) -> np.ndarray:
     """Fourier coefficients of the circle weight, vectorized over integer ``m``:
     ``Gamma(-b1-b2-1) Gamma(m+1+b2) / (Gamma(-b2) Gamma(1+b2) Gamma(m-b1))`` for
     ``m >= 0``, with ``b1`` and ``b2`` swapped for ``m < 0``. Requires
-    ``b1 + b2 + 1 < 0``; a pole of ``Gamma(1+b2)`` raises :class:`PoleError`."""
+    ``b1 + b2 + 1 < 0``. At an integer ``b2 <= -1``, where ``Gamma(1+b2)`` has
+    a pole, ``Gamma(m+1+b2)/(Gamma(1+b2) m!)`` is the terminating product
+    ``prod_{i<m} (1+b2+i)/(1+i)``."""
     m = np.asarray(m)
     b1, b2 = np.where(m < 0, b2, b1), np.where(m < 0, b1, b2)
-    k = np.abs(m).astype(float)
-    return gamma_ratio(k, b2) * _gamma_quotient((-b1 - b2 - 1.0, k + 1.0),
-                                                (-b2, k - b1))
+    k = np.abs(m)
+    pole = (b2 <= -1.0) & (b2 == np.floor(b2))
+    ratio = gamma_ratio(k.astype(float), np.where(pole, 0.0, b2))
+    if pole.any():
+        i = np.arange(k.max())
+        factors = np.where(i < k[..., None], (1.0 + b2[..., None] + i) / (1.0 + i), 1.0)
+        ratio = np.where(pole, np.prod(factors, axis=-1), ratio)
+    return ratio * _gamma_quotient((-b1 - b2 - 1.0, k + 1.0), (-b2, k - b1))
 
 
 def sum_inside_limit(a1: float, b1: float, a2: float, b2: float,

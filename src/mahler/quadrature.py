@@ -47,22 +47,22 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None
     below ``tol`` (absolute, scaled by the integral magnitude when that is
     larger than one). Returns ``(value, error_estimate)``. A panel whose
     value or halves are not finite raises at once: bisection cannot remove
-    a non-finite value from the running total.
+    a non-finite value from the running total. Each panel keeps its two
+    half values, which are the whole values of its children.
     """
     order = order or DEFAULT_ORDER
 
-    def panel(lo, hi):
-        whole = fixed_panel(f, lo, hi, order)
+    def panel(lo, hi, whole):
         mid = 0.5 * (lo + hi)
-        halves = fixed_panel(f, lo, mid, order) + fixed_panel(f, mid, hi, order)
+        left, right = fixed_panel(f, lo, mid, order), fixed_panel(f, mid, hi, order)
+        halves = left + right
         if not (np.isfinite(whole) and np.isfinite(halves)):
             raise QuadratureError(
                 f"non-finite integrand on [{lo}, {hi}]: panel {whole}, "
                 f"halves {halves}")
-        return halves, abs(whole - halves)
+        return abs(whole - halves), lo, hi, halves, left, right
 
-    value, err = panel(a, b)
-    panels = [(err, a, b, value)]
+    panels = [panel(a, b, fixed_panel(f, a, b, order))]
     while True:
         total = sum(p[3] for p in panels)
         total_err = sum(p[0] for p in panels)
@@ -74,12 +74,10 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None
                 f"adaptive quadrature did not converge: error {total_err:.3e} "
                 f"with {len(panels)} panels")
         panels.sort(key=lambda p: p[0])
-        _, lo, hi, _ = panels.pop()
+        _, lo, hi, _, left, right = panels.pop()
         mid = 0.5 * (lo + hi)
-        v1, e1 = panel(lo, mid)
-        v2, e2 = panel(mid, hi)
-        panels.append((e1, lo, mid, v1))
-        panels.append((e2, mid, hi, v2))
+        panels.append(panel(lo, mid, left))
+        panels.append(panel(mid, hi, right))
 
 
 def _check_quad(val, err):

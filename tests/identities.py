@@ -1,11 +1,16 @@
 """Finite Gamma identities, each with the sum side and the closed side
-implemented independently (scipy log-Gamma only), for randomized checking."""
+implemented independently (scipy log-Gamma only), for randomized checking;
+and the 2-D quadrature of the pair density, the second route of the
+closed-form non-real root count."""
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
+
+from mahler.kernel import EnsembleParams, intensity_complex
+from mahler.quadrature import _check_quad, adaptive, halfline, leg_nodes
 
 
 def _gamma(x: float) -> float:
@@ -122,3 +127,37 @@ def random_instances(rng: np.random.Generator, count: int):
                                             float(rng.uniform(0.05, 5.0)))
         out.append(("half_integer_telescoping", lhs, rhs))
     return out
+
+
+def complex_count_quadrature(P: EnsembleParams, r_max: float | None,
+                             tol: float = 1e-9, n_theta: int = 96,
+                             order: int = 96) -> float:
+    """Integral of the pair density over the upper half-plane (times two for
+    the conjugate extension, times two again because each pair is 2 roots)...
+
+    Counting convention: the integral of ``R_{0,1}`` over the conjugate-
+    symmetric extension of the upper half-plane equals E[2M], the expected
+    number of non-real roots. That is ``2 * int_H R_{0,1}``.
+    """
+    xg, wg = leg_nodes(n_theta)
+    theta = 0.5 * np.pi * (xg + 1.0)
+    wtheta = 0.5 * np.pi * wg
+
+    def radial(r):
+        # sum over theta of R_{0,1}(r e^{i theta}) r
+        z = np.multiply.outer(r, np.exp(1j * theta))
+        vals = intensity_complex(P, z)
+        return (vals * wtheta).sum(axis=-1) * r
+
+    upper_lim = 1.0 if r_max is None else min(1.0, r_max)
+    val, err = adaptive(radial, 0.0, upper_lim, tol=tol, order=order)
+    total, toterr = val, err
+    if (r_max is None or r_max > 1.0) and not math.isinf(P.s):
+        hi = math.inf if r_max is None else r_max
+        if math.isinf(hi):
+            v2, e2 = halfline(radial, 1.0, tol=tol, order=order)
+        else:
+            v2, e2 = adaptive(radial, 1.0, hi, tol=tol, order=order)
+        total, toterr = total + v2, toterr + e2
+    _check_quad(total, toterr)
+    return 2.0 * total

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, gammasgn
 
+from identities import complex_count_quadrature
 from mahler.errors import (DomainError, NotAntisymmetricError,
                            OddDimensionError, QuadratureError)
 from mahler.kernel import (EnsembleParams, PointConfig, _tables, correlation,
@@ -329,6 +330,44 @@ class TestExpectedCounts:
         s = {"plus1": N + 1.0, "double": 2.0 * N, "inf": math.inf}[kind]
         P = EnsembleParams(N, s)
         assert expected_counts(P, "all") == pytest.approx(N, abs=1e-5)
+
+    def test_all_is_degree_over_validated_range(self):
+        # the non-real part is exact, the real-line part carries the 1e-9
+        # quadrature tolerance
+        cases = [(N, s) for N in range(1, 34)
+                 for s in (N + 1.0, N + 1.5, 2.0 * N + 1.0, math.inf)]
+        for N, s in cases + [(64, 65.0), (64, 128.0), (64, math.inf)]:
+            assert expected_counts(EnsembleParams(N, s), "all") == \
+                pytest.approx(N, abs=1e-8)
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 8, 15, 16, 64])
+    @pytest.mark.parametrize("kind", ["half", "double", "inf"])
+    def test_complex_count_matches_quadrature(self, N, kind):
+        # second route: the 2-D Gauss-Legendre quadrature of the pair density
+        s = {"half": N + 1.5, "double": 2.0 * N, "inf": math.inf}[kind]
+        P = EnsembleParams(N, s)
+        assert expected_counts(P, "complex") == pytest.approx(
+            complex_count_quadrature(P, None), abs=1e-10)
+        for r in (0.5, 1.0, 1.7, math.inf):
+            assert expected_counts(P, ("disk", r)) == pytest.approx(
+                complex_count_quadrature(P, r), abs=1e-10)
+
+    @pytest.mark.parametrize("N", [96, 128, 256])
+    def test_complex_count_matches_exact_sums_at_large_n(self, N):
+        for s in (N + 1.0, N + 1.5, 2.0 * N, math.inf):
+            ref = N - expected_in_exact(N, s) - expected_out_exact(N, s)
+            assert expected_counts(EnsembleParams(N, s), "complex") == \
+                pytest.approx(ref, rel=1e-12)
+
+    def test_disk_radius_validated(self):
+        P = EnsembleParams(5, 8.0)
+        for region in (("disk", -0.5), ("disk", math.nan), ("disk",),
+                       ("disk", 1.0, 2.0)):
+            with pytest.raises(DomainError):
+                expected_counts(P, region)
+        assert expected_counts(P, ("disk", 0.0)) == 0.0
+        assert expected_counts(P, ("disk", math.inf)) == \
+            expected_counts(P, "complex")
 
     @pytest.mark.parametrize("N,s", [(4, 9.0), (6, 8.5), (8, math.inf)])
     def test_exact_sums_match_quadrature(self, N, s):

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mahler.errors import DomainError, PoleError
+from mahler.errors import DomainError
 from mahler.kernel import sum_k
 from mahler.limits import (LimitKernelSpec, _lambda_fourier, a_disk,
                            a_outside, a_xi,
@@ -229,9 +229,26 @@ class TestCircleWeightCoefficients:
         assert err[1024] < 0.01
         assert err[1024] < err[256]
 
-    def test_gamma_pole_raises_pole_error(self):
-        with pytest.raises(PoleError):
-            sum_inside_limit(0.5, 0.5, 1.5, -2.0, 0.3, 0.2)
+    def test_integer_b2_is_continuous(self):
+        # Gamma(m+1+b2)/Gamma(1+b2) is the terminating Pochhammer (1+b2)_m
+        # at b2 = -2, so the limit is continuous through the Gamma pole
+        args = (0.5, 0.5, 1.5)
+        val = sum_inside_limit(*args, -2.0, 0.3, 0.2)
+        assert val.real == pytest.approx(-1.4800146, abs=1e-7)
+        for d in (1e-9, -1e-9):
+            assert abs(val - sum_inside_limit(*args, -2.0 + d, 0.3, 0.2)) < 1e-7
+
+    @pytest.mark.parametrize("b1,b2", [(0.5, -2.0), (0.5, -3.0), (-3.0, 0.5)])
+    def test_integer_b2_coefficients_match_mpmath(self, b1, b2):
+        m = np.arange(-8, 9)
+        got = _lambda_fourier(b1, b2, m)
+        G = mpmath.gamma
+        with mpmath.workdps(30):
+            for mm, val in zip(m.tolist(), got):
+                c1, c2, k = (b2, b1, -mm) if mm < 0 else (b1, b2, mm)
+                ref = G(-c1 - c2 - 1) * mpmath.rf(1 + c2, k) \
+                    / (G(-c2) * G(k - c1))
+                assert val == pytest.approx(float(ref), rel=1e-13, abs=1e-300)
 
 
 class TestConvergenceHarness:
