@@ -10,6 +10,7 @@ Correlation functions are Pfaffians of block matrices of kernel values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -316,9 +317,10 @@ def expected_counts(P: EnsembleParams, region, tol: float = 1e-9) -> float:
     moment sums, which ``tol`` does not affect.
     """
     if isinstance(region, tuple) and region[:1] == ("disk",):
-        if len(region) != 2 or not region[1] >= 0:
+        r = region[1] if len(region) == 2 else None
+        if not (isinstance(r, numbers.Real) and r >= 0):
             raise DomainError(f"a disk region is ('disk', r), r >= 0: {region!r}")
-        return _complex_count(P, float(region[1]))
+        return _complex_count(P, float(r))
     if region == "inside":
         val, err = adaptive(lambda x: intensity_real(P, x), -1.0, 1.0, tol=tol)
         _check_quad(val, err)
@@ -351,8 +353,7 @@ def _complex_count(P: EnsembleParams, r_max: float) -> float:
     e^{i(2k-2l-1) theta}`` and the density is ``-4 sum_j Im(pe_j conj po_j)``.
     Since ``int_0^pi sin(m theta) d theta = 2/m`` for odd ``m``, the count is
     ``-16 sum_{j,k,l} E_jk O_jl mu_{k+l} / (2k-2l-1)`` with the radial moments
-    ``mu_n = int_0^r_max w(r)^2 r^{2n+2} dr``, finite for every ``n <= N-2``
-    because ``s > N``.
+    ``mu_n = int_0^r_max w(r)^2 r^{2n+2} dr``, finite for ``n <= N-2`` as ``s > N``.
     """
     tab = _tables(P.N, P.s)
     k = np.arange(tab.even.shape[1])[:, None]

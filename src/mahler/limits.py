@@ -592,9 +592,8 @@ def _lambda_fourier(b1: float, b2: float, m) -> np.ndarray:
     """Fourier coefficients of the circle weight, vectorized over integer ``m``:
     ``Gamma(-b1-b2-1) Gamma(m+1+b2) / (Gamma(-b2) Gamma(1+b2) Gamma(m-b1))`` for
     ``m >= 0``, with ``b1`` and ``b2`` swapped for ``m < 0``. Requires
-    ``b1 + b2 + 1 < 0``. At an integer ``b2 <= -1``, where ``Gamma(1+b2)`` has
-    a pole, ``Gamma(m+1+b2)/(Gamma(1+b2) m!)`` is the terminating product
-    ``prod_{i<m} (1+b2+i)/(1+i)``."""
+    ``b1 + b2 + 1 < 0``. At a pole of ``Gamma(1+b2)`` (integer ``b2 <= -1``),
+    ``Gamma(m+1+b2)/(Gamma(1+b2) m!)`` is ``prod_{i<m} (1+b2+i)/(1+i)``."""
     m = np.asarray(m)
     b1, b2 = np.where(m < 0, b2, b1), np.where(m < 0, b1, b2)
     k = np.abs(m)

@@ -362,7 +362,7 @@ class TestExpectedCounts:
     def test_disk_radius_validated(self):
         P = EnsembleParams(5, 8.0)
         for region in (("disk", -0.5), ("disk", math.nan), ("disk",),
-                       ("disk", 1.0, 2.0)):
+                       ("disk", 1.0, 2.0), ("disk", "1"), ("disk", 1j)):
             with pytest.raises(DomainError):
                 expected_counts(P, region)
         assert expected_counts(P, ("disk", 0.0)) == 0.0
