@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 DEFAULT_ORDER = 64
 
@@ -48,8 +48,11 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None
     larger than one). Returns ``(value, error_estimate)``. A panel whose
     value or halves are not finite raises at once: bisection cannot remove
     a non-finite value from the running total. Each panel keeps its two
-    half values, which are the whole values of its children.
+    half values, which are the whole values of its children. A ``tol``
+    that is not positive can never be met and raises :class:`DomainError`.
     """
+    if not tol > 0.0:
+        raise DomainError(f"adaptive quadrature needs tol > 0, got {tol}")
     order = order or DEFAULT_ORDER
 
     def panel(lo, hi, whole):

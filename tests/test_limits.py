@@ -307,5 +307,5 @@ class TestConvergenceHarness:
                     val = 1j / 4 * (Mp * Mc - M * Mpc)
                     errs_h.append(abs(val - mpmath.exp(2 * x) / mpmath.pi))
                 ref.append(float(max(errs_h)))
-        assert lib == pytest.approx(ref, abs=1e-6)
+        assert lib == pytest.approx(ref, abs=1e-12)
         assert not ref[0] > ref[1] > ref[2]

@@ -1,7 +1,11 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
-from mahler.errors import QuadratureError
+from mahler.errors import DomainError, QuadratureError
+from mahler.kernel import EnsembleParams, expected_counts
 from mahler.quadrature import DEFAULT_ORDER, adaptive, fixed_panel, leg_nodes
 
 
@@ -65,6 +69,15 @@ class TestAdaptive:
         bisections = (ref_calls - 3) // 6
         assert bisections > 0
         assert len(calls) == 3 + 4 * bisections
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_unmeetable_tolerance_raises_at_once(self, tol):
+        # no error estimate is <= a NaN or negative tolerance, so the loop
+        # would bisect up to max_panels before it failed
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="tol"):
+            expected_counts(EnsembleParams(4, 9.0), "inside", tol=tol)
+        assert time.perf_counter() - start < 0.5
 
     def test_smooth_integrand_converges(self):
         val, err = adaptive(np.cos, 0.0, 1.0)

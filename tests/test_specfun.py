@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import time
 
 import mpmath
 import numpy as np
@@ -7,6 +11,7 @@ import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mahler
 from mahler.errors import (DivergenceError, DomainError, InfiniteValueError,
                            PoleError)
 from mahler.quadrature import adaptive
@@ -112,7 +117,7 @@ class TestConfluent:
 
     def test_matches_standard_1f1(self):
         # the (1/2,-3/2) member is 1F1(3/2, 1; z)
-        for z in (0.7, -1.3 + 0.4j, 2.0 + 1.0j):
+        for z in (0.7, -1.3 + 0.4j, 2.0 + 1.0j, 0.5 + 30.0j):
             ref = complex(mpmath.hyp1f1(1.5, 1.0, z))
             assert big_m_pair(z)[0] == pytest.approx(ref, rel=1e-12)
 
@@ -131,9 +136,9 @@ class TestConfluent:
             hyp1f1_M(0.5, -2.5, 1.0)  # gamma = 1+a+b = -1
 
     def test_negative_real_part_matches_mpmath(self):
-        # |z| < 25 keeps every point on the series path, where the plain
-        # series would alternate for Re z < 0; 0 and 3+4i put both branches
-        # into one array
+        # the plain series would alternate for Re z < 0: the points at
+        # Re z = -1, 0 and 3+4i sum it (|z| - Re z <= 6), the others take
+        # the integral form, so one array holds both paths
         zs = [-20.0, -24.9, -20.0 + 10.0j, 0.0, 3.0 + 4.0j]
         for x in np.linspace(-24.9, -1.0, 12):
             top = min(10.0, abs(x), 0.99 * math.sqrt(625.0 - x * x))
@@ -155,6 +160,21 @@ class TestConfluent:
                                                 2.0 + alpha + beta, z))
                 assert hyp1f1_M(alpha, beta, z) == pytest.approx(ref, rel=1e-12)
 
+    def test_series_stops_by_its_rule(self, rng):
+        # the loop bounds max|partial sum| by a running sum and takes the
+        # exact maximum only when a term could pass the test; it must stop
+        # where a loop taking it every term stops, here also where the
+        # terms cancel (20i, 25 + 30i), so the sums agree bit for bit
+        z = np.concatenate([rng.uniform(0.0, 30.0, 200) + 1j * rng.uniform(-8.0, 8.0, 200),
+                            [20j, 25.0 + 30.0j]])
+        term, val, quiet, n = np.ones_like(z), np.ones_like(z), 0, 0
+        while quiet < 3:
+            term = term * ((n + 1.5) / ((n + 1.0) * (n + 1.0))) * z
+            val = val + term
+            small = np.max(np.abs(term)) <= 1e-16 * max(np.max(np.abs(val)), 1e-300)
+            quiet, n = quiet + 1 if small else 0, n + 1
+        assert np.array_equal(hyp1f1_M(0.5, -1.5, z), val)
+
     def test_ode_residual(self, rng):
         # z M'' + (1 - z) M' - (3/2) M = 0 for the (1/2,-3/2) member
         h = 3e-4
@@ -172,6 +192,55 @@ class TestConfluent:
             # term, which is of order M(|z|) by positivity on the real axis
             scale = (1.0 + abs(z) ** 2) * abs(big_m_pair(abs(z))[0])
             assert abs(res) <= 1e-8 * max(1.0, scale)
+
+
+def _mpmath_pair(zs):
+    with mpmath.workdps(40):
+        m = [complex(mpmath.hyp1f1(1.5, 1.0, complex(z))) for z in zs]
+        d = [1.5 * complex(mpmath.hyp1f1(2.5, 2.0, complex(z))) for z in zs]
+    return np.array(m), np.array(d)
+
+
+class TestBigMOracle:
+    """``big_m_pair`` against mpmath at 40 digits: 1e-12 relative in M and M'."""
+
+    @staticmethod
+    def check(zs):
+        m, d = big_m_pair(zs)
+        rm, rd = _mpmath_pair(zs)
+        assert np.max(np.abs(m - rm) / np.abs(rm)) <= 1e-12
+        assert np.max(np.abs(d - rd) / np.abs(rd)) <= 1e-12
+
+    def test_square(self):
+        x = np.linspace(-40.0, 40.0, 33)
+        self.check((x[:, None] + 1j * x[None, :]).ravel())
+
+    def test_band_near_imaginary_axis(self):
+        # the series alone lost up to 1.4e-6 here
+        self.check(0.5 + 1j * np.linspace(15.0, 24.9, 34))
+
+    @pytest.mark.parametrize("r", [60.0, 100.0, 200.0])
+    def test_large_modulus(self, r):
+        self.check(r * np.exp(1j * np.linspace(-math.pi, math.pi, 73)))
+
+    @pytest.mark.parametrize("call", [lambda: big_m_pair([1.0, math.nan]),
+                                      lambda: big_m_pair(complex(0.0, math.inf)),
+                                      lambda: hyp1f1_M(0.5, -1.5, math.nan)])
+    def test_non_finite_raises_at_once(self, call):
+        # a NaN never meets the stopping rule: the series ran all its terms
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="finite"):
+            call()
+        assert time.perf_counter() - start < 0.2
+
+    def test_large_arguments_import_no_mpmath(self):
+        src = os.path.dirname(os.path.dirname(mahler.__file__))
+        code = ("import sys; from mahler.specfun import big_m_pair; "
+                "big_m_pair([30j, -40.0 + 35.0j, 200.0 - 80.0j, 26.0]); "
+                "print('mpmath' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestEGamma:
