@@ -95,7 +95,10 @@ def _split(mask, z, first, rest):
 
 
 def _series(a: float, b: float, top: float, step: float, w, max_terms: int = 100000):
-    """Sum ``t_n`` and ``t_n (n*step+a)/(n+b)``, ``t_{n+1} = t_n (n+top)/((n+b)(n+1)) w``."""
+    """Sums of ``t_n`` and ``t_n (n*step+a)/(n+b)``, ``t_{n+1} = t_n (n+top)/((n+b)(n+1)) w``,
+    until the terms stay below ``1e-16`` of the largest partial sum for three terms:
+    ``1F1(a; b; w)`` and its derivative for ``top = a, step = 1``, and ``e^w`` times
+    ``1F1(a; b; -w)`` and its derivative for ``top = b - a, step = 0`` (DLMF 13.2.39)."""
     term, der, tmp, mag = np.ones_like(w), np.zeros_like(w), np.empty_like(w), np.empty(w.shape)
     val, quiet, bound = term.copy(), 0, 1.0
     for n in range(max_terms):
@@ -113,77 +116,63 @@ def _series(a: float, b: float, top: float, step: float, w, max_terms: int = 100
     return val, der
 
 
-def _hyp1f1_pair(a: float, b: float, z, max_terms: int = 100000):
-    """``(1F1(a; b; z), d/dz 1F1(a; b; z))`` from one term sequence; arrays.
-
-    The terms are ``t_0 = 1``, ``t_{n+1} = t_n (n+a)/((n+b)(n+1)) z`` and the
-    derivative is ``sum t_n (n+a)/(n+b)``, since ``(n+1) t_{n+1}/z`` is that
-    summand. Points with ``Re z < 0`` are summed through Kummer's
-    transformation ``e^z 1F1(b-a; b; -z)`` (DLMF 13.2.39), with derivative
-    ``e^z sum t_n a/(n+b)``, so neither series alternates on the negative
-    real axis. Each branch runs its own loop, until its terms have stayed
-    below ``1e-16`` of its largest partial sum for three terms.
-    """
-    return _split(z.real >= 0.0, z, lambda x: _series(a, b, a, 1.0, x, max_terms),
-                  lambda x: np.exp(x) * np.array(_series(a, b, b - a, 0.0, -x, max_terms)))
-
-
 def hyp1f1_M(alpha: float, beta: float, z, max_terms: int = 100000):
     """Confluent-hypergeometric family ``M_{alpha,beta}(z)``.
 
     Defined by the normalized series with coefficient ratio
     ``(n+1+alpha)/((n+1+gamma)(n+1))`` where ``gamma = 1+alpha+beta``, that is
     ``1F1(1+alpha; 1+gamma; z)``; the value at 0 is 1. The special case
-    ``(1/2, -3/2)`` is the kernel of the circle scaling limits. Accepts
+    ``(1/2, -3/2)`` is the kernel of the circle scaling limits. Points with
+    ``Re z < 0`` sum Kummer's transformation ``e^z 1F1(b-a; b; -z)`` (DLMF
+    13.2.39) in a loop of their own, so neither series alternates. Accepts
     scalars or numpy arrays; a non-finite ``z`` raises :class:`DomainError`.
     """
     g = 1.0 + alpha + beta
     if _is_nonpositive_integer(g + 1.0):
         # poles occur when 1+gamma hits a non-positive integer, i.e. gamma in {-1,-2,...}
         raise PoleError(f"hyp1f1_M: parameter gamma = {g} is a negative integer")
-    val, _ = _hyp1f1_pair(1.0 + alpha, 1.0 + g, _finite(z), max_terms)
+    a, b, z = 1.0 + alpha, 1.0 + g, _finite(z)
+    val, _ = _split(z.real >= 0.0, z, lambda x: _series(a, b, a, 1.0, x, max_terms),
+                    lambda x: np.exp(x) * np.array(_series(a, b, b - a, 0.0, -x, max_terms)))
     return complex(val) if val.ndim == 0 else val
 
 
 def _m_pair_integral(z):
     """``(M(z), M'(z))`` for ``M = 1F1(3/2; 1; z)`` by the midpoint rule in ``theta``.
 
-    With ``c = cos^2(theta/2)``, DLMF 13.4.1 for ``1F1(1/2; 1)`` and the
-    contiguous relation ``M = 1F1(1/2; 1) + 2z 1F1'(1/2; 1)`` give
-    ``M = (1/pi) int_0^pi e^{zc} (1 + 2zc) dtheta``. Adding the derivative of
-    ``sin(theta) (1 + c + c^2 + c^3) e^{zc}``, whose integral is 0, gives the
-    integrand ``e^{zc} (8c^4 - c^3 - c^2 - c + 2zc^5)``, free of the leading
-    cancellation near ``c = 0`` when ``Re z < 0``; ``M'`` integrates its
-    ``z``-derivative. Both are even and ``2 pi``-periodic in ``theta``, so the
-    error falls geometrically in the node count (Trefethen & Weideman, SIAM
-    Rev. 56 (2014)); the loop over nodes keeps memory flat.
+    With ``c = cos^2(theta/2)``, DLMF 13.4.1 and ``M = 1F1(1/2; 1) + 2z
+    1F1'(1/2; 1)`` give ``M = (1/pi) int_0^pi e^{zc} (1 + 2zc) dtheta``. Adding
+    the derivative of ``sin(theta) (1 + c + c^2 + c^3) e^{zc}`` (integral 0)
+    makes the integrand ``e^{zc} (8c^4 - c^3 - c^2 - c + 2zc^5)``, which does
+    not cancel at ``c = 0`` when ``Re z < 0``; ``M'`` integrates its
+    ``z``-derivative. The error falls geometrically in ``k`` (Trefethen &
+    Weideman, SIAM Rev. 56 (2014)).
     """
     r = float(np.max(np.abs(z)))
     k = int(r / 2.0 + 3.0 * math.sqrt(r / 2.0 + 1.0) + 14.0)
     c = np.cos((np.arange(k) + 0.5) * (0.5 * math.pi / k)) ** 2
     base = c * (((8.0 * c - 1.0) * c - 1.0) * c - 1.0)
     m, d, zc, e = (np.zeros_like(z) for _ in range(4))
-    for ci, bi, a, ac in zip(c.tolist(), base.tolist(), (2.0 * c ** 4).tolist(),
-                             (2.0 * c ** 5).tolist()):
+    for ci, bi, slope, extra in zip(c.tolist(), base.tolist(), (2.0 * c ** 4).tolist(),
+                                    (2.0 * c ** 5).tolist()):
         np.exp(np.multiply(z, ci, out=zc), out=e)
-        zc *= a
+        zc *= slope
         zc += bi
-        zc *= e                 # the integrand of M at this node
+        zc *= e                 # the integrand of M; that of M' is c times it + 2c^5 e^{zc}
         m += zc
         d += np.multiply(zc, ci, out=zc)
-        d += np.multiply(e, ac, out=e)
+        d += np.multiply(e, extra, out=e)
     return m / k, d / k
 
 
 def big_m_pair(z):
     """``(M(z), M'(z))`` for ``M = M_{1/2,-3/2} = 1F1(3/2, 1; z)``, vectorized.
 
-    The confluent series sums terms up to ``e^{|z|}`` in size to a value of
-    size ``e^{Re z}``, so it keeps only the points with ``|z| - Re z <= 6``
-    (a loss of at most ``e^6`` ulps); all others take the integral form of
-    :func:`_m_pair_integral`. Both agree with a 40-digit oracle to 1e-12
-    relative over ``|Re z|, |Im z| <= 40`` and at ``|z| <= 200``. A
-    non-finite ``z`` raises :class:`DomainError`.
+    The series sums terms up to ``e^{|z|}`` to a value near ``e^{Re z}``, so
+    only points with ``|z| - Re z <= 6`` use it; the others use
+    :func:`_m_pair_integral`. Both are within 1e-12 relative of a 40-digit
+    oracle for ``|Re z|, |Im z| <= 40`` and ``|z| <= 200``. A non-finite
+    ``z`` raises :class:`DomainError`.
     """
     z = _finite(z)
     m_val, d_val = _split(np.abs(z) - z.real > 6.0, z, _m_pair_integral,
