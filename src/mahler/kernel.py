@@ -13,6 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -246,16 +247,15 @@ def pfaffian(A) -> complex:
     result, and the trailing block receives a rank-two skew update.
     """
     A = np.array(A, dtype=complex)
-    n = A.shape[0]
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("pfaffian requires a square matrix")
+    n = A.shape[0]
     if n % 2 != 0:
         raise OddDimensionError(f"pfaffian requires even dimension, got {n}")
-    norm = np.max(np.abs(A)) if n else 0.0
-    if np.max(np.abs(A + A.T)) > 1e-10 * max(1.0, norm):
-        raise NotAntisymmetricError("matrix is not antisymmetric within 1e-10")
     if n == 0:
         return 1.0 + 0.0j
+    if np.max(np.abs(A + A.T)) > 1e-10 * max(1.0, np.max(np.abs(A))):
+        raise NotAntisymmetricError("matrix is not antisymmetric within 1e-10")
     pf = 1.0 + 0.0j
     for k in range(0, n - 1, 2):
         kp = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
@@ -276,26 +276,28 @@ def pfaffian(A) -> complex:
 def correlation(P: EnsembleParams, pts: PointConfig) -> float:
     """Correlation function: Pfaffian of the block matrix of kernel values.
 
-    Real points first, then upper-half-plane points; the result must be real
-    up to a small imaginary residual which is checked and discarded.
+    Real points first, then upper-half-plane points: one feature build per
+    species, broadcast over all pairs. The result must be real up to a small
+    imaginary residual, which is checked and discarded.
     """
-    points = [float(x) for x in pts.reals] + [complex(z) for z in pts.uppers]
-    m = len(points)
-    if len(pts.reals) + 2 * len(pts.uppers) > P.N:
+    x = np.array(pts.reals, dtype=float)
+    l, m = x.size, x.size + len(pts.uppers)
+    if l + 2 * len(pts.uppers) > P.N:
         raise DomainError("more points than roots: l + 2m must be <= N")
-    M = np.zeros((2 * m, 2 * m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            B = matrix_kernel(P, points[i], points[j]).as_array()
-            M[2 * i:2 * i + 2, 2 * j:2 * j + 2] = B
-            if j > i:
-                M[2 * j:2 * j + 2, 2 * i:2 * i + 2] = -B.T
-            else:
-                # enforce exact antisymmetry of the diagonal block
-                M[2 * i, 2 * i] = 0.0
-                M[2 * i + 1, 2 * i + 1] = 0.0
-                M[2 * i + 1, 2 * i] = -M[2 * i, 2 * i + 1]
-    val = pfaffian(M)
+    tab = _tables(P.N, P.s)
+    fr = _Features(tab, x, True)
+    fc = _Features(tab, np.array(pts.uppers, dtype=complex), False)
+    f = {k: np.concatenate([getattr(fr, k), getattr(fc, k)], axis=-1)
+         for k in ("pe", "po", "epe", "epo")}
+    f["chi"] = np.repeat([1.0, 0.0], [l, m - l])
+    fu = SimpleNamespace(**{k: v[..., :, None] for k, v in f.items()})
+    fv = SimpleNamespace(**{k: v[..., None, :] for k, v in f.items()})
+    e12, e22 = _entry_12(tab, fu, fv), _entry_22(tab, fu, fv)
+    e22[:l, :l] += 0.5 * np.sign(x[:, None] - x[None, :])
+    M = np.stack([np.stack([_pair_sum(tab, fu.pe, fu.po, fv.pe, fv.po), e12], -1),
+                  np.stack([-e12.T, e22], -1)], 1).reshape(2 * m, 2 * m)
+    M = np.triu(M, 1)       # the strict upper triangle fixes the rest
+    val = pfaffian(M - M.T)
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise ResidualError(f"correlation has imaginary residual {val.imag:.3e}")
     return float(val.real)

@@ -111,7 +111,7 @@ def _series(a: float, b: float, top: float, step: float, w, max_terms: int = 100
         if small <= _TRUNC * max(bound, _TINY):
             bound = np.abs(val, out=mag).max()
         quiet = quiet + 1 if small <= _TRUNC * max(bound, _TINY) else 0
-        if quiet >= 3:
+        if quiet >= 3 or not math.isfinite(small):
             break
     return val, der
 
@@ -172,11 +172,16 @@ def big_m_pair(z):
     only points with ``|z| - Re z <= 6`` use it; the others use
     :func:`_m_pair_integral`. Both are within 1e-12 relative of a 40-digit
     oracle for ``|Re z|, |Im z| <= 40`` and ``|z| <= 200``. A non-finite
-    ``z`` raises :class:`DomainError`.
+    ``z`` raises :class:`DomainError`, and a ``z`` where ``M`` or ``M'`` leaves
+    the double range (``Re z`` near 709) raises :class:`InfiniteValueError`.
     """
     z = _finite(z)
-    m_val, d_val = _split(np.abs(z) - z.real > 6.0, z, _m_pair_integral,
-                          lambda x: _series(1.5, 1.0, 1.5, 1.0, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_val, d_val = _split(np.abs(z) - z.real > 6.0, z, _m_pair_integral,
+                              lambda x: _series(1.5, 1.0, 1.5, 1.0, x))
+    bad = ~(np.isfinite(m_val) & np.isfinite(d_val))
+    if bad.any():
+        raise InfiniteValueError(f"big_m_pair leaves the double range at z = {z[bad][0]}")
     return (complex(m_val), complex(d_val)) if z.ndim == 0 else (m_val, d_val)
 
 

@@ -22,27 +22,33 @@ from .polys import PolyCoeffs, eps_poly, weight
 from .quadrature import _check_quad, adaptive, halfline, leg_nodes
 
 
-def skew_moment(n: int, m: int, s: float) -> float:
+def skew_moment(n, m, s: float):
     """Skew product of ``z^{2n}`` against ``z^{2m+1}`` (both parts combined).
 
     ``(s/(s - 2m - 2)) / ((n + 1/2)(m - n + 1/2))``; the prefactor is 1 at
-    ``s = inf``. Same-parity products vanish identically.
+    ``s = inf``. Same-parity products vanish identically. Vectorized over
+    integer arrays ``n``, ``m``.
     """
-    if n < 0 or m < 0:
+    n, m = np.asarray(n), np.asarray(m)
+    if (n < 0).any() or (m < 0).any():
         raise DomainError("exponent indices must be nonnegative")
-    if not (s > 2 * m + 2):
-        raise DomainError(f"requires s > 2m+2 = {2 * m + 2}, got s={s}")
+    if m.size and not (s > 2 * m.max() + 2):
+        raise DomainError(f"requires s > 2m+2 = {2 * m.max() + 2}, got s={s}")
     pref = 1.0 if math.isinf(s) else s / (s - 2 * m - 2)
-    return pref / ((n + 0.5) * (m - n + 0.5))
+    val = pref / ((n + 0.5) * (m - n + 0.5))
+    return float(val) if val.ndim == 0 else val
 
 
-def monomial_moment(a: int, b: int, s: float) -> float:
-    """Skew product of ``z^a`` against ``z^b`` for arbitrary parities."""
-    if (a - b) % 2 == 0:
-        return 0.0
-    if a % 2 == 0:
-        return skew_moment(a // 2, (b - 1) // 2, s)
-    return -skew_moment(b // 2, (a - 1) // 2, s)
+def monomial_moment(a, b, s: float):
+    """Skew product of ``z^a`` against ``z^b`` for arbitrary parities;
+    vectorized over integer arrays ``a``, ``b``."""
+    a, b = np.broadcast_arrays(a, b)
+    odd, swap = (a - b) % 2 == 1, a % 2 == 1
+    val = np.zeros(a.shape)
+    val[odd] = skew_moment(np.where(swap, b, a)[odd] // 2,      # the even exponent 2n
+                           np.where(swap, a, b)[odd] // 2, s)   # the odd one 2m + 1
+    val[odd & swap] *= -1.0                                     # a swap flips the sign
+    return float(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)
@@ -72,10 +78,7 @@ def gram_matrix(N: int, s: float, basis=None) -> GramMatrix:
         if p.degree != n or abs(p.coeffs[-1] - 1.0) > 1e-12:
             raise DomainError(f"basis element {n} is not monic of degree {n}")
     # moment table <z^a | z^b> for a, b < N
-    M = np.zeros((N, N))
-    for a in range(N):
-        for b in range(N):
-            M[a, b] = monomial_moment(a, b, s)
+    M = monomial_moment(np.arange(N)[:, None], np.arange(N), s)
     C = np.zeros((N, N))
     for n, p in enumerate(basis):
         C[n, :len(p.coeffs)] = p.coeffs

@@ -1,7 +1,8 @@
 """Finite Gamma identities, each with the sum side and the closed side
 implemented independently (scipy log-Gamma only), for randomized checking;
-and the 2-D quadrature of the pair density, the second route of the
-closed-form non-real root count."""
+the 2-D quadrature of the pair density, the second route of the
+closed-form non-real root count; and the block matrix of a correlation
+assembled pair by pair, the second route of ``kernel.correlation``."""
 
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from mahler.kernel import EnsembleParams, intensity_complex
+from mahler.kernel import EnsembleParams, intensity_complex, matrix_kernel
 from mahler.quadrature import _check_quad, adaptive, halfline, leg_nodes
 
 
@@ -161,3 +162,23 @@ def complex_count_quadrature(P: EnsembleParams, r_max: float | None,
         total, toterr = total + v2, toterr + e2
     _check_quad(total, toterr)
     return 2.0 * total
+
+
+def block_by_pairs(P: EnsembleParams, points) -> np.ndarray:
+    """The ``2m x 2m`` antisymmetric block matrix of kernel values at
+    ``points``, one :func:`matrix_kernel` call per pair ``i <= j``; the lower
+    blocks follow by antisymmetry. Points may lie in either half-plane."""
+    m = len(points)
+    M = np.zeros((2 * m, 2 * m), dtype=complex)
+    for i in range(m):
+        for j in range(i, m):
+            B = matrix_kernel(P, points[i], points[j]).as_array()
+            M[2 * i:2 * i + 2, 2 * j:2 * j + 2] = B
+            if j > i:
+                M[2 * j:2 * j + 2, 2 * i:2 * i + 2] = -B.T
+            else:
+                # enforce exact antisymmetry of the diagonal block
+                M[2 * i, 2 * i] = 0.0
+                M[2 * i + 1, 2 * i + 1] = 0.0
+                M[2 * i + 1, 2 * i] = -M[2 * i, 2 * i + 1]
+    return M

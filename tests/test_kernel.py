@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, gammasgn
 
-from identities import complex_count_quadrature
+from identities import block_by_pairs, complex_count_quadrature
 from mahler.errors import (DomainError, NotAntisymmetricError,
                            OddDimensionError, QuadratureError)
 from mahler.kernel import (EnsembleParams, PointConfig, _tables, correlation,
@@ -199,6 +199,9 @@ class TestPfaffian:
         with pytest.raises(NotAntisymmetricError):
             pfaffian(np.ones((2, 2)))
 
+    def test_empty_is_one(self):
+        assert pfaffian(np.zeros((0, 0))) == 1.0 + 0.0j
+
 
 class TestCorrelation:
     def test_single_real_point_is_density(self):
@@ -243,22 +246,32 @@ class TestCorrelation:
         P = EnsembleParams(6, 13.0)
 
         def density(pts):
-            m = len(pts)
-            A = np.zeros((2 * m, 2 * m), dtype=complex)
-            for i in range(m):
-                for j in range(m):
-                    K = matrix_kernel(P, pts[i], pts[j])
-                    A[2 * i, 2 * j] = K.e11
-                    A[2 * i, 2 * j + 1] = K.e12
-                    A[2 * i + 1, 2 * j] = K.e21
-                    A[2 * i + 1, 2 * j + 1] = K.e22
-            A = 0.5 * (A - A.T)
-            return pfaffian(A).real
+            return pfaffian(block_by_pairs(P, pts)).real
 
         z, w = 0.3 + 0.4j, -0.2 + 0.6j
         base = density([0.1, z, w])
         flipped = density([0.1, z, np.conj(w)])
         assert flipped == pytest.approx(base, rel=1e-10)
+
+    def test_empty_configuration_is_one(self):
+        assert correlation(EnsembleParams(4, 9.0), PointConfig((), ())) == 1.0
+
+    @pytest.mark.parametrize("N, s", [(5, 6.5), (7, 14.0), (8, 8.5), (16, 32.0),
+                                      (6, math.inf), (15, math.inf)])
+    @pytest.mark.parametrize("species", ["real", "complex", "mixed"])
+    def test_matches_pairwise_blocks(self, N, s, species, rng):
+        # the broadcast block assembly against one matrix_kernel call per pair
+        P = EnsembleParams(N, s)
+        for _ in range(4):
+            n_up = {"real": 0, "complex": 2, "mixed": 1}[species]
+            n_re = {"real": min(N, 5), "complex": 0, "mixed": 3}[species]
+            reals = tuple(rng.uniform(-1.8, 1.8, n_re).tolist())
+            uppers = tuple(complex(a, b) for a, b in zip(rng.uniform(-1.5, 1.5, n_up),
+                                                        rng.uniform(0.05, 1.5, n_up)))
+            one = math.prod(abs(correlation(P, PointConfig((x,), ()))) for x in reals) \
+                * math.prod(abs(correlation(P, PointConfig((), (z,)))) for z in uppers)
+            ref = pfaffian(block_by_pairs(P, reals + uppers)).real
+            assert abs(correlation(P, PointConfig(reals, uppers)) - ref) <= 1e-12 * one
 
     def test_order_guard(self):
         P = EnsembleParams(2, 5.0)
@@ -273,16 +286,7 @@ class TestCorrelation:
         P = EnsembleParams(N, 9.0)
         pts = [1.5, 1.2 + 0.8j, np.conj(1.2 + 0.8j), -1.1 + 1.3j,
                np.conj(-1.1 + 1.3j)]
-        m = len(pts)
-        A = np.zeros((2 * m, 2 * m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                K = matrix_kernel(P, pts[i], pts[j])
-                A[2 * i, 2 * j] = K.e11
-                A[2 * i, 2 * j + 1] = K.e12
-                A[2 * i + 1, 2 * j] = K.e21
-                A[2 * i + 1, 2 * j + 1] = K.e22
-        A = 0.5 * (A - A.T)
+        A = block_by_pairs(P, pts)
         d = []
         for z in pts:
             phase = (abs(z) / z) ** N

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -232,6 +233,21 @@ class TestBigMOracle:
         with pytest.raises(DomainError, match="finite"):
             call()
         assert time.perf_counter() - start < 0.2
+
+    @pytest.mark.parametrize("z", [720.0, 720.0 + 1.0j, 1000.0, 720.0 + 2000.0j])
+    def test_past_double_range_raises(self, z):
+        # the series overflowed with a RuntimeWarning and carried on; at
+        # z = 1000 its NaN terms ran the loop to max_terms
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfiniteValueError, match="double range"):
+                big_m_pair([1.0, z])
+        assert time.perf_counter() - start < 0.2
+
+    def test_largest_real_argument_unchanged(self):
+        assert big_m_pair(700.0) == (3.028980774531315e+305 + 0j,
+                                     3.031142786828266e+305 + 0j)
 
     def test_large_arguments_import_no_mpmath(self):
         src = os.path.dirname(os.path.dirname(mahler.__file__))
