@@ -241,12 +241,12 @@ def sum_k(N: int, a1: float, b1: float, a2: float, b2: float, z, w):
 def pfaffian(A) -> complex:
     """Pfaffian of an even-dimensional antisymmetric matrix.
 
-    Skew-symmetric Parlett–Reid elimination with partial pivoting: at each
-    step the largest below-diagonal entry of the working column is pivoted
-    into place (each swap flips the sign), the (k, k+1) entry multiplies the
-    result, and the trailing block receives a rank-two skew update.
+    Skew-symmetric Parlett–Reid elimination with partial pivoting (in real
+    arithmetic for a real matrix): each step pivots the largest below-diagonal
+    entry of the working column into place (a swap flips the sign), multiplies
+    the result by the (k, k+1) entry and updates the trailing block by rank two.
     """
-    A = np.array(A, dtype=complex)
+    A = np.array(A, dtype=complex if np.iscomplexobj(A) else float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("pfaffian requires a square matrix")
     n = A.shape[0]
@@ -267,9 +267,9 @@ def pfaffian(A) -> complex:
             return 0.0 + 0.0j
         pf = pf * A[k, k + 1]
         if k + 2 < n:
-            tau = A[k, k + 2:] / A[k, k + 1]
+            tau = A[k, k + 2:] * (1.0 / A[k, k + 1])   # the reciprocal, as complex division takes it
             col = A[k + 2:, k + 1]
-            A[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+            A[k + 2:, k + 2:] += tau[:, None] * col - col[:, None] * tau
     return pf
 
 
