@@ -267,7 +267,7 @@ def pfaffian(A) -> complex:
             return 0.0 + 0.0j
         pf = pf * A[k, k + 1]
         if k + 2 < n:
-            tau = A[k, k + 2:] * (1.0 / A[k, k + 1])   # the reciprocal, as complex division takes it
+            tau = A[k, k + 2:] * (1.0 / A[k, k + 1])   # reciprocal, as in complex division
             col = A[k + 2:, k + 1]
             A[k + 2:, k + 2:] += tau[:, None] * col - col[:, None] * tau
     return pf
