@@ -15,6 +15,7 @@ literal ``inf`` is accepted wherever ``s`` is.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -37,10 +38,14 @@ def _parse_s(text: str) -> float:
         raise MahlerError(f"--s must be a number or 'inf', got {text!r}") from None
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path`` opened for writing, or stdout for None or '-'."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="\n") as fh:
+            yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +66,9 @@ def run_volume(args) -> int:
     abs_diff = abs(pf_u - f_product)
     payload = {"N": args.N, "s": "inf" if math.isinf(s) else s,
                "F_product": f_product, "Pf_U": pf_u, "abs_diff": abs_diff}
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
     return 0 if abs_diff <= 1e-8 * abs(f_product) else 1
 
 
@@ -85,8 +86,7 @@ def run_kernel_grid(args) -> int:
         print(f"kernel-grid: {exc}", file=sys.stderr)
         return 2
     v = complex(args.v_re, args.v_im)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["re_u", "im_u", "re_v", "im_v",
                          "e11_re", "e11_im", "e12_re", "e12_im",
@@ -97,9 +97,6 @@ def run_kernel_grid(args) -> int:
             for e in (K.e11, K.e12, K.e21, K.e22):
                 row += [e.real, e.imag]
             writer.writerow([_fmt(x) for x in row])
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -151,15 +148,11 @@ def run_intensity(args) -> int:
     except MahlerError as exc:
         print(exc, file=sys.stderr)
         return 2
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["re_z", "im_z", "intensity"])
         for z in _grid_points(args):
             writer.writerow([_fmt(z.real), _fmt(z.imag), _fmt(fn(z))])
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -170,13 +163,9 @@ def run_convergence(args) -> int:
         raise MahlerError("--N-list must be comma-separated integers, got "
                           f"{args.N_list!r}") from None
     report = limits.full_report(n_list)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         fh.write(limits.report_to_json(report))
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
     return 0
 
 

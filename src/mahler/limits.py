@@ -11,6 +11,7 @@ which plug into the species-dispatched 2x2 assembly.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .specfun import (_gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
                       gamma_ratio_table, iota, omega)
 
 _ORDER = 96          # all limit integrals over [0, 1] (integrands entire)
-_CIRCLE_N = 1024     # periodic trapezoid nodes for circle integrals
+_INSIDE_TERMS = 200  # terms of each binomial series in sum_inside_limit
 
 
 def _unit_nodes(order: int = _ORDER):
@@ -178,57 +179,67 @@ def sqrt_minus_tau(tau):
     return np.exp(0.5j * (theta - np.pi))
 
 
-# midpoint trapezoid nodes on the unit circle, offset by half a step so no
-# node sits on the branch cut of sqrt(-tau) at angle 0
-_DISK_TAU = np.exp(1j * (np.arange(_CIRCLE_N) + 0.5) * (2.0 * np.pi / _CIRCLE_N))
-_DISK_TC = np.conj(_DISK_TAU)
-_DISK_P = sqrt_minus_tau(_DISK_TAU)
-_DISK_Q = np.conj(_DISK_P)
+def _check_disk(inside: bool, *pts):
+    """Raise :class:`DomainError` unless all points lie in the open unit disk
+    (``inside``) or all lie outside the closed one; scalars or arrays."""
+    for z in pts:
+        r = np.abs(z)
+        if np.any(r >= 1.0 if inside else r <= 1.0):
+            where = "inside the open" if inside else "outside the closed"
+            raise DomainError(f"argument {z} not {where} unit disk")
 
 
 def _disk_factors(u, v):
-    """Check that ``u, v`` lie in the open unit disk and return the circle
-    factors ``p = sqrt(-tau)``, ``q = conj(p)``, ``tau``, ``conj(tau)``,
-    ``ru = (1 - u^2 conj(tau))^{-1/2}`` and ``rv = (1 - v^2 tau)^{-1/2}``."""
-    for z in (u, v):
-        if abs(complex(z)) >= 1.0:
-            raise DomainError(f"argument {z} not inside the open unit disk")
-    ru = (1.0 - u * u * _DISK_TC) ** -0.5
-    rv = (1.0 - v * v * _DISK_TAU) ** -0.5
-    return _DISK_P, _DISK_Q, _DISK_TAU, _DISK_TC, ru, rv
+    """Check that ``u, v`` lie in the open unit disk and return the weights
+    of ``(1/(4 pi)) int_0^{2 pi} d theta`` and the factors ``p = sqrt(-tau)``,
+    ``q = conj(p)``, ``tau``, ``conj(tau)``, ``ru = (1 - u^2 conj(tau))^{-1/2}``
+    and ``rv = (1 - v^2 tau)^{-1/2}`` at its nodes ``tau = e^{i theta}``.
 
-
-def _circle_mean(integrand) -> complex:
-    """``(1/(4 pi)) int_0^{2 pi} integrand d theta`` on the disk nodes."""
-    return complex(np.sum(integrand) * (2.0 * np.pi / _CIRCLE_N) / (4.0 * np.pi))
+    The nodes are the unit Gauss–Legendre rule on ``theta in (0, 2 pi)``: the
+    integrands are analytic on a neighbourhood of the closed interval, whose
+    ends sit on the cut of ``sqrt(-tau)``, so the rule converges
+    geometrically. Panels end at ``2 arg u`` and ``-2 arg v``, the real parts
+    of the branch points of ``ru`` and ``rv``, which complex ``u`` or ``v``
+    would otherwise put close to a panel's interior.
+    """
+    _check_disk(True, u, v)
+    turn = 2.0 * math.pi
+    cuts = sorted({0.0, 2.0 * cmath.phase(u) % turn, -2.0 * cmath.phase(v) % turn})
+    width = np.diff(cuts, append=turn)[:, None]
+    x, w = _unit_nodes()
+    tau = np.exp(1j * (np.array(cuts)[:, None] + width * x).ravel())
+    p, tc = sqrt_minus_tau(tau), np.conj(tau)
+    ru = 1.0 / np.sqrt(1.0 - u * u * tc)
+    rv = 1.0 / np.sqrt(1.0 - v * v * tau)
+    return (width * w).ravel() / (2.0 * turn), p, np.conj(p), tau, tc, ru, rv
 
 
 def a_disk(u, v):
     """Antiderivative kernel inside the disk: a circle average of
     ``(v sqrt(-tau) - u sqrt(-conj tau)) / sqrt((1-u^2 conj tau)(1-v^2 tau))``."""
-    p, q, _, _, ru, rv = _disk_factors(u, v)
-    return _circle_mean((v * p - u * q) * ru * rv)
+    wt, p, q, _, _, ru, rv = _disk_factors(u, v)
+    return complex(wt @ ((v * p - u * q) * ru * rv))
 
 
 def da_disk(u, v):
     """First-slot derivative of the disk kernel (differentiation under the
     integral sign)."""
-    p, q, _, tc, ru, rv = _disk_factors(u, v)
-    return _circle_mean(-q * ru * rv + (v * p - u * q) * u * tc * ru ** 3 * rv)
+    wt, p, q, _, tc, ru, rv = _disk_factors(u, v)
+    return complex(wt @ (-q * ru * rv + (v * p - u * q) * u * tc * ru ** 3 * rv))
 
 
 def ad_disk(u, v):
     """Second-slot derivative of the disk kernel."""
-    p, q, tau, _, ru, rv = _disk_factors(u, v)
-    return _circle_mean(p * ru * rv + (v * p - u * q) * v * tau * ru * rv ** 3)
+    wt, p, q, tau, _, ru, rv = _disk_factors(u, v)
+    return complex(wt @ (p * ru * rv + (v * p - u * q) * v * tau * ru * rv ** 3))
 
 
 def dad_disk(u, v):
     """Mixed derivative of the disk kernel: the unscaled limit of the scalar
     kernel inside the disk."""
-    p, q, tau, tc, ru, rv = _disk_factors(u, v)
-    return _circle_mean(p * u * tc * ru ** 3 * rv - q * v * tau * ru * rv ** 3
-                        + (v * p - u * q) * u * v * ru ** 3 * rv ** 3)
+    wt, p, q, tau, tc, ru, rv = _disk_factors(u, v)
+    return complex(wt @ (p * u * tc * ru ** 3 * rv - q * v * tau * ru * rv ** 3
+                         + (v * p - u * q) * u * v * ru ** 3 * rv ** 3))
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +258,6 @@ def sqrt_z2m1(z):
     return val
 
 
-def _check_outside(*pts):
-    for z in pts:
-        if abs(complex(z)) <= 1.0:
-            raise DomainError(f"argument {z} not outside the closed unit disk")
-
-
 def _b_core(c: float, u, v):
     """The outside limit without the square-root trace factors."""
     uv = u * v
@@ -262,7 +267,7 @@ def _b_core(c: float, u, v):
 
 def b_outside(c: float, u, v):
     """Unscaled outside limit of the (phase-corrected) scalar kernel."""
-    _check_outside(u, v)
+    _check_disk(False, u, v)
     if math.isinf(c):
         # c |uv|^{-c} -> 0 for |uv| > 1
         return 0.0 * (u * v)
@@ -304,15 +309,15 @@ def _b_single(c: float, z, y: float, order: int = 256):
     return -np.sum(_b_core(c, z, v) * wv) / sqrt_z2m1(z)
 
 
-def a_outside(c: float, x: float, y: float, order: int = 96) -> float:
+def a_outside(c: float, x: float, y: float) -> float:
     """Antiderivative kernel outside the disk; identically zero at
     ``c = inf``."""
-    _check_outside(x, y)
+    _check_disk(False, x, y)
     if math.isinf(c):
         return 0.0
     sx, sy = math.copysign(1.0, x), math.copysign(1.0, y)
-    u, wu = _tail_nodes(x, order)
-    v, wv = _tail_nodes(y, order)
+    u, wu = _tail_nodes(x, _ORDER)
+    v, wv = _tail_nodes(y, _ORDER)
     # both integrals run from infinity down to the endpoint; the two (-1)s
     # cancel
     double = float(np.real(wu @ _b_core(c, u[:, None], v[None, :]) @ wv))
@@ -323,7 +328,7 @@ def a_outside(c: float, x: float, y: float, order: int = 96) -> float:
 def da_outside(c: float, z, y: float):
     """First-slot derivative of the outside antiderivative kernel; the first
     argument may be complex."""
-    _check_outside(z, y)
+    _check_disk(False, z, y)
     if math.isinf(c):
         return 0.0
     sy = math.copysign(1.0, y)
@@ -333,7 +338,7 @@ def da_outside(c: float, z, y: float):
 
 def ad_outside(c: float, x: float, w):
     """Second-slot derivative of the outside antiderivative kernel."""
-    _check_outside(x, w)
+    _check_disk(False, x, w)
     if math.isinf(c):
         return 0.0
     sx = math.copysign(1.0, x)
@@ -392,10 +397,12 @@ def assemble_matrix(A: ScalarKernelHandle, u, v) -> KernelValue2x2:
     """Species-dispatched 2x2 limit kernel built from an antiderivative
     kernel handle.
 
-    Real/real rows carry the derivative entries and the ``(1/2) sgn`` term in
-    the (2,2) slot (oriented as ``sgn(u - v)``, matching the finite-N matrix
-    kernel); a complex first argument uses conjugation with the half-plane
-    phase ``iota``; real-first/complex-second is the negated transpose of the
+    Real/real rows carry the derivative entries, ``-da`` in the (1,2) slot and
+    ``-ad`` in the (2,1) slot so that ``K(x, y) = -K(y, x)^T`` for an
+    antisymmetric ``A``, and the ``(1/2) sgn`` term in the (2,2) slot
+    (oriented as ``sgn(u - v)``, matching the finite-N matrix kernel); a
+    complex first argument uses conjugation with the half-plane phase
+    ``iota``; real-first/complex-second is the negated transpose of the
     swapped pair; complex/complex uses mixed derivatives only.
     """
     ur = abs(complex(u).imag) == 0.0
@@ -404,7 +411,7 @@ def assemble_matrix(A: ScalarKernelHandle, u, v) -> KernelValue2x2:
         x, y = complex(u).real, complex(v).real
         return KernelValue2x2(
             complex(A.dad(x, y)), -complex(A.da(x, y)),
-            complex(A.ad(x, y)),
+            -complex(A.ad(x, y)),
             complex(A.a(x, y)) + 0.5 * np.sign(x - y))
     if not ur and vr:
         z, y = complex(u), complex(v).real
@@ -607,7 +614,7 @@ def _lambda_fourier(b1: float, b2: float, m) -> np.ndarray:
 
 
 def sum_inside_limit(a1: float, b1: float, a2: float, b2: float,
-                     z: complex, w: complex, terms: int = 200) -> complex:
+                     z: complex, w: complex) -> complex:
     """Limit of the product sums inside the disk when ``b1 + b2 + 1 < 0``:
     the circle average of the singular weight against the two binomial
     kernels, evaluated through its geometrically-convergent double series."""
@@ -615,12 +622,12 @@ def sum_inside_limit(a1: float, b1: float, a2: float, b2: float,
         raise DomainError("requires b1 + b2 + 1 < 0")
     if abs(z) >= 1.0 or abs(w) >= 1.0:
         raise DomainError("arguments must lie in the open unit disk")
-    j = np.arange(terms)
-    cz = gamma_ratio_table(terms - 1, a1) * np.asarray(z) ** j
-    cw = gamma_ratio_table(terms - 1, a2) * np.asarray(w) ** j
+    j = np.arange(_INSIDE_TERMS)
+    cz = gamma_ratio_table(_INSIDE_TERMS - 1, a1) * np.asarray(z) ** j
+    cw = gamma_ratio_table(_INSIDE_TERMS - 1, a2) * np.asarray(w) ** j
     # Toeplitz: entry (j, k) is the coefficient of index j - k
-    coef = _lambda_fourier(b1, b2, np.arange(1 - terms, terms))
-    lam = coef[np.subtract.outer(j, j) + terms - 1]
+    coef = _lambda_fourier(b1, b2, np.arange(1 - _INSIDE_TERMS, _INSIDE_TERMS))
+    lam = coef[np.subtract.outer(j, j) + _INSIDE_TERMS - 1]
     return complex(cz @ lam @ cw)
 
 

@@ -249,11 +249,3 @@ def write_samples_csv(path: str, cfg: SamplerConfig, samples) -> int:
             n += 1
     return n
 
-
-def write_histogram_csv(path: str, hist: Histogram1D) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_lo", "bin_hi", "density", "stderr"])
-        for lo, hi, d, e in zip(hist.edges[:-1], hist.edges[1:],
-                                hist.density, hist.stderr):
-            writer.writerow([_fmt(lo), _fmt(hi), _fmt(d), _fmt(e)])

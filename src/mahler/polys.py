@@ -28,6 +28,8 @@ import numpy as np
 from .errors import ConditioningError, DomainError, IntegrabilityError
 from .specfun import _gamma_quotient, gamma_ratio_table
 
+_CLUSTER_TOL = 1e-6  # zero_check: closer roots are not simple; 10x it from 1 is at 1
+
 
 @dataclass(frozen=True)
 class PolyCoeffs:
@@ -53,11 +55,6 @@ class PolyCoeffs:
         if np.ndim(z) == 0:
             return acc[()]
         return acc
-
-    def derivative(self) -> "PolyCoeffs":
-        if self.degree == 0:
-            return PolyCoeffs((0.0,))
-        return PolyCoeffs(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
 
 def _p_table(n: int, alpha: float, beta: float) -> np.ndarray:
@@ -236,7 +233,7 @@ def _forced_order_at_1(n: int, alpha: float, beta: float, tol: float = 1e-9) -> 
     return 0
 
 
-def zero_check(n: int, alpha: float, beta: float, cluster_tol: float = 1e-6) -> ZeroReport:
+def zero_check(n: int, alpha: float, beta: float) -> ZeroReport:
     """Root locations of ``P_n^{alpha,beta}`` against their predicted behavior.
 
     Computes companion-matrix roots, counts the multiplicity of the root
@@ -257,11 +254,11 @@ def zero_check(n: int, alpha: float, beta: float, cluster_tol: float = 1e-6) -> 
     if max_res > 1e-6:
         raise ConditioningError(f"root residual {max_res:.3e} exceeds 1e-6")
 
-    at_one = np.abs(roots - 1.0) < max(cluster_tol, 1e-8) * 10
+    at_one = np.abs(roots - 1.0) < 10.0 * _CLUSTER_TOL
     order_at_1 = int(np.sum(at_one))
     others = roots[~at_one]
     gaps = np.abs(np.subtract.outer(others, others))[np.triu_indices(len(others), 1)]
-    simple = not np.any(gaps < max(cluster_tol, 1e-8))
+    simple = not np.any(gaps < _CLUSTER_TOL)
 
     expected = _forced_order_at_1(n, alpha, beta)
     forced = expected > 0

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 
 DEFAULT_ORDER = 64
+_MAX_PANELS = 4096
 
 
 @lru_cache(maxsize=32)
@@ -38,8 +39,7 @@ def fixed_panel(f, a: float, b: float, order: int | None = None):
     return half * np.sum(w * f(mid + half * x))
 
 
-def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None,
-             max_panels: int = 4096):
+def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None):
     """Adaptive Gauss–Legendre integral of ``f`` over ``[a, b]``.
 
     Bisects the panel with the largest error estimate (difference between the
@@ -72,7 +72,7 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None
         scale = max(1.0, abs(total))
         if total_err <= tol * scale:
             return total, total_err
-        if len(panels) >= max_panels:
+        if len(panels) >= _MAX_PANELS:
             raise QuadratureError(
                 f"adaptive quadrature did not converge: error {total_err:.3e} "
                 f"with {len(panels)} panels")

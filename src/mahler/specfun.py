@@ -14,11 +14,12 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, InfiniteValueError, PoleError
+from .errors import DomainError, InfiniteValueError, PoleError
 from .quadrature import adaptive
 
 _TRUNC = 1e-16
 _TINY = 1e-300
+_MAX_TERMS = 100000
 
 
 def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
@@ -94,14 +95,24 @@ def _split(mask, z, first, rest):
     return out[0], out[1]
 
 
-def _series(a: float, b: float, top: float, step: float, w, max_terms: int = 100000):
+def _in_double_range(name: str, z, pair):
+    """``pair()`` with overflow quiet; :class:`InfiniteValueError` where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, second = pair()
+    bad = ~(np.isfinite(first) & np.isfinite(second))
+    if bad.any():
+        raise InfiniteValueError(f"{name} leaves the double range at z = {z[bad][0]}")
+    return first, second
+
+
+def _series(a: float, b: float, top: float, step: float, w):
     """Sums of ``t_n`` and ``t_n (n*step+a)/(n+b)``, ``t_{n+1} = t_n (n+top)/((n+b)(n+1)) w``,
     until the terms stay below ``1e-16`` of the largest partial sum for three terms:
     ``1F1(a; b; w)`` and its derivative for ``top = a, step = 1``, and ``e^w`` times
     ``1F1(a; b; -w)`` and its derivative for ``top = b - a, step = 0`` (DLMF 13.2.39)."""
     term, der, tmp, mag = np.ones_like(w), np.zeros_like(w), np.empty_like(w), np.empty(w.shape)
     val, quiet, bound = term.copy(), 0, 1.0
-    for n in range(max_terms):
+    for n in range(_MAX_TERMS):
         der += np.multiply(term, (n * step + a) / (n + b), out=tmp)
         term *= (n + top) / ((n + b) * (n + 1.0))
         term *= w
@@ -116,7 +127,7 @@ def _series(a: float, b: float, top: float, step: float, w, max_terms: int = 100
     return val, der
 
 
-def hyp1f1_M(alpha: float, beta: float, z, max_terms: int = 100000):
+def hyp1f1_M(alpha: float, beta: float, z):
     """Confluent-hypergeometric family ``M_{alpha,beta}(z)``.
 
     Defined by the normalized series with coefficient ratio
@@ -125,15 +136,17 @@ def hyp1f1_M(alpha: float, beta: float, z, max_terms: int = 100000):
     ``(1/2, -3/2)`` is the kernel of the circle scaling limits. Points with
     ``Re z < 0`` sum Kummer's transformation ``e^z 1F1(b-a; b; -z)`` (DLMF
     13.2.39) in a loop of their own, so neither series alternates. Accepts
-    scalars or numpy arrays; a non-finite ``z`` raises :class:`DomainError`.
+    scalars or numpy arrays. A non-finite ``z`` raises :class:`DomainError`,
+    and one where a series leaves the double range :class:`InfiniteValueError`.
     """
     g = 1.0 + alpha + beta
     if _is_nonpositive_integer(g + 1.0):
         # poles occur when 1+gamma hits a non-positive integer, i.e. gamma in {-1,-2,...}
         raise PoleError(f"hyp1f1_M: parameter gamma = {g} is a negative integer")
     a, b, z = 1.0 + alpha, 1.0 + g, _finite(z)
-    val, _ = _split(z.real >= 0.0, z, lambda x: _series(a, b, a, 1.0, x, max_terms),
-                    lambda x: np.exp(x) * np.array(_series(a, b, b - a, 0.0, -x, max_terms)))
+    val, _ = _in_double_range("hyp1f1_M", z, lambda: _split(
+        z.real >= 0.0, z, lambda x: _series(a, b, a, 1.0, x),
+        lambda x: np.exp(x) * np.array(_series(a, b, b - a, 0.0, -x))))
     return complex(val) if val.ndim == 0 else val
 
 
@@ -176,12 +189,9 @@ def big_m_pair(z):
     the double range (``Re z`` near 709) raises :class:`InfiniteValueError`.
     """
     z = _finite(z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_val, d_val = _split(np.abs(z) - z.real > 6.0, z, _m_pair_integral,
-                              lambda x: _series(1.5, 1.0, 1.5, 1.0, x))
-    bad = ~(np.isfinite(m_val) & np.isfinite(d_val))
-    if bad.any():
-        raise InfiniteValueError(f"big_m_pair leaves the double range at z = {z[bad][0]}")
+    m_val, d_val = _in_double_range("big_m_pair", z, lambda: _split(
+        np.abs(z) - z.real > 6.0, z, _m_pair_integral,
+        lambda x: _series(1.5, 1.0, 1.5, 1.0, x)))
     return (complex(m_val), complex(d_val)) if z.ndim == 0 else (m_val, d_val)
 
 
@@ -224,98 +234,6 @@ def e_pair(a1: float, b1: float, a2: float, b2: float, t1, t2,
         g, lambda x: hyp1f1_M(a1, b1, t1 * x) * hyp1f1_M(a2, b2, t2 * x), tol)
 
 
-def hyp2f1(a: float, b: float, c: float, z, tol: float = 1e-12,
-           max_terms: int = 2_000_000) -> complex:
-    """Gauss hypergeometric series ``2F1(a, b; c; z)`` for ``|z| <= 1``.
-
-    At ``z = 1`` with ``c - a - b > 0`` the exact Gauss sum
-    ``Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b))`` is returned (the raw
-    series converges far too slowly there to be summed term by term).
-    """
-    for p in (a, b, c):
-        if _is_nonpositive_integer(p):
-            raise PoleError(f"hyp2f1: parameter {p} is a non-positive integer")
-    z = complex(z)
-    r = abs(z)
-    if r > 1.0 + 1e-12:
-        raise DomainError(f"hyp2f1 requires |z| <= 1, got |z| = {r}")
-    on_circle = r > 1.0 - 1e-12
-    if on_circle and c - a - b <= 0:
-        raise DivergenceError(
-            f"hyp2f1 series diverges on |z|=1 when c-a-b = {c - a - b} <= 0")
-    if abs(z - 1.0) < 1e-12:
-        return complex(_gamma_quotient((c, c - a - b), (c - a, c - b)))
-    term = 1.0 + 0.0j
-    total = term
-    quiet = 0
-    for n in range(max_terms):
-        term = term * ((n + a) * (n + b) / ((n + c) * (n + 1.0))) * z
-        total += term
-        if abs(term) <= _TRUNC * max(abs(total), _TINY):
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-        if on_circle and n > 200000:
-            break
-    if on_circle:
-        # absolutely convergent but too slowly for direct summation: delegate
-        # to an arbitrary-precision evaluator of the same function
-        import mpmath
-
-        val = mpmath.hyp2f1(a, b, c, mpmath.mpc(z.real, z.imag))
-        return complex(val)
-    raise DivergenceError("hyp2f1 series failed to converge")
-
-
-def _hyp2f1_unit(a: float, b: float, c: float, z: complex) -> complex:
-    """2F1 on the closed unit disk, tolerant of conditional convergence.
-
-    Used by :func:`lambda_weight`, whose constituent series converge only
-    conditionally on the circle for part of the admissible parameter range.
-    """
-    z = complex(z)
-    if abs(z) < 1.0 - 1e-9:
-        return hyp2f1(a, b, c, z)
-    import mpmath
-
-    return complex(mpmath.hyp2f1(a, b, c, mpmath.mpc(z.real, z.imag)))
-
-
-def lambda_weight(b1: float, b2: float, zeta) -> complex:
-    """Circle weight ``Lambda_{b1,b2}(zeta)`` for ``b1 + b2 + 1 < 0``.
-
-    Evaluated through the closed three-branch hypergeometric form: a generic
-    branch when neither parameter is a non-negative integer, and degenerate
-    branches (where the relevant 2F1 collapses to ``(1-z)^{-(2+b1+b2)}``)
-    otherwise. Raises :class:`InfiniteValueError` at ``zeta = 1`` in the
-    parameter range where the weight has an integrable singularity there.
-    """
-    if b1 + b2 + 1.0 >= 0:
-        raise DomainError(f"lambda_weight requires b1+b2+1 < 0, got {b1 + b2 + 1.0}")
-    zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > 1e-9:
-        raise DomainError(f"lambda_weight requires |zeta| = 1, got {abs(zeta)}")
-    zeta = zeta / abs(zeta)
-    if abs(zeta - 1.0) < 1e-12 and b1 + b2 + 1.0 >= -1.0:
-        raise InfiniteValueError(
-            "lambda_weight has an integrable singularity at zeta = 1 "
-            f"for b1+b2+1 = {b1 + b2 + 1.0} >= -1")
-    front, q = (-b1 - b2 - 1.0,), 2.0 + b1 + b2
-    if _is_nonpositive_integer(-b1):
-        pref = _gamma_quotient(front, (-b2, 1.0 + b2))
-        return pref * zeta ** (1.0 + b1) * (1.0 - zeta) ** (-q)
-    if _is_nonpositive_integer(-b2):
-        zb = np.conj(zeta)
-        pref = _gamma_quotient(front, (-b1, 1.0 + b1))
-        return pref * zb ** (1.0 + b2) * (1.0 - zb) ** (-q)
-    pref = _gamma_quotient(front, (-b1, -b2))
-    f1 = _hyp2f1_unit(1.0, 1.0 + b1, -b2, np.conj(zeta))
-    f2 = _hyp2f1_unit(1.0, 1.0 + b2, -b1, zeta)
-    return pref * (f1 + f2 - 1.0)
-
-
 def omega(lam: float, tau) -> float:
     """Exponential damping factor ``min(1, e^{-Re(tau)/lam})``.
 
@@ -339,8 +257,4 @@ def omega(lam: float, tau) -> float:
 def iota(z) -> complex:
     """``i sgn(Im z)``: the phase attached to conjugating a nonreal argument."""
     im = complex(z).imag
-    if im > 0:
-        return 1j
-    if im < 0:
-        return -1j
-    return 0j
+    return 1j * ((im > 0.0) - (im < 0.0))

@@ -21,6 +21,8 @@ from .kernel import pfaffian
 from .polys import PolyCoeffs, eps_poly, weight
 from .quadrature import _check_quad, adaptive, halfline, leg_nodes
 
+_N_THETA = 96  # Gauss–Legendre nodes in the angle of bilinear_c
+
 
 def skew_moment(n, m, s: float):
     """Skew product of ``z^{2n}`` against ``z^{2m+1}`` (both parts combined).
@@ -152,11 +154,10 @@ def bilinear_r(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> fl
     return total
 
 
-def bilinear_c(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10,
-               n_theta: int = 96) -> float:
+def bilinear_c(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> float:
     """Complex part: ``4 int_H Im(conj(f) g) max(1,|z|)^{-2s} dA`` in polar
     coordinates, radially split at the unit circle."""
-    xg, wg = leg_nodes(n_theta)
+    xg, wg = leg_nodes(_N_THETA)
     theta = 0.5 * math.pi * (xg + 1.0)
     wtheta = 0.5 * math.pi * wg
     etheta = np.exp(1j * theta)

@@ -1,17 +1,23 @@
 """Finite Gamma identities, each with the sum side and the closed side
 implemented independently (scipy log-Gamma only), for randomized checking;
 the 2-D quadrature of the pair density, the second route of the
-closed-form non-real root count; and the block matrix of a correlation
-assembled pair by pair, the second route of ``kernel.correlation``."""
+closed-form non-real root count; the block matrix of a correlation
+assembled pair by pair, the second route of ``kernel.correlation``; and
+the circle weight ``Lambda`` pointwise from Gauss hypergeometric functions
+(DLMF 15), the second route of its Fourier coefficients
+``limits._lambda_fourier``."""
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gamma, gammaln, rgamma
 
+from mahler.errors import DivergenceError, DomainError, InfiniteValueError, PoleError
 from mahler.kernel import EnsembleParams, intensity_complex, matrix_kernel
 from mahler.quadrature import _check_quad, adaptive, halfline, leg_nodes
+from mahler.specfun import _gamma_quotient, _is_nonpositive_integer
 
 
 def _gamma(x: float) -> float:
@@ -182,3 +188,70 @@ def block_by_pairs(P: EnsembleParams, points) -> np.ndarray:
                 M[2 * i + 1, 2 * i + 1] = 0.0
                 M[2 * i + 1, 2 * i] = -M[2 * i, 2 * i + 1]
     return M
+
+
+def hyp2f1(a: float, b: float, c: float, z) -> complex:
+    """Gauss hypergeometric series ``2F1(a, b; c; z)`` for ``|z| <= 1``.
+
+    At ``z = 1`` with ``c - a - b > 0`` the exact Gauss sum
+    ``Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b))`` is returned (the raw
+    series converges far too slowly there to be summed term by term); on
+    the rest of the circle a series still short of its tolerance after
+    200000 terms is handed to mpmath.
+    """
+    for p in (a, b, c):
+        if _is_nonpositive_integer(p):
+            raise PoleError(f"hyp2f1: parameter {p} is a non-positive integer")
+    z = complex(z)
+    r = abs(z)
+    if r > 1.0 + 1e-12:
+        raise DomainError(f"hyp2f1 requires |z| <= 1, got |z| = {r}")
+    on_circle = r > 1.0 - 1e-12
+    if on_circle and c - a - b <= 0:
+        raise DivergenceError(
+            f"hyp2f1 series diverges on |z|=1 when c-a-b = {c - a - b} <= 0")
+    if abs(z - 1.0) < 1e-12:
+        return complex(_gamma_quotient((c, c - a - b), (c - a, c - b)))
+    term = total = 1.0 + 0.0j
+    quiet = 0
+    for n in range(2_000_000):
+        term = term * ((n + a) * (n + b) / ((n + c) * (n + 1.0))) * z
+        total += term
+        quiet = quiet + 1 if abs(term) <= 1e-16 * max(abs(total), 1e-300) else 0
+        if quiet >= 3:
+            return total
+        if on_circle and n > 200000:
+            return complex(mpmath.hyp2f1(a, b, c, mpmath.mpc(z.real, z.imag)))
+    raise DivergenceError("hyp2f1 series failed to converge")
+
+
+def lambda_weight(b1: float, b2: float, zeta) -> complex:
+    """Circle weight ``Lambda_{b1,b2}(zeta)`` for ``b1 + b2 + 1 < 0``.
+
+    Generic parameters give ``Gamma(-b1-b2-1)/(Gamma(-b1)Gamma(-b2))
+    (2F1(1, 1+b1; -b2; conj zeta) + 2F1(1, 1+b2; -b1; zeta) - 1)``, the two
+    series summed by mpmath, since on the circle they converge only
+    conditionally for part of the range. For a non-negative integer
+    ``b1 = n`` the weight is ``(-1)^{n+1} zeta^{1+n} (1-zeta)^{-q}``,
+    ``q = 2+b1+b2`` (the general form's Gamma prefactor, by reflection),
+    and likewise in ``conj zeta`` for a non-negative integer ``b2``. Raises
+    :class:`InfiniteValueError` at ``zeta = 1`` in the parameter range
+    where the weight has an integrable singularity there.
+    """
+    if b1 + b2 + 1.0 >= 0:
+        raise DomainError(f"lambda_weight requires b1+b2+1 < 0, got {b1 + b2 + 1.0}")
+    zeta = complex(zeta)
+    if abs(abs(zeta) - 1.0) > 1e-9:
+        raise DomainError(f"lambda_weight requires |zeta| = 1, got {abs(zeta)}")
+    zeta = zeta / abs(zeta)
+    if abs(zeta - 1.0) < 1e-12 and b1 + b2 + 1.0 >= -1.0:
+        raise InfiniteValueError(
+            "lambda_weight has an integrable singularity at zeta = 1 "
+            f"for b1+b2+1 = {b1 + b2 + 1.0} >= -1")
+    q = 2.0 + b1 + b2
+    for n, t in ((b1, zeta), (b2, zeta.conjugate())):
+        if _is_nonpositive_integer(-n):
+            return (-1.0) ** (round(n) + 1) * t ** (1.0 + n) * (1.0 - t) ** (-q)
+    f1, f2 = (complex(mpmath.hyp2f1(1.0, 1.0 + c, -d, mpmath.mpc(t.real, t.imag)))
+              for c, d, t in ((b1, b2, zeta.conjugate()), (b2, b1, zeta)))
+    return gamma(-b1 - b2 - 1.0) * rgamma(-b1) * rgamma(-b2) * (f1 + f2 - 1.0)

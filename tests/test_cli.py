@@ -172,3 +172,27 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_runs_without_mpmath_and_scipy(self, tmp_path):
+        # None in sys.modules makes any import of them raise ImportError
+        src = os.path.dirname(os.path.dirname(mahler.__file__))
+        out = str(tmp_path / "out")
+        commands = [
+            ["volume", "--N", "2", "--s", "5", "--out", out],
+            ["kernel-grid", "--N", "2", "--s", "5", "--re-steps", "2", "--im-steps", "2",
+             "--out", out],
+            ["intensity", "--N", "2", "--s", "5", "--re-steps", "2", "--im-steps", "2",
+             "--out", out],
+            ["convergence", "--N-list", "4,8", "--out", out],
+            ["expected-roots", "--N", "4", "--s", "6"],
+            ["sample", "--N", "2", "--s", "5", "--steps", "50", "--burn-in", "10",
+             "--out", out],
+            ["validate"]]
+        code = ("import sys\n"
+                "sys.modules['mpmath'] = sys.modules['scipy'] = None\n"
+                "import mahler\n"
+                "from mahler.cli import main\n"
+                f"print([main(argv) for argv in {commands!r}])")
+        res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip().splitlines()[-1] == str([0] * len(commands))

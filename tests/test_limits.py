@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mahler.errors import DomainError
-from mahler.kernel import sum_k
+from mahler.kernel import EnsembleParams, matrix_kernel, sum_k
 from mahler.limits import (LimitKernelSpec, _lambda_fourier, a_disk,
                            a_outside, a_xi,
                            a_xi_iform, ad_disk, ad_outside, ad_xi,
@@ -15,7 +15,10 @@ from mahler.limits import (LimitKernelSpec, _lambda_fourier, a_disk,
                            dsn_limit, k_zeta, kappa_xi, kasymp_report,
                            outside_handle, ratio_sums_report, sqrt_minus_tau,
                            sum_inside_limit, xi_handle)
+from mahler.quadrature import leg_nodes
 from mahler.specfun import iota
+
+from identities import lambda_weight
 
 
 class TestCircleComplexKernel:
@@ -117,6 +120,43 @@ class TestInsideDiskKernel:
         with pytest.raises(DomainError):
             a_disk(1.2, 0.3)
 
+    @staticmethod
+    def _mpmath_disk(u, v):
+        """``a_disk`` and ``dad_disk`` by mpmath ``quad`` at 20 digits; the
+        cuts at the branch points' real parts only speed it up."""
+        with mpmath.workdps(20):
+            u, v = mpmath.mpmathify(u), mpmath.mpmathify(v)
+
+            def parts(t):
+                tau, p = mpmath.expj(t), mpmath.expj((t - mpmath.pi) / 2)
+                return (tau, p, mpmath.conj(p), 1 / mpmath.sqrt(1 - u * u / tau),
+                        1 / mpmath.sqrt(1 - v * v * tau))
+
+            def a(t):
+                _, p, q, ru, rv = parts(t)
+                return (v * p - u * q) * ru * rv
+
+            def dad(t):
+                tau, p, q, ru, rv = parts(t)
+                return (p * u / tau * ru ** 3 * rv - q * v * tau * ru * rv ** 3
+                        + (v * p - u * q) * u * v * ru ** 3 * rv ** 3)
+
+            cuts = sorted({0.0, 2 * math.pi} | {
+                float(c) % (2 * math.pi)
+                for c in (2 * mpmath.arg(u), -2 * mpmath.arg(v))})
+            return [complex(mpmath.quad(f, cuts) / (4 * mpmath.pi)) for f in (a, dad)]
+
+    @pytest.mark.parametrize("u,v", [
+        (0.5, -0.3), (0.95, 0.3), (-0.95, 0.9), (0.3 + 0.4j, -0.5),
+        (0.67 + 0.67j, -0.3), (0.9j, 0.5), (0.2 - 0.8j, 0.7 + 0.5j),
+        (-0.6 + 0.3j, 0.95j)])
+    def test_kernels_match_mpmath_quadrature(self, u, v):
+        # the 1024-node midpoint rule this replaced was off by 1.3e-7 at
+        # (0.5, -0.3) and 1.7e-4 in dad_disk at (0.95, 0.3)
+        ref_a, ref_dad = self._mpmath_disk(u, v)
+        assert abs(a_disk(u, v) - ref_a) <= 1e-13 * max(1.0, abs(ref_a))
+        assert abs(dad_disk(u, v) - ref_dad) <= 1e-13 * max(1.0, abs(ref_dad))
+
 
 class TestOutsideKernel:
     def test_antisymmetry(self):
@@ -155,6 +195,15 @@ class TestOutsideKernel:
         with pytest.raises(DomainError):
             b_outside(1.0, 0.5, 1.5)
 
+    def test_arrays_match_scalars(self):
+        u = np.array([1.4, -2.0 + 0.5j, 1.1j])
+        v = np.array([1.9, 1.5, -3.0])
+        got = b_outside(1.0, u, v)
+        assert got == pytest.approx([b_outside(1.0, x, y) for x, y in zip(u, v)],
+                                    rel=1e-15)
+        with pytest.raises(DomainError):
+            b_outside(1.0, np.array([1.4, 0.5j]), v[:2])
+
 
 class TestAssembly:
     def test_real_diagonal_vanishes(self):
@@ -170,6 +219,21 @@ class TestAssembly:
         assert K1.e12 == pytest.approx(-K2.e21, rel=1e-13, abs=1e-15)
         assert K1.e21 == pytest.approx(-K2.e12, rel=1e-13, abs=1e-15)
         assert K1.e22 == pytest.approx(-K2.e22, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("handle,x,y", [
+        (xi_handle(0.5, 1.0), 0.3, -0.7), (xi_handle(1.0, -1.0), 0.4, 1.2),
+        (disk_handle(), 0.3, -0.2), (outside_handle(1.0), 1.4, -2.0)])
+    def test_real_transpose_rule(self, handle, x, y):
+        # e21 was +ad: at (0.3, 0.3) on the +1 handle e21 = e12 = 0.1266
+        K = assemble_matrix(handle, x, y).as_array()
+        assert np.max(np.abs(K + assemble_matrix(handle, y, x).as_array().T)) <= 1e-15
+
+    def test_disk_real_entries_match_finite_kernel(self):
+        # N = 256 at s = inf: e21 is -0.2916 there, and was +0.2924 here
+        K = assemble_matrix(disk_handle(), 0.3, -0.2)
+        F = matrix_kernel(EnsembleParams(256, math.inf), 0.3, -0.2)
+        for e in ("e11", "e12", "e21", "e22"):
+            assert abs(getattr(K, e) - getattr(F, e)) <= 2e-3, e
 
     def test_complex_diagonal_intensity(self):
         handle = xi_handle(1.0, 1.0)
@@ -221,6 +285,46 @@ class TestCircleWeightCoefficients:
                 ref = G(-c1 - c2 - 1) * G(k + 1 + c2) \
                     / (G(-c2) * G(1 + c2) * G(k - c1))
                 assert val == pytest.approx(float(ref), rel=1e-13)
+
+    @staticmethod
+    def _fft(b1, b2, n, m):
+        """Coefficients of ``tau^m`` of the pointwise weight by the midpoint
+        rule on ``n`` nodes, none at the singular point ``tau = 1``."""
+        tau = np.exp(1j * (np.arange(n) + 0.5) * (2 * math.pi / n))
+        vals = np.array([lambda_weight(b1, b2, t) for t in tau])
+        return (vals * tau ** -m[:, None]).mean(axis=1)
+
+    def test_fourier_coefficients_match_weight_fft(self):
+        # generic branch; Gamma(m+1+b2) changes sign at m = 1, 2, 3. The
+        # midpoint rule meets the (1-tau)^{-q}, q = 2+b1+b2 = -1.3, at the
+        # rate n^{q-1}: 1.5e-6 at n = 256
+        b1, b2, m = 0.5, -3.8, np.arange(-8, 9)
+        err = np.abs(self._fft(b1, b2, 256, m) - _lambda_fourier(b1, b2, m))
+        assert err.max() <= 1e-5
+
+    @pytest.mark.parametrize("b1,b2", [(1.0, -3.5), (-4.5, 2.0), (2.0, -4.0)])
+    def test_degenerate_weight_fft(self, b1, b2):
+        # a non-negative integer parameter; at (2, -4) the weight is -tau^3
+        # and the rule is exact, at q = -1/2 it is 1.0e-7 off at n = 16384
+        m = np.arange(-8, 9)
+        err = np.abs(self._fft(b1, b2, 16384, m) - _lambda_fourier(b1, b2, m))
+        assert err.max() <= 3e-7
+
+    @pytest.mark.parametrize("args", [(0.5, -0.6, 1.5, -1.9, 0.3 + 0.4j, -0.5),
+                                      (0.5, 0.5, 1.5, -3.0, 0.3, 0.2)])
+    def test_inside_limit_is_circle_average(self, args):
+        # the mean of Lambda(tau) (1 - z conj tau)^{-1-a1} (1 - w tau)^{-1-a2}
+        # over the circle; theta = pi t^2 from each end makes the weight's
+        # |theta|^{-q} analytic in t for q = 2+b1+b2 in {-1/2, 0}
+        a1, b1, a2, b2, z, w = args
+        x, wx = leg_nodes(48)
+        t, wt = 0.5 * (x + 1.0), math.pi * (x + 1.0) * 0.5 * wx
+        theta = np.concatenate([math.pi * t ** 2, 2 * math.pi - math.pi * t ** 2])
+        tau = np.exp(1j * theta)
+        vals = np.array([lambda_weight(b1, b2, v) for v in tau]) \
+            * (1 - z * np.conj(tau)) ** (-1 - a1) * (1 - w * tau) ** (-1 - a2)
+        mean = np.sum(vals * np.concatenate([wt, wt])) / (2 * math.pi)
+        assert abs(mean - sum_inside_limit(*args)) <= 1e-12
 
     def test_inside_limit_matches_finite_sums(self):
         a1, b1, a2, b2, z, w = 0.5, 0.5, 1.5, -2.3, 0.3, 0.2

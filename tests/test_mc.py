@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mahler.errors import DomainError, PairingError
 from mahler.mc import (RootSet, SamplerConfig, empirical_stats,
                        mahler_measure, roots_classify, sample,
-                       write_histogram_csv, write_samples_csv)
+                       write_samples_csv)
 from mahler.polys import PolyCoeffs
 
 
@@ -275,13 +275,11 @@ class TestCsvOutput:
         first = lines[1].split(",")
         assert float(first[2]) == regenerated[0].coeffs[0]
 
-    def test_histogram_output(self, tmp_path):
+    def test_histogram_output(self):
         cfg = SamplerConfig(N=2, s=5.0, steps=600, burn_in=100, seed=9)
         samples = list(sample(cfg))
         stats = empirical_stats(samples, np.linspace(-3, 3, 13),
                                 np.linspace(-2, 2, 9), np.linspace(-2, 2, 9))
-        path = tmp_path / "hist.csv"
-        write_histogram_csv(str(path), stats.real_hist)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "bin_lo,bin_hi,density,stderr"
-        assert len(lines) == 13
+        hist = stats.real_hist
+        assert len(hist.edges) == 13
+        assert len(hist.density) == len(hist.stderr) == 12

@@ -17,8 +17,10 @@ from mahler.errors import (DivergenceError, DomainError, InfiniteValueError,
                            PoleError)
 from mahler.quadrature import adaptive
 from mahler.specfun import (big_m_pair, e_gamma, e_pair, gamma_ratio,
-                            gamma_ratio_table, gammaln_signed, hyp1f1_M, hyp2f1,
-                            iota, lambda_weight, omega)
+                            gamma_ratio_table, gammaln_signed, hyp1f1_M, iota,
+                            omega)
+
+from identities import hyp2f1, lambda_weight
 
 
 class TestGammaRatio:
@@ -99,17 +101,23 @@ class TestGammaLayer:
             assert hyp2f1(a, b, c, 1.0) == pytest.approx(ref, rel=1e-13)
 
     def test_degenerate_lambda_weight_matches_scipy(self):
-        # one parameter a non-negative integer; 1 + (the other) at a pole of
-        # Gamma makes the weight vanish identically (rgamma = 0)
+        # one parameter a non-negative integer n: the general prefactor
+        # Gamma(1-q)/(Gamma(-b2)Gamma(1+b2)) times Gamma(q), q = 2+b1+b2, is
+        # (-1)^{n+1} by reflection; at an integer b2 as well, Gamma(q) has a
+        # pole and the weight is that sign times a polynomial
         z = complex(math.cos(1.0), math.sin(1.0))
-        for b1, b2 in ((0.0, -2.5), (1.0, -3.5), (2.0, -4.5), (1.0, -4.0)):
+        zc = np.conj(z)
+        for b1, b2 in ((0.0, -2.5), (1.0, -3.5), (2.0, -4.5)):
             q = 2.0 + b1 + b2
-            pref = sc.gamma(-b1 - b2 - 1.0) * sc.rgamma(-b2) * sc.rgamma(1.0 + b2)
+            pref = sc.gamma(1.0 - q) * sc.gamma(q) * sc.rgamma(-b2) * sc.rgamma(1.0 + b2)
             ref = pref * z ** (1.0 + b1) * (1.0 - z) ** (-q)
             assert lambda_weight(b1, b2, z) == pytest.approx(ref, rel=1e-13)
-            ref_swap = pref * np.conj(z) ** (1.0 + b1) * (1.0 - np.conj(z)) ** (-q)
+            ref_swap = pref * zc ** (1.0 + b1) * (1.0 - zc) ** (-q)
             assert lambda_weight(b2, b1, z) == pytest.approx(ref_swap, rel=1e-13)
-        assert lambda_weight(2.0, -4.0, z) == 0.0
+        for (b1, b2), poly in (((1.0, -4.0), lambda t: t ** 2 - t ** 3),
+                               ((2.0, -4.0), lambda t: -t ** 3)):
+            assert lambda_weight(b1, b2, z) == pytest.approx(poly(z), rel=1e-13)
+            assert lambda_weight(b2, b1, z) == pytest.approx(poly(zc), rel=1e-13)
 
 
 class TestConfluent:
@@ -234,15 +242,20 @@ class TestBigMOracle:
             call()
         assert time.perf_counter() - start < 0.2
 
-    @pytest.mark.parametrize("z", [720.0, 720.0 + 1.0j, 1000.0, 720.0 + 2000.0j])
-    def test_past_double_range_raises(self, z):
+    @pytest.mark.parametrize("call, z", [
+        pytest.param(big_m_pair, z, id=str(z))
+        for z in (720.0, 720.0 + 1.0j, 1000.0, 720.0 + 2000.0j)] + [
+        pytest.param(lambda z: hyp1f1_M(0.5, -1.5, z), z, id=f"hyp1f1_M-{z}")
+        for z in (720.0, -1000.0 + 1.0j)])
+    def test_past_double_range_raises(self, call, z):
         # the series overflowed with a RuntimeWarning and carried on; at
-        # z = 1000 its NaN terms ran the loop to max_terms
+        # z = 1000 its NaN terms ran the loop to the term cap, and at
+        # -1000 + 1j Kummer's series overflowed before e^z damped it
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InfiniteValueError, match="double range"):
-                big_m_pair([1.0, z])
+                call([1.0, z])
         assert time.perf_counter() - start < 0.2
 
     def test_largest_real_argument_unchanged(self):
@@ -314,6 +327,8 @@ class TestEPair:
 
 
 class TestGauss2F1:
+    """The series behind the test-only circle weight (``identities``)."""
+
     def test_at_zero(self):
         assert hyp2f1(0.3, 1.2, 0.9, 0.0) == pytest.approx(1.0, abs=1e-14)
 
@@ -337,6 +352,9 @@ class TestGauss2F1:
 
 
 class TestLambdaWeight:
+    """The test-only pointwise circle weight (``identities``), the second
+    route of ``limits._lambda_fourier``."""
+
     def test_square_root_member(self):
         tau = 1j
         # sqrt(-tau) with the branch fixed by the defining series
