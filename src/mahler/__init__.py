@@ -9,7 +9,6 @@ Metropolis ball-walk sampler for Monte-Carlo validation.
 
 from .errors import (
     ConditioningError,
-    DivergenceError,
     DomainError,
     InfiniteValueError,
     IntegrabilityError,
@@ -39,7 +38,6 @@ from .kernel import (
 from .limits import (
     AsymptoticCounts,
     LimitKernelSpec,
-    ScalarKernelHandle,
     assemble_matrix,
     asymptotic_real_counts,
     a_disk,

@@ -20,10 +20,6 @@ class PoleError(DomainError):
     """A gamma-function ratio or series coefficient hits a pole."""
 
 
-class DivergenceError(MahlerError, ArithmeticError):
-    """A series was requested at a point where it does not converge."""
-
-
 class IntegrabilityError(DomainError):
     """A weighted integral diverges for the given decay exponent."""
 

@@ -377,6 +377,8 @@ def expected_in_exact(N: int, s: float) -> float:
     """
     if N % 2 != 0:
         raise DomainError("exact count sums require even N")
+    if not s > N:
+        raise DomainError("requires s > N")
     J = N // 2
     # every argument is k + 1/2 (H) or k + 1 (G) for an integer 0 <= k <= N
     H, G = (gammaln_signed(np.arange(N + 1) + a)[0] for a in (0.5, 1.0))

@@ -4,9 +4,10 @@ finite-N-to-limit convergence harness.
 Four regimes: scaled limits at a non-real unit-circle anchor (a scalar
 determinantal kernel), scaled limits at the real anchors +-1 (a genuinely
 Pfaffian family built from a confluent hypergeometric function), and the two
-unscaled regimes inside and outside the closed unit disk. Each regime
-exposes the antiderivative kernel ``A`` and its closed-form derivatives,
-which plug into the species-dispatched 2x2 assembly.
+unscaled regimes inside and outside the closed unit disk. Each Pfaffian
+regime has one handle ``A(u, v) -> (a, da, ad, dad)``: the antiderivative
+kernel and its closed-form slot derivatives from one shared setup, which
+plug into the species-dispatched 2x2 assembly.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .kernel import (EnsembleParams, KernelValue2x2, kappa_n, matrix_kernel,
-                     sum_k)
+from .kernel import (EnsembleParams, KernelValue2x2, _is_real_arg, kappa_n,
+                     matrix_kernel, sum_k)
 from .quadrature import leg_nodes
 from .specfun import (_gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
                       gamma_ratio_table, iota, omega)
@@ -87,7 +87,11 @@ def k_zeta(lam: float, zeta: complex, z: complex, w: complex) -> complex:
 
 def _xi_side(lam: float, xi: float, u):
     """``(omega(xi u), M, M')`` with ``M, M'`` at ``u xi tau`` on the unit
-    nodes ``tau`` (last axis); ``u`` is a scalar or an array."""
+    nodes ``tau`` (last axis); ``u`` is a scalar or an array. Every
+    evaluator of the +-1 regime goes through here, so ``xi`` is checked
+    here."""
+    if xi not in (1.0, -1.0):
+        raise DomainError(f"the real anchor xi must be +1 or -1, got {xi}")
     u = np.asarray(u, dtype=complex)
     tau, _ = _unit_nodes()
     M, Mp = big_m_pair(np.multiply.outer(u, xi * tau))
@@ -107,29 +111,48 @@ def kappa_xi(lam: float, xi: float, u, v):
     return val
 
 
-def _xi_blocks(lam: float, xi: float, side_u, side_v):
-    """From the sides of two 1-d node arrays ``u``, ``v``: the outer matrix
-    ``[kappa_xi(u_i, v_j)]`` and, for each side, the boundary terms
-    ``(omega(xi u)/4) int_0^1 (1 - lam t) M(u xi t) dt``."""
-    tau, wt = _unit_nodes()
-    (wu, Mu, Mpu), (wv, Mv, Mpv) = side_u, side_v
-    core = wt * tau * (1.0 - lam * tau)
-    mat = (Mpu * core) @ Mv.T - (Mu * core) @ Mpv.T
-    kmat = np.multiply.outer(wu, wv) * (xi / 4.0) * mat
-    edge = wt * (1.0 - lam * tau)
-    return kmat, wu * (Mu @ edge) / 4.0, wv * (Mv @ edge) / 4.0
+def _entries(u, v, a, da, ad, dad):
+    """A handle's ``(a, da, ad, dad)`` from zero-argument evaluators: a value
+    that integrates along the real line in a slot holding a non-real point is
+    ``None``, so ``a`` needs both points real, ``da`` needs ``v`` real and
+    ``ad`` needs ``u`` real."""
+    ur, vr = _is_real_arg(u), _is_real_arg(v)
+    return (complex(a()) if ur and vr else None, complex(da()) if vr else None,
+            complex(ad()) if ur else None, complex(dad()))
+
+
+def xi_handle(lam: float, xi: float):
+    """The regime at the real anchor ``xi = +-1`` as ``A(u, v) -> (a, da, ad,
+    dad)``; see :func:`_entries` for the ``None`` slots.
+
+    One ``_xi_side`` per argument, over the point and, for a real point, the
+    nodes of ``[0, u]``, and one kappa matrix between the two sides. ``a`` is
+    the double integral of the scaled scalar kernel over ``[0,u] x [0,v]``
+    plus the anchoring boundary terms ``(omega(xi u)/4) int_0^1 (1 - lam t)
+    M(u xi t) dt``, and ``dad`` is ``kappa_xi(u, v)``.
+    """
+    t, wt = _unit_nodes()
+    core, edge = wt * t * (1.0 - lam * t), wt * (1.0 - lam * t)
+
+    def side(u):
+        x = complex(u).real
+        w, M, Mp = _xi_side(lam, xi, np.append(x, x * t) if _is_real_arg(u) else [u])
+        return w, M, Mp, w * (M @ edge) / 4.0, x * wt
+
+    def A(u, v):
+        (wu, Mu, Mpu, bu, uw), (wv, Mv, Mpv, bv, vw) = side(u), side(v)
+        k = np.multiply.outer(wu, wv) * (xi / 4.0) \
+            * ((Mpu * core) @ Mv.T - (Mu * core) @ Mpv.T)
+        return _entries(
+            u, v, lambda: uw @ k[1:, 1:] @ vw + float(np.real(vw @ bv[1:] - uw @ bu[1:])),
+            lambda: k[0, 1:] @ vw - bu[0], lambda: uw @ k[1:, 0] + bv[0],
+            lambda: k[0, 0])
+    return A
 
 
 def a_xi(lam: float, xi: float, a: float, b: float) -> complex:
-    """Antiderivative kernel at the real anchors: the double integral of the
-    scaled scalar kernel over [0,a] x [0,b] plus the anchoring boundary
-    terms."""
-    t, wt = _unit_nodes()
-    uw, vw = a * wt, b * wt
-    kmat, bu, bv = _xi_blocks(lam, xi, _xi_side(lam, xi, a * t),
-                              _xi_side(lam, xi, b * t))
-    bnd = float(np.real(vw @ bv - uw @ bu))
-    return complex(uw @ kmat @ vw + bnd)
+    """Antiderivative kernel at the real anchors (see :func:`xi_handle`)."""
+    return xi_handle(lam, xi)(a, b)[0]
 
 
 def a_xi_iform(lam: float, xi: float, a: float, b: float) -> complex:
@@ -148,22 +171,6 @@ def a_xi_iform(lam: float, xi: float, a: float, b: float) -> complex:
     Ib, Mb = I_and_M(b * xi * tau)
     integrand = (1.0 - lam * tau) / tau * (Ma * Ib - Ia * Mb)
     return complex((xi / 4.0) * np.sum(wt * integrand))
-
-
-def da_xi(lam: float, xi: float, a, b: float) -> complex:
-    """First-slot derivative of the antiderivative kernel (closed form)."""
-    t, wt = _unit_nodes()
-    kmat, ba, _ = _xi_blocks(lam, xi, _xi_side(lam, xi, [a]),
-                             _xi_side(lam, xi, b * t))
-    return complex(kmat[0] @ (b * wt) - ba[0])
-
-
-def ad_xi(lam: float, xi: float, a: float, b) -> complex:
-    """Second-slot derivative of the antiderivative kernel (closed form)."""
-    t, wt = _unit_nodes()
-    kmat, _, bb = _xi_blocks(lam, xi, _xi_side(lam, xi, a * t),
-                             _xi_side(lam, xi, [b]))
-    return complex((a * wt) @ kmat[:, 0] + bb[0])
 
 
 # ---------------------------------------------------------------------------
@@ -214,32 +221,34 @@ def _disk_factors(u, v):
     return (width * w).ravel() / (2.0 * turn), p, np.conj(p), tau, tc, ru, rv
 
 
+def _disk(u, v):
+    """The disk regime's ``(a, da, ad, dad)`` from one ``_disk_factors`` call.
+    ``a`` is the circle average of ``(v sqrt(-tau) - u sqrt(-conj tau)) /
+    sqrt((1-u^2 conj tau)(1-v^2 tau))``, the others its derivatives under the
+    integral sign; ``dad`` is the unscaled limit of the scalar kernel inside
+    the disk. No value integrates along the real line, so none is ``None``."""
+    wt, p, q, tau, tc, ru, rv = _disk_factors(u, v)
+    g = v * p - u * q
+    return (complex(wt @ (g * ru * rv)),
+            complex(wt @ (-q * ru * rv + g * u * tc * ru ** 3 * rv)),
+            complex(wt @ (p * ru * rv + g * v * tau * ru * rv ** 3)),
+            complex(wt @ (p * u * tc * ru ** 3 * rv - q * v * tau * ru * rv ** 3
+                          + g * u * v * ru ** 3 * rv ** 3)))
+
+
 def a_disk(u, v):
-    """Antiderivative kernel inside the disk: a circle average of
-    ``(v sqrt(-tau) - u sqrt(-conj tau)) / sqrt((1-u^2 conj tau)(1-v^2 tau))``."""
-    wt, p, q, _, _, ru, rv = _disk_factors(u, v)
-    return complex(wt @ ((v * p - u * q) * ru * rv))
-
-
-def da_disk(u, v):
-    """First-slot derivative of the disk kernel (differentiation under the
-    integral sign)."""
-    wt, p, q, _, tc, ru, rv = _disk_factors(u, v)
-    return complex(wt @ (-q * ru * rv + (v * p - u * q) * u * tc * ru ** 3 * rv))
-
-
-def ad_disk(u, v):
-    """Second-slot derivative of the disk kernel."""
-    wt, p, q, tau, _, ru, rv = _disk_factors(u, v)
-    return complex(wt @ (p * ru * rv + (v * p - u * q) * v * tau * ru * rv ** 3))
+    """Antiderivative kernel inside the disk."""
+    return _disk(u, v)[0]
 
 
 def dad_disk(u, v):
-    """Mixed derivative of the disk kernel: the unscaled limit of the scalar
-    kernel inside the disk."""
-    wt, p, q, tau, tc, ru, rv = _disk_factors(u, v)
-    return complex(wt @ (p * u * tc * ru ** 3 * rv - q * v * tau * ru * rv ** 3
-                         + (v * p - u * q) * u * v * ru ** 3 * rv ** 3))
+    """Mixed derivative of the disk kernel."""
+    return _disk(u, v)[3]
+
+
+def disk_handle():
+    """The disk regime as ``A(u, v) -> (a, da, ad, dad)``."""
+    return _disk
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +357,16 @@ def ad_outside(c: float, x: float, w):
     return -_b_single(c, w, x) + _c_const(c) * sx * g
 
 
+def outside_handle(c: float):
+    """The outside regime as ``A(u, v) -> (a, da, ad, dad)``; see
+    :func:`_entries` for the ``None`` slots."""
+    def A(u, v):
+        x, y = complex(u).real, complex(v).real
+        return _entries(u, v, lambda: a_outside(c, x, y), lambda: da_outside(c, u, y),
+                        lambda: ad_outside(c, x, v), lambda: b_outside(c, u, v))
+    return A
+
+
 def dsn_limit(lam: float, c: float, u, v):
     """Limit of ``|uv|^s (uv)^{-N} kappa_N(u,v)/(s-N)`` outside the disk;
     ``1/c = 0`` when ``c`` is infinite."""
@@ -358,44 +377,13 @@ def dsn_limit(lam: float, c: float, u, v):
 
 
 # ---------------------------------------------------------------------------
-# 2x2 assembly from an antiderivative kernel
+# 2x2 assembly from a regime handle
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarKernelHandle:
-    """Closed-form evaluators ``a``, ``da``, ``ad``, ``dad`` of an
-    antiderivative kernel and its slot derivatives."""
-
-    a: Callable
-    da: Callable
-    ad: Callable
-    dad: Callable
-
-
-def xi_handle(lam: float, xi: float) -> ScalarKernelHandle:
-    return ScalarKernelHandle(
-        a=lambda x, y: a_xi(lam, xi, x, y),
-        da=lambda x, y: da_xi(lam, xi, x, y),
-        ad=lambda x, y: ad_xi(lam, xi, x, y),
-        dad=lambda x, y: kappa_xi(lam, xi, x, y))
-
-
-def disk_handle() -> ScalarKernelHandle:
-    return ScalarKernelHandle(a=a_disk, da=da_disk, ad=ad_disk, dad=dad_disk)
-
-
-def outside_handle(c: float) -> ScalarKernelHandle:
-    return ScalarKernelHandle(
-        a=lambda x, y: a_outside(c, x, y),
-        da=lambda x, y: da_outside(c, x, y),
-        ad=lambda x, y: ad_outside(c, x, y),
-        dad=lambda x, y: b_outside(c, x, y))
-
-
-def assemble_matrix(A: ScalarKernelHandle, u, v) -> KernelValue2x2:
-    """Species-dispatched 2x2 limit kernel built from an antiderivative
-    kernel handle.
+def assemble_matrix(A, u, v) -> KernelValue2x2:
+    """Species-dispatched 2x2 limit kernel from a regime handle
+    ``A(u, v) -> (a, da, ad, dad)``.
 
     Real/real rows carry the derivative entries, ``-da`` in the (1,2) slot and
     ``-ad`` in the (2,1) slot so that ``K(x, y) = -K(y, x)^T`` for an
@@ -405,29 +393,23 @@ def assemble_matrix(A: ScalarKernelHandle, u, v) -> KernelValue2x2:
     ``iota``; real-first/complex-second is the negated transpose of the
     swapped pair; complex/complex uses mixed derivatives only.
     """
-    ur = abs(complex(u).imag) == 0.0
-    vr = abs(complex(v).imag) == 0.0
+    ur, vr = _is_real_arg(u), _is_real_arg(v)
     if ur and vr:
         x, y = complex(u).real, complex(v).real
-        return KernelValue2x2(
-            complex(A.dad(x, y)), -complex(A.da(x, y)),
-            -complex(A.ad(x, y)),
-            complex(A.a(x, y)) + 0.5 * np.sign(x - y))
+        a, da, ad, dad = A(x, y)
+        return KernelValue2x2(dad, -da, -ad, a + 0.5 * np.sign(x - y))
     if not ur and vr:
         z, y = complex(u), complex(v).real
-        return KernelValue2x2(
-            complex(A.dad(z, y)), -complex(A.da(z, y)),
-            iota(z) * complex(A.dad(np.conj(z), y)),
-            -iota(z) * complex(A.da(np.conj(z), y)))
+        _, da, _, dad = A(z, y)
+        _, dac, _, dadc = A(np.conj(z), y)
+        return KernelValue2x2(dad, -da, iota(z) * dadc, -iota(z) * dac)
     if ur and not vr:
         K = assemble_matrix(A, v, u)
         return KernelValue2x2(-K.e11, -K.e21, -K.e12, -K.e22)
     z, w = complex(u), complex(v)
     return KernelValue2x2(
-        complex(A.dad(z, w)),
-        iota(w) * complex(A.dad(z, np.conj(w))),
-        iota(z) * complex(A.dad(np.conj(z), w)),
-        iota(z) * iota(w) * complex(A.dad(np.conj(z), np.conj(w))))
+        A(z, w)[3], iota(w) * A(z, np.conj(w))[3], iota(z) * A(np.conj(z), w)[3],
+        iota(z) * iota(w) * A(np.conj(z), np.conj(w))[3])
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +467,20 @@ def _schedule(spec: LimitKernelSpec, N: int) -> float:
     return N / spec.lam
 
 
-def _sup(errors) -> float:
-    return float(np.max(np.abs(np.asarray(errors))))
-
-
 def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
     """Sup-norm distance between the scaled finite-N kernel quantities and
     their claimed limits, per N; each row is JSON-serializable.
 
     ``grid`` is a list of argument pairs appropriate to the regime (complex
     offsets for the circle regimes, disk or exterior points otherwise).
+    Except at a non-real circle anchor, whose limit is determinantal, the
+    rows ``entry11`` ... ``entry22`` compare whole 2x2 blocks: the finite
+    kernel at the mapped points, divided by ``outer(d(z), d(w))``, against
+    :func:`assemble_matrix` of the regime's handle. At +-1, ``d = (N, 1)``
+    for a real point and ``(N, N)`` for a non-real one; elsewhere ``d = 1``.
+    Outside the disk the blocks are compared at real pairs only, since off
+    the real line the finite kernel keeps the phase ``(uv/|uv|)^N``; the
+    ``entry11_scaled`` row, phase removed, covers every pair.
     """
     if not N_list or list(N_list) != sorted(set(N_list)) or max(N_list) > 64:
         raise DomainError("N_list must be non-empty and strictly increasing, "
@@ -505,63 +491,32 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
         P = EnsembleParams(N, s)
         lam_N = P.lam
         c_N = s - N
-        errs = {}
+        errs, pairs = {}, grid
+        A, at, d = None, (lambda z: z), (lambda z: (1.0, 1.0))
         if spec.regime == "circle_complex":
             zeta = complex(spec.anchor)
-            e11, e12 = [], []
-            for z, w in grid:
-                zu = zeta + z / N
-                wv = zeta + w / N
-                K = matrix_kernel(P, zu, wv)
-                e11.append(K.e11 / N ** 2)
-                e12.append(K.e12 / N ** 2 - k_zeta(lam_N, zeta, z, w))
-            errs = {"entry11_to_zero": _sup(e11), "entry12_vs_limit": _sup(e12)}
+            e = np.zeros((len(grid), 2), dtype=complex)
+            for i, (z, w) in enumerate(grid):
+                K = matrix_kernel(P, zeta + z / N, zeta + w / N)
+                e[i] = K.e11 / N ** 2, K.e12 / N ** 2 - k_zeta(lam_N, zeta, z, w)
+            errs = dict(zip(("entry11_to_zero", "entry12_vs_limit"), np.abs(e).max(axis=0)))
         elif spec.regime == "circle_real":
             xi = float(complex(spec.anchor).real)
-            e11, e12, e22 = [], [], []
-            for z, w in grid:
-                zu = xi + z / N
-                wv = xi + w / N
-                K = matrix_kernel(P, zu, wv)
-                if abs(complex(z).imag) == 0.0 and abs(complex(w).imag) == 0.0:
-                    a, b = complex(z).real, complex(w).real
-                    e11.append(K.e11 / N ** 2 - kappa_xi(lam_N, xi, a, b))
-                    e12.append(K.e12 / N + da_xi(lam_N, xi, a, b))
-                    e22.append(K.e22 - 0.5 * np.sign(a - b)
-                               - a_xi(lam_N, xi, a, b))
-                else:
-                    e11.append(K.e11 / N ** 2 - kappa_xi(lam_N, xi, z, w))
-            errs = {"entry11": _sup(e11)}
-            if e12:
-                errs["entry12"] = _sup(e12)
-                errs["entry22"] = _sup(e22)
+            A, at, d = xi_handle(lam_N, xi), (lambda z: xi + z / N), \
+                (lambda z: (N, 1.0 if _is_real_arg(z) else N))
         elif spec.regime == "inside_disk":
-            e11, e22 = [], []
-            for x, y in grid:
-                K = matrix_kernel(P, x, y)
-                e11.append(K.e11 - dad_disk(x, y))
-                if abs(complex(x).imag) == 0.0 and abs(complex(y).imag) == 0.0:
-                    xr, yr = complex(x).real, complex(y).real
-                    e22.append(K.e22 - 0.5 * np.sign(xr - yr)
-                               - a_disk(xr, yr))
-            errs = {"entry11": _sup(e11)}
-            if e22:
-                errs["entry22"] = _sup(e22)
-        elif spec.regime == "outside_disk":
-            e11, e22 = [], []
-            for x, y in grid:
-                scale = abs(x * y) ** s / (x * y) ** N
-                e11.append(scale * kappa_n(P, x, y) / (s - N)
-                           - dsn_limit(lam_N, c_N, x, y))
-                if not math.isinf(spec.c) and abs(complex(x).imag) == 0.0 \
-                        and abs(complex(y).imag) == 0.0:
-                    xr, yr = complex(x).real, complex(y).real
-                    K = matrix_kernel(P, xr, yr)
-                    e22.append(K.e22 - 0.5 * np.sign(xr - yr)
-                               - a_outside(c_N, xr, yr))
-            errs = {"entry11_scaled": _sup(e11)}
-            if e22:
-                errs["entry22"] = _sup(e22)
+            A = disk_handle()
+        else:
+            A = outside_handle(c_N)
+            errs["entry11_scaled"] = max(
+                abs(abs(x * y) ** s / (x * y) ** N * kappa_n(P, x, y) / (s - N)
+                    - dsn_limit(lam_N, c_N, x, y)) for x, y in grid)
+            pairs = [(x, y) for x, y in grid if _is_real_arg(x) and _is_real_arg(y)]
+        if A is not None and pairs:
+            diff = [matrix_kernel(P, at(z), at(w)).as_array() / np.outer(d(z), d(w))
+                    - assemble_matrix(A, z, w).as_array() for z, w in pairs]
+            errs.update(zip(("entry11", "entry12", "entry21", "entry22"),
+                            np.abs(diff).max(axis=0).ravel()))
         row = {"regime": spec.regime, "N": N, "s": s,
                "grid_size": len(grid)}
         row.update({k: float(v) for k, v in errs.items()})

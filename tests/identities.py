@@ -14,10 +14,14 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma, gammaln, rgamma
 
-from mahler.errors import DivergenceError, DomainError, InfiniteValueError, PoleError
+from mahler.errors import DomainError, InfiniteValueError, PoleError
 from mahler.kernel import EnsembleParams, intensity_complex, matrix_kernel
 from mahler.quadrature import _check_quad, adaptive, halfline, leg_nodes
 from mahler.specfun import _gamma_quotient, _is_nonpositive_integer
+
+
+class DivergenceError(ArithmeticError):
+    """The ``hyp2f1`` series was requested where it does not converge."""
 
 
 def _gamma(x: float) -> float:

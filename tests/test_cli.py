@@ -76,6 +76,24 @@ class TestGridCommands:
             else:
                 assert float(val) > 0.0
 
+    def test_intensity_anchor_must_be_real_unit(self, tmp_path, capsys):
+        # --xi 0.5 used to exit 0 with a field of kappa at a point that is
+        # no anchor; the library's DomainError now ends it with exit 2
+        out = tmp_path / "i.csv"
+        assert run(["intensity", "--regime", "circle_real", "--xi", "0.5",
+                    "--re-steps", "3", "--im-steps", "3", "--out", str(out)]) == 2
+        assert "xi" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_intensity_regime_choices(self):
+        # circle_complex ran the +-1 kernel and dsn was a second name for
+        # outside; argparse now rejects both
+        for regime in ("circle_complex", "dsn"):
+            with pytest.raises(SystemExit) as exc:
+                run(["intensity", "--regime", regime, "--re-steps", "2",
+                     "--im-steps", "2"])
+            assert exc.value.code == 2
+
     def test_intensity_outside_field(self, tmp_path):
         out = tmp_path / "i.csv"
         code = run(["intensity", "--regime", "outside", "--c", "1",

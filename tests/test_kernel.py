@@ -316,6 +316,13 @@ class TestExpectedCounts:
         assert expected_in_exact(2, 3.0) == pytest.approx(5.0 / 9.0,
                                                           rel=1e-12)
 
+    def test_exact_counts_require_s_above_n(self):
+        # expected_in_exact(4, 3.0) returned 0.6286 and (4, 4.0) 0.7
+        for f in (expected_in_exact, expected_out_exact):
+            for s in (3.0, 4.0):
+                with pytest.raises(DomainError):
+                    f(4, s)
+
     def test_degree_two_total(self):
         P = EnsembleParams(2, 5.0)
         total = expected_counts(P, "realline") + expected_counts(P, "complex")

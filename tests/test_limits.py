@@ -7,13 +7,12 @@ import pytest
 from mahler.errors import DomainError
 from mahler.kernel import EnsembleParams, matrix_kernel, sum_k
 from mahler.limits import (LimitKernelSpec, _lambda_fourier, a_disk,
-                           a_outside, a_xi,
-                           a_xi_iform, ad_disk, ad_outside, ad_xi,
+                           a_outside, a_xi, a_xi_iform, ad_outside,
                            assemble_matrix, asymptotic_real_counts,
                            b_outside, compare_report, convergence_report,
-                           da_disk, da_outside, da_xi, dad_disk, disk_handle,
-                           dsn_limit, k_zeta, kappa_xi, kasymp_report,
-                           outside_handle, ratio_sums_report, sqrt_minus_tau,
+                           da_outside, dad_disk, disk_handle, dsn_limit,
+                           k_zeta, kappa_xi, kasymp_report, outside_handle,
+                           ratio_sums_report, sqrt_minus_tau,
                            sum_inside_limit, xi_handle)
 from mahler.quadrature import leg_nodes
 from mahler.specfun import iota
@@ -75,14 +74,36 @@ class TestCircleRealKernel:
         h = 1e-5
         for xi in (1.0, -1.0):
             for lam in (0.5, 1.0):
+                A = xi_handle(lam, xi)
                 for a, b in ((-0.6, -0.25), (0.7, -0.4), (-1.5, 2.0),
                              (3.0, 1.2)):
                     fd_da = (a_xi(lam, xi, a + h, b)
                              - a_xi(lam, xi, a - h, b)) / (2 * h)
                     fd_ad = (a_xi(lam, xi, a, b + h)
                              - a_xi(lam, xi, a, b - h)) / (2 * h)
-                    assert da_xi(lam, xi, a, b) == pytest.approx(fd_da, abs=1e-8)
-                    assert ad_xi(lam, xi, a, b) == pytest.approx(fd_ad, abs=1e-8)
+                    _, da, ad, _ = A(a, b)
+                    assert da == pytest.approx(fd_da, abs=1e-8)
+                    assert ad == pytest.approx(fd_ad, abs=1e-8)
+
+    def test_handle_entries_match_scalar_kernels(self):
+        A = xi_handle(0.5, -1.0)
+        a, _, _, dad = A(0.7, -0.4)
+        assert a == a_xi(0.5, -1.0, 0.7, -0.4)
+        assert dad == pytest.approx(kappa_xi(0.5, -1.0, 0.7, -0.4), rel=1e-14)
+        # only what does not integrate along the real line through a
+        # non-real point is defined
+        z = 0.3 + 0.4j
+        assert [e is None for e in A(z, 0.5)] == [True, False, True, False]
+        assert [e is None for e in A(0.5, z)] == [True, True, False, False]
+        assert A(z, z)[:3] == (None, None, None)
+
+    def test_anchor_must_be_plus_or_minus_one(self):
+        # kappa_xi(1.0, 0.5, 0.3, -0.2) used to return -8.6e-4
+        for call in (lambda: kappa_xi(1.0, 0.5, 0.3, -0.2),
+                     lambda: a_xi(1.0, 0.0, 0.3, -0.2),
+                     lambda: xi_handle(1.0, -2.0)(0.3, 0.1j)):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestInsideDiskKernel:
@@ -109,12 +130,15 @@ class TestInsideDiskKernel:
     def test_slot_derivatives_match_finite_differences(self):
         h = 1e-5
         u, v = 0.3, -0.45
+        A = disk_handle()
         fd_da = (a_disk(u + h, v) - a_disk(u - h, v)) / (2 * h)
         fd_ad = (a_disk(u, v + h) - a_disk(u, v - h)) / (2 * h)
-        fd_dad = (da_disk(u, v + h) - da_disk(u, v - h)) / (2 * h)
-        assert da_disk(u, v) == pytest.approx(fd_da, abs=1e-8)
-        assert ad_disk(u, v) == pytest.approx(fd_ad, abs=1e-8)
-        assert dad_disk(u, v) == pytest.approx(fd_dad, abs=1e-7)
+        fd_dad = (A(u, v + h)[1] - A(u, v - h)[1]) / (2 * h)
+        _, da, ad, dad = A(u, v)
+        assert da == pytest.approx(fd_da, abs=1e-8)
+        assert ad == pytest.approx(fd_ad, abs=1e-8)
+        assert dad == pytest.approx(fd_dad, abs=1e-7)
+        assert dad == dad_disk(u, v)
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
@@ -210,9 +234,11 @@ class TestAssembly:
         K = assemble_matrix(xi_handle(0.5, 1.0), -0.4, -0.4)
         assert K.e11 == pytest.approx(0.0, abs=1e-13)
 
-    def test_transpose_rule(self):
-        handle = disk_handle()
-        z, y = 0.2 + 0.3j, -0.4
+    @pytest.mark.parametrize("handle,z,y", [
+        (xi_handle(0.5, 1.0), 0.2 + 0.3j, -0.4), (xi_handle(1.0, -1.0), -0.6 - 0.5j, 1.1),
+        (disk_handle(), 0.2 + 0.3j, -0.4), (outside_handle(2.5), 1.5 + 0.5j, -2.0)],
+        ids=["plus_one", "minus_one", "disk", "outside"])
+    def test_transpose_rule(self, handle, z, y):
         K1 = assemble_matrix(handle, z, y)
         K2 = assemble_matrix(handle, y, z)
         assert K1.e11 == pytest.approx(-K2.e11, rel=1e-13, abs=1e-15)
@@ -222,7 +248,8 @@ class TestAssembly:
 
     @pytest.mark.parametrize("handle,x,y", [
         (xi_handle(0.5, 1.0), 0.3, -0.7), (xi_handle(1.0, -1.0), 0.4, 1.2),
-        (disk_handle(), 0.3, -0.2), (outside_handle(1.0), 1.4, -2.0)])
+        (disk_handle(), 0.3, -0.2), (outside_handle(1.0), 1.4, -2.0)],
+        ids=["handle0-0.3--0.7", "handle1-0.4-1.2", "handle2-0.3--0.2", "handle3-1.4--2.0"])
     def test_real_transpose_rule(self, handle, x, y):
         # e21 was +ad: at (0.3, 0.3) on the +1 handle e21 = e12 = 0.1266
         K = assemble_matrix(handle, x, y).as_array()
@@ -366,6 +393,25 @@ class TestConvergenceHarness:
         spec = LimitKernelSpec("circle_real", lam=1.0, anchor=1.0)
         rows = convergence_report(spec, [(0.5, -0.3)], (8, 16))
         assert rows[0]["sup_error"] > rows[1]["sup_error"]
+
+    @pytest.mark.parametrize("spec,grid", [
+        (LimitKernelSpec("circle_real", lam=1.0, anchor=1.0),
+         [(0.5, -0.3), (-0.4, 0.2), (0.5, -0.3 + 0.4j), (0.2 + 0.3j, -0.1 + 0.5j)]),
+        (LimitKernelSpec("circle_real", lam=0.5, anchor=-1.0),
+         [(0.5, -0.3), (-0.4, 0.2), (0.5, -0.3 + 0.4j), (0.2 + 0.3j, -0.1 + 0.5j)]),
+        (LimitKernelSpec("inside_disk", lam=0.0),
+         [(0.3, -0.5), (0.1, 0.4), (0.2 + 0.3j, -0.4), (0.3 - 0.2j, 0.1 + 0.5j)]),
+        (LimitKernelSpec("outside_disk", lam=1.0, c=1.0),
+         [(1.4, 1.8), (-1.5, 2.0), (1.5 + 0.5j, 2.0)])],
+        ids=["plus_one", "minus_one", "inside_disk", "outside_disk"])
+    def test_whole_blocks_converge_at_rate_one(self, spec, grid):
+        # with the (2,1) entry's old sign, +ad, the fitted rate is 0.02 at +1
+        # and -0.01 inside the disk
+        rows = convergence_report(spec, grid, (16, 32, 64))
+        assert all("entry21" in row for row in rows)
+        errs = [row["sup_error"] for row in rows]
+        rate = -np.polyfit(np.log([16, 32, 64]), np.log(errs), 1)[0]
+        assert 0.8 <= rate <= 1.2
 
     def test_ratio_sums_errors_decrease(self):
         rows = ratio_sums_report((8, 16))

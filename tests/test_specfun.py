@@ -13,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mahler
-from mahler.errors import (DivergenceError, DomainError, InfiniteValueError,
-                           PoleError)
+from mahler.errors import DomainError, InfiniteValueError, PoleError
 from mahler.quadrature import adaptive
 from mahler.specfun import (big_m_pair, e_gamma, e_pair, gamma_ratio,
                             gamma_ratio_table, gammaln_signed, hyp1f1_M, iota,
                             omega)
 
-from identities import hyp2f1, lambda_weight
+from identities import DivergenceError, hyp2f1, lambda_weight
 
 
 class TestGammaRatio:
