@@ -89,9 +89,19 @@ def run_kernel_grid(args) -> int:
     return 0
 
 
+# the options each intensity field reads, by --regime (None: finite N)
+_FIELD_OPTIONS = {None: ("N", "s"), "circle_real": ("xi", "lam"), "outside": ("c",)}
+
+
 def _intensity_fn(args):
     """Pointwise one-point density for the requested finite-N ensemble or
-    limiting regime."""
+    limiting regime. Options the field ignores are an error, and a limit
+    field's parameters pass :class:`limits.LimitKernelSpec` before any point."""
+    ignored = [f"--{k}" for k in ("N", "s", "xi", "lam", "c")
+               if getattr(args, k) is not None and k not in _FIELD_OPTIONS[args.regime]]
+    if ignored:
+        raise MahlerError(f"intensity: the {args.regime or 'finite-N'} field "
+                          f"ignores {', '.join(ignored)}")
     if args.regime is None:
         if args.N is None or args.s is None:
             raise MahlerError("intensity: need --N and --s, or --regime")
@@ -104,17 +114,18 @@ def _intensity_fn(args):
         return finite
 
     if args.regime == "circle_real":
-        lam = args.lam if args.lam is not None else 1.0
-        xi = args.xi if args.xi is not None else 1.0
+        spec = limits.LimitKernelSpec(
+            "circle_real", lam=1.0 if args.lam is None else args.lam,
+            anchor=1.0 if args.xi is None else args.xi)
 
         def circle(z: complex) -> float:
             if z.imag == 0.0:
                 return 0.0
-            return float((iota(z) * limits.kappa_xi(lam, xi, z,
+            return float((iota(z) * limits.kappa_xi(spec.lam, spec.anchor.real, z,
                                                     z.conjugate())).real)
         return circle
 
-    c = args.c if args.c is not None else 1.0
+    c = limits.LimitKernelSpec("outside_disk", c=1.0 if args.c is None else args.c).c
 
     def outside(z: complex) -> float:
         if abs(z) <= 1.0:

@@ -7,7 +7,9 @@ Pfaffian family built from a confluent hypergeometric function), and the two
 unscaled regimes inside and outside the closed unit disk. Each Pfaffian
 regime has one handle ``A(u, v) -> (a, da, ad, dad)``: the antiderivative
 kernel and its closed-form slot derivatives from one shared setup, which
-plug into the species-dispatched 2x2 assembly.
+plug into the species-dispatched 2x2 assembly. Each regime has one node set:
+the 96-node Gauss–Legendre rule on [0, 1] at the circle, on panels of the
+angle inside the disk, and outside a 48-node Gauss–Jacobi rule per real point.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,11 +30,12 @@ from .specfun import (_gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
                       gamma_ratio_table, iota, omega)
 
 _ORDER = 96          # all limit integrals over [0, 1] (integrands entire)
+_TAIL_ORDER = 48     # Gauss–Jacobi nodes of each outside tail integral
 _INSIDE_TERMS = 200  # terms of each binomial series in sum_inside_limit
 
 
-def _unit_nodes(order: int = _ORDER):
-    x, w = leg_nodes(order)
+def _unit_nodes():
+    x, w = leg_nodes(_ORDER)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -62,7 +66,7 @@ class LimitKernelSpec:
                 raise DomainError("circle_complex anchor must be on the "
                                   "circle, off the real axis")
         if self.regime == "circle_real" and a not in (1.0 + 0j, -1.0 + 0j):
-            raise DomainError("circle_real anchor must be +1 or -1")
+            raise DomainError(f"circle_real anchor xi must be +1 or -1, got {self.anchor}")
         if self.regime == "outside_disk" and not (self.c >= 1.0):
             raise DomainError("outside regime requires c >= 1 (or inf)")
 
@@ -267,11 +271,16 @@ def sqrt_z2m1(z):
     return val
 
 
-def _b_core(c: float, u, v):
-    """The outside limit without the square-root trace factors."""
-    uv = u * v
-    return (c + 1.0 / (uv - 1.0)) / (np.abs(uv) ** c * math.pi) \
-        * (v - u) / (uv - 1.0)
+def _core(k: float, u, v):
+    """``(1 + k/(uv-1)) (v-u) / (pi (uv-1))``, the rational part of the
+    outside limits at ``k = 1/c``: it stays finite at ``c = inf``."""
+    d = u * v - 1.0
+    return (1.0 + k / d) * (v - u) / (math.pi * d)
+
+
+def _edge(c: float, z):
+    """``|z|^{-c} / sqrt(z^2 - 1)``, the factor each point contributes."""
+    return np.abs(z) ** -c / sqrt_z2m1(z)
 
 
 def b_outside(c: float, u, v):
@@ -280,100 +289,79 @@ def b_outside(c: float, u, v):
     if math.isinf(c):
         # c |uv|^{-c} -> 0 for |uv| > 1
         return 0.0 * (u * v)
-    return _b_core(c, u, v) / (sqrt_z2m1(u) * sqrt_z2m1(v))
+    return c * _core(1.0 / c, u, v) * _edge(c, u) * _edge(c, v)
 
 
-def _c_const(c: float) -> float:
-    """``Gamma((c+1)/2) / (sqrt(pi) Gamma(c/2))``."""
-    return _gamma_quotient(((c + 1.0) / 2.0,), (c / 2.0,)) / math.sqrt(math.pi)
+@lru_cache(maxsize=32)
+def _jacobi_rule(c: float):
+    """The ``_TAIL_ORDER``-node Gauss–Jacobi rule for the weight ``x^(c-1)`` on
+    (0, 1), read-only, by Golub–Welsch (Math. Comp. 23, 1969): eigenvalues and
+    first eigenvector components of the Jacobi matrix of ``P_n^{(0, c-1)}(2x-1)``."""
+    if not c > 0.0:
+        raise DomainError(f"the tail weight x^(c-1) needs c > 0, got {c}")
+    b, n = c - 1.0, np.arange(_TAIL_ORDER)
+    s = 2.0 * n + b
+    diag = np.append(b / (b + 2.0), b * b / (s[1:] * (s[1:] + 2.0)))
+    off = 2.0 * n[1:] * (n[1:] + b) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
+    x, vec = np.linalg.eigh(np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, -1))
+    w = vec[0] ** 2 / c
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-def _tail_nodes(y: float, order: int):
-    """Nodes and weights for ``int_{sgn(y) inf}^y f(u) du / sqrt(u^2-1)``,
-    ``|y| > 1``, up to its sign.
+def _outside(c: float, u, v):
+    """The outside regime's ``(a, da, ad, dad)`` from one setup; see
+    :func:`_entries` for the ``None`` slots. ``dad = B = c core e(u) e(v)``
+    with ``e(z) = |z|^{-c} / sqrt(z^2-1)``; ``c = inf`` gives zeros.
 
-    The substitution ``|u| = cosh(t)`` removes the edge singularity, and
-    ``t = arccosh|y| - log(x)`` maps ``[arccosh|y|, inf)`` to ``(0, 1]``:
-    the nodes are ``sgn(y) cosh(t)`` and the weights ``w/x`` on the unit
-    Gauss–Legendre rule. On the trace branch ``du / sqrt(u^2-1) = dt`` for
-    either sign of ``y`` (both flip together); the downward orientation from
-    ``sgn(y) inf`` to ``y`` contributes a factor -1 left to the caller.
+    A real point ``y`` brings nodes ``u_k`` and weights ``W_k`` with ``sum W_k
+    r(u_k) ~ int_a^inf |u|^{-c} r(u) dt`` at ``u = sgn(y) cosh t``, ``a =
+    arccosh|y|``: minus the tail from ``sgn(y) inf`` to ``y`` against ``du /
+    sqrt(u^2-1)``. ``t = a - log x`` makes ``|u|^{-c} dt`` the Gauss–Jacobi
+    weight ``x^{c-1} dx`` times ``(x|u|)^{-c}``, ``x|u| = (e^a + x^2
+    e^{-a})/2``, which ``W_k`` absorbs without underflow as ``x -> 0``. With
+    ``R = c core`` on the points and nodes, ``C = Gamma((c+1)/2) / (sqrt(pi)
+    Gamma(c/2))``: ``a = W_u R W_v + C (sgn(v) sum W_u - sgn(u) sum W_v)``,
+    ``da = -e(u) (R(u, .) W_v + C sgn(v))``, ``ad = e(v) (C sgn(u) - W_u R(., v))``.
     """
-    x, w = _unit_nodes(order)
-    t = math.acosh(abs(y)) - np.log(x)
-    return math.copysign(1.0, y) * np.cosh(t), w / x
+    _check_disk(False, u, v)
+    if math.isinf(c):
+        return _entries(u, v, *(lambda: 0.0,) * 4)
+    x, w = _jacobi_rule(c)
+    C = _gamma_quotient(((c + 1.0) / 2.0,), (c / 2.0,)) / math.sqrt(math.pi)
 
+    def side(z):
+        if not _is_real_arg(z):
+            return np.array([z]), np.zeros(0), 0.0
+        y = complex(z).real
+        e = math.exp(math.acosh(abs(y)))
+        xu = 0.5 * (e + x * x / e)
+        return np.append(y, math.copysign(1.0, y) * xu / x), w * xu ** -c, math.copysign(C, y)
 
-def _g_tail(c: float, y: float, order: int = 256) -> float:
-    """``int_{sgn(y) inf}^y du / (|u|^c sqrt(u^2-1))`` for ``|y| > 1``,
-    that is ``-int_{arccosh|y|}^inf cosh(t)^{-c} dt`` for either sign of
-    ``y``."""
-    u, wu = _tail_nodes(y, order)
-    return -float(np.sum(wu * np.abs(u) ** (-c)))
-
-
-def _b_single(c: float, z, y: float, order: int = 256):
-    """``int_{sgn(y) inf}^y B(z, v) dv`` with ``z`` possibly complex."""
-    v, wv = _tail_nodes(y, order)
-    return -np.sum(_b_core(c, z, v) * wv) / sqrt_z2m1(z)
+    (pu, wu, cu), (pv, wv, cv) = side(u), side(v)
+    R = c * _core(1.0 / c, pu[:, None], pv[None, :])
+    eu, ev = _edge(c, pu[0]), _edge(c, pv[0])
+    return _entries(
+        u, v, lambda: (wu @ R[1:, 1:] @ wv + cv * wu.sum() - cu * wv.sum()).real,
+        lambda: -eu * (R[0, 1:] @ wv + cv), lambda: ev * (cu - wu @ R[1:, 0]),
+        lambda: R[0, 0] * eu * ev)
 
 
 def a_outside(c: float, x: float, y: float) -> float:
-    """Antiderivative kernel outside the disk; identically zero at
-    ``c = inf``."""
-    _check_disk(False, x, y)
-    if math.isinf(c):
-        return 0.0
-    sx, sy = math.copysign(1.0, x), math.copysign(1.0, y)
-    u, wu = _tail_nodes(x, _ORDER)
-    v, wv = _tail_nodes(y, _ORDER)
-    # both integrals run from infinity down to the endpoint; the two (-1)s
-    # cancel
-    double = float(np.real(wu @ _b_core(c, u[:, None], v[None, :]) @ wv))
-    single = _c_const(c) * (sx * _g_tail(c, y) - sy * _g_tail(c, x))
-    return double + single
-
-
-def da_outside(c: float, z, y: float):
-    """First-slot derivative of the outside antiderivative kernel; the first
-    argument may be complex."""
-    _check_disk(False, z, y)
-    if math.isinf(c):
-        return 0.0
-    sy = math.copysign(1.0, y)
-    g = 1.0 / (np.abs(z) ** c * sqrt_z2m1(z))
-    return _b_single(c, z, y) - _c_const(c) * sy * g
-
-
-def ad_outside(c: float, x: float, w):
-    """Second-slot derivative of the outside antiderivative kernel."""
-    _check_disk(False, x, w)
-    if math.isinf(c):
-        return 0.0
-    sx = math.copysign(1.0, x)
-    g = 1.0 / (np.abs(w) ** c * sqrt_z2m1(w))
-    # int_{sgn(x) inf}^x B(u, w) du = -(same single integral with the
-    # antisymmetry B(u, w) = -B(w, u))
-    return -_b_single(c, w, x) + _c_const(c) * sx * g
+    """Antiderivative kernel outside the disk; zero at ``c = inf``."""
+    return _outside(c, x, y)[0].real
 
 
 def outside_handle(c: float):
-    """The outside regime as ``A(u, v) -> (a, da, ad, dad)``; see
-    :func:`_entries` for the ``None`` slots."""
-    def A(u, v):
-        x, y = complex(u).real, complex(v).real
-        return _entries(u, v, lambda: a_outside(c, x, y), lambda: da_outside(c, u, y),
-                        lambda: ad_outside(c, x, v), lambda: b_outside(c, u, v))
-    return A
+    """The outside regime as ``A(u, v) -> (a, da, ad, dad)``; see :func:`_outside`."""
+    return lambda u, v: _outside(c, u, v)
 
 
 def dsn_limit(lam: float, c: float, u, v):
     """Limit of ``|uv|^s (uv)^{-N} kappa_N(u,v)/(s-N)`` outside the disk;
     ``1/c = 0`` when ``c`` is infinite."""
-    cinv = 0.0 if math.isinf(c) else 1.0 / c
-    uv = u * v
-    return (lam / math.pi) * (1.0 + cinv / (uv - 1.0)) / (uv - 1.0) \
-        * (v - u) / (sqrt_z2m1(u) * sqrt_z2m1(v))
+    return lam * _core(0.0 if math.isinf(c) else 1.0 / c, u, v) \
+        / (sqrt_z2m1(u) * sqrt_z2m1(v))
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +513,11 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
     return rows
 
 
-def ratio_sums_report(N_list, params=(0.5, -0.5, 1.5, -1.5)) -> list[dict]:
+def ratio_sums_report(N_list) -> list[dict]:
     """Convergence of polynomial-product-sum ratios to their scaled limits:
     the exponential-moment limit at a non-real circle anchor and the
     hypergeometric-moment limit at 1."""
-    a1, b1, a2, b2 = params
+    a1, b1, a2, b2 = 0.5, -0.5, 1.5, -1.5
     zeta = 1j
     aa1, aa2 = 0.4 + 0.3j, -0.2 + 0.5j
     t1, t2 = 0.6, -0.4
@@ -586,11 +574,11 @@ def sum_inside_limit(a1: float, b1: float, a2: float, b2: float,
     return complex(cz @ lam @ cw)
 
 
-def kasymp_report(N_list, params=(0.5, -0.8, 1.5, -1.5)) -> list[dict]:
+def kasymp_report(N_list) -> list[dict]:
     """Convergence of the unscaled product sums: the Gamma-ratio value at
     the origin, the circle-average limit inside the disk, and the
     normalized outside limit."""
-    a1, b1, a2, b2 = params
+    a1, b1, a2, b2 = 0.5, -0.8, 1.5, -1.5     # b1 + b2 + 1 < 0 for the inside limit
     z_in, w_in = 0.3, 0.2
     z_out, w_out = 1.5, 1.3
     lim_origin = float(_lambda_fourier(b1, b2, 0))

@@ -8,8 +8,8 @@ measure stays at most 1 (uniform sampling of the monic star body); at finite
 Proposals are never auto-rejected silently: a rejected step re-emits the
 current state, which is what keeps the chain's invariant density correct.
 Each proposal is solved once, by the eigenvalues of the companion matrix
-``np.roots`` would build. ``roots_classify`` and ``mahler_measure`` reuse the
-roots of the state ``sample`` emitted last, given exactly its coefficients.
+``np.roots`` would build. ``roots_classify`` and ``mahler_measure`` read
+``PolyCoeffs.roots``, which ``sample`` fills in for each state it emits.
 """
 
 from __future__ import annotations
@@ -53,22 +53,6 @@ class RootSet:
     pairs: tuple[complex, ...]
 
 
-# (coefficients, read-only roots) of the state ``sample`` emitted last: one
-# tuple, so a reader never pairs one state's key with another's roots
-_emitted = (None, None)
-
-
-def _poly_roots(coeffs) -> np.ndarray:
-    """Roots via the companion-matrix eigenvalues (descending for np.roots)."""
-    key, roots = _emitted
-    if isinstance(coeffs, tuple) and coeffs == key:
-        return roots
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), trim="b")
-    if c.size == 0:
-        raise DomainError("mahler measure of the zero polynomial")
-    return np.roots(c[::-1])
-
-
 def mahler_measure(p: PolyCoeffs, cross_check: bool = False) -> float:
     """``|leading coefficient| * prod max(1, |root|)``.
 
@@ -77,7 +61,7 @@ def mahler_measure(p: PolyCoeffs, cross_check: bool = False) -> float:
     average for roots near the circle is why the check is opt-in.
     """
     c = np.asarray(p.coeffs, dtype=float)
-    roots = _poly_roots(p.coeffs)
+    roots = p.roots
     lead = np.trim_zeros(c, trim="b")[-1]
     val = abs(lead) * float(np.prod(np.maximum(1.0, np.abs(roots))))
     if cross_check:
@@ -97,7 +81,6 @@ def sample(cfg: SamplerConfig):
     Emits every ``thin``-th post-burn-in state (rejected proposals re-emit
     the current state, they are not skipped).
     """
-    global _emitted
     rng = np.random.default_rng(cfg.seed)
     N = cfg.N
     companion = np.diag(np.ones(N - 1), -1)     # first row: -b[::-1]
@@ -121,10 +104,10 @@ def sample(cfg: SamplerConfig):
         if accept:
             b, m_cur, roots = prop, m_prop, r_prop
         if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
-            coeffs = tuple(b) + (1.0,)
+            p = PolyCoeffs(tuple(b) + (1.0,))
             roots.flags.writeable = False
-            _emitted = (coeffs, roots)
-            yield PolyCoeffs(coeffs)
+            vars(p)["roots"] = roots    # the cached_property, already solved
+            yield p
 
 
 def roots_classify(p: PolyCoeffs, tol: float = 1e-9) -> RootSet:
@@ -136,7 +119,7 @@ def roots_classify(p: PolyCoeffs, tol: float = 1e-9) -> RootSet:
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    roots = _poly_roots(p.coeffs)
+    roots = p.roots
     # np.hypot, not np.abs: it rounds |r| as the scalar abs(r) does
     real = np.abs(roots.imag) <= tol * (1.0 + np.hypot(roots.real, roots.imag))
     reals, complexes = roots.real[real].tolist(), roots[~real]

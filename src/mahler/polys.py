@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,17 @@ class PolyCoeffs:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Read-only roots, as ``np.roots`` of the trimmed coefficients; a
+        caller that has solved the polynomial may fill it in (``mc.sample``)."""
+        c = np.trim_zeros(np.asarray(self.coeffs, dtype=float), trim="b")
+        if c.size == 0:
+            raise DomainError("roots of the zero polynomial")
+        roots = np.roots(c[::-1])
+        roots.flags.writeable = False
+        return roots
 
     def __call__(self, z):
         """Horner evaluation; accepts scalars or numpy arrays."""

@@ -6,7 +6,10 @@ Conventions used throughout the package:
   refined by bisection until the panel-sum error estimate meets the target;
 * half-lines ``[a, inf)`` with ``a > 0`` are mapped to ``(0, 1/a]`` through
   ``x = 1/t``;
-* integrals over the unit circle use a periodic trapezoid rule in the angle.
+* the limit kernels of :mod:`mahler.limits` use fixed rules instead: circle
+  averages take Gauss–Legendre panels in the angle, split where a branch
+  point comes near the circle, and the tails beyond the disk a Gauss–Jacobi
+  rule that absorbs their endpoint power.
 
 Integrands must be vectorized over numpy arrays (real or complex output).
 The panel order is ``DEFAULT_ORDER`` (64) unless a call passes ``order``.

@@ -85,6 +85,22 @@ class TestGridCommands:
         assert "xi" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--regime", "circle_real", "--xi", "0.5", "--im-min", "0", "--im-max", "0",
+         "--im-steps", "1"],
+        ["--regime", "outside", "--c", "0.5"], ["--regime", "outside", "--lam", "0.3"],
+        ["--regime", "outside", "--N", "5", "--s", "2"],
+        ["--regime", "circle_real", "--c", "2"], ["--N", "2", "--s", "5", "--xi", "1"]],
+        ids=["xi_on_real_grid", "c_below_one", "lam_outside", "N_s_outside",
+             "c_circle_real", "xi_finite"])
+    def test_intensity_rejects_invalid_or_ignored_options(self, extra, tmp_path, capsys):
+        # each of these exited 0: the xi check ran only at a non-real point,
+        # c was never checked, and the other options were silently ignored
+        out = tmp_path / "i.csv"
+        assert run(["intensity", *extra, "--re-steps", "3", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_intensity_regime_choices(self):
         # circle_complex ran the +-1 kernel and dsn was a second name for
         # outside; argparse now rejects both

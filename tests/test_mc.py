@@ -135,9 +135,8 @@ class TestSampler:
         assert len(calls) == 1
 
     def test_interleaved_chains_match_sequential(self):
-        # advancing two chains alternately leaves each consumer holding a
-        # state that is not the last one emitted, so its roots are solved
-        # afresh; results must not depend on that
+        # advancing two chains alternately interleaves their states; each
+        # state carries its own roots, so results must not depend on that
         cfgs = (SamplerConfig(N=4, s=math.inf, steps=400, burn_in=0, seed=31),
                 SamplerConfig(N=3, s=7.0, steps=400, burn_in=0, thin=2,
                               seed=32))
