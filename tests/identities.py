@@ -5,7 +5,8 @@ closed-form non-real root count; the block matrix of a correlation
 assembled pair by pair, the second route of ``kernel.correlation``; and
 the circle weight ``Lambda`` pointwise from Gauss hypergeometric functions
 (DLMF 15), the second route of its Fourier coefficients
-``limits._lambda_fourier``."""
+``limits._lambda_fourier``; and the +-1 limit handle on the full complex
+grid, the second route of ``limits.xi_handle``'s real half-grid."""
 
 import math
 
@@ -15,7 +16,8 @@ from scipy.integrate import quad
 from scipy.special import gamma, gammaln, rgamma
 
 from mahler.errors import DomainError, InfiniteValueError, PoleError
-from mahler.kernel import EnsembleParams, intensity_complex, matrix_kernel
+from mahler.kernel import EnsembleParams, _is_real_arg, intensity_complex, matrix_kernel
+from mahler.limits import _entries, _unit_nodes, _xi_side
 from mahler.quadrature import _check_quad, adaptive, halfline, leg_nodes
 from mahler.specfun import _gamma_quotient, _is_nonpositive_integer
 
@@ -259,3 +261,27 @@ def lambda_weight(b1: float, b2: float, zeta) -> complex:
     f1, f2 = (complex(mpmath.hyp2f1(1.0, 1.0 + c, -d, mpmath.mpc(t.real, t.imag)))
               for c, d, t in ((b1, b2, zeta.conjugate()), (b2, b1, zeta)))
     return gamma(-b1 - b2 - 1.0) * rgamma(-b1) * rgamma(-b2) * (f1 + f2 - 1.0)
+
+
+def xi_handle_full_grid(lam: float, xi: float):
+    """``limits.xi_handle`` with every side in complex arithmetic on the
+    whole ``97 x 96`` grid: ``M, M'`` at ``u xi tau_k`` and, for a real
+    point, at ``(x t_j) (xi tau_k)`` for every ``j`` and ``k``, with no use of
+    the block's symmetry."""
+    t, wt = _unit_nodes()
+    core, edge = wt * t * (1.0 - lam * t), wt * (1.0 - lam * t)
+
+    def side(u):
+        x = complex(u).real
+        w, M, Mp = _xi_side(lam, xi, np.append(x, x * t) if _is_real_arg(u) else [u])
+        return w, M, Mp, w * (M @ edge) / 4.0, x * wt
+
+    def A(u, v):
+        (wu, Mu, Mpu, bu, uw), (wv, Mv, Mpv, bv, vw) = side(u), side(v)
+        k = np.multiply.outer(wu, wv) * (xi / 4.0) \
+            * ((Mpu * core) @ Mv.T - (Mu * core) @ Mpv.T)
+        return _entries(
+            u, v, lambda: uw @ k[1:, 1:] @ vw + float(np.real(vw @ bv[1:] - uw @ bu[1:])),
+            lambda: k[0, 1:] @ vw - bu[0], lambda: uw @ k[1:, 0] + bv[0],
+            lambda: k[0, 0])
+    return A

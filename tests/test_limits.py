@@ -16,7 +16,7 @@ from mahler.limits import (LimitKernelSpec, _lambda_fourier, a_disk,
 from mahler.quadrature import leg_nodes
 from mahler.specfun import iota
 
-from identities import lambda_weight
+from identities import lambda_weight, xi_handle_full_grid
 
 
 class TestCircleComplexKernel:
@@ -95,6 +95,32 @@ class TestCircleRealKernel:
         assert [e is None for e in A(z, 0.5)] == [True, False, True, False]
         assert [e is None for e in A(0.5, z)] == [True, True, False, False]
         assert A(z, z)[:3] == (None, None, None)
+
+    @pytest.mark.parametrize("xi", [1.0, -1.0])
+    @pytest.mark.parametrize("lam", [0.5, 8.0 / 9.0, 1.0])
+    def test_half_grid_matches_full_grid(self, lam, xi):
+        # real/real, real/complex and complex/complex pairs, the circle_real
+        # grid points, and |x| up to 8 on both sides of the anchor
+        pts = [0.5, -0.3, -0.4, 0.2, -xi * 8.0, -xi * 0.2, xi * 7.5, 0.0,
+               -0.3 + 0.4j, 1.2 - 0.7j]
+        A, B = xi_handle(lam, xi), xi_handle_full_grid(lam, xi)
+        for u in pts:
+            for v in pts:
+                for e, ref in zip(A(u, v), B(u, v)):
+                    assert (e is None) == (ref is None)
+                    if e is not None:
+                        assert abs(e - ref) <= 1e-14 * max(1.0, abs(ref)), (u, v)
+        reals = [p for p in pts if isinstance(p, float)]
+        for u in reals:
+            for v in reals:
+                a = A(u, v)[0]
+                assert abs(a + A(v, u)[0]) <= 1e-14 * max(1.0, abs(a)), (u, v)
+
+    def test_non_real_argument_raises(self):
+        # a_xi returned None here
+        for a, b in ((0.3 + 0.1j, 0.2), (0.3, -0.2 - 0.5j)):
+            with pytest.raises(DomainError, match="real"):
+                a_xi(1.0, 1.0, a, b)
 
     def test_anchor_must_be_plus_or_minus_one(self):
         # kappa_xi(1.0, 0.5, 0.3, -0.2) used to return -8.6e-4
@@ -277,6 +303,12 @@ class TestOutsideKernel:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             b_outside(1.0, 0.5, 1.5)
+
+    def test_non_real_argument_raises(self):
+        # a bare AttributeError came from the handle's None slot here
+        for x, y in ((1.5 + 0.5j, 2.0), (1.5, -2.0 + 0.1j)):
+            with pytest.raises(DomainError, match="real"):
+                a_outside(1.0, x, y)
 
     def test_arrays_match_scalars(self):
         u = np.array([1.4, -2.0 + 0.5j, 1.1j])
@@ -484,9 +516,29 @@ class TestConvergenceHarness:
         spec = LimitKernelSpec("circle_real", lam=1.0, anchor=1.0)
         with pytest.raises(DomainError):
             convergence_report(spec, [(0.5, -0.3)], (16, 8))
-        for bad in ([], (8, 8), (8, 128)):
+        for bad in ([], (8, 8)):
             with pytest.raises(DomainError):
                 convergence_report(spec, [(0.5, -0.3)], bad)
+        # only the outside regime keeps the cap N <= 64: |uv|^s overflows
+        # past it
+        outside = LimitKernelSpec("outside_disk", lam=1.0, c=1.0)
+        with pytest.raises(DomainError, match="outside_disk"):
+            convergence_report(outside, [(1.4, 1.8)], (8, 128))
+
+    @pytest.mark.parametrize("spec,grid", [
+        (LimitKernelSpec("circle_real", lam=1.0, anchor=1.0),
+         [(0.5, -0.3), (-0.4, 0.2), (0.5, -0.3 + 0.4j), (0.2 + 0.3j, -0.1 + 0.5j)]),
+        (LimitKernelSpec("circle_real", lam=0.5, anchor=-1.0),
+         [(0.5, -0.3), (-0.4, 0.2), (0.5, -0.3 + 0.4j), (0.2 + 0.3j, -0.1 + 0.5j)]),
+        (LimitKernelSpec("inside_disk", lam=0.0),
+         [(0.3, -0.5), (0.1, 0.4), (0.2 + 0.3j, -0.4), (0.3 - 0.2j, 0.1 + 0.5j)])],
+        ids=["plus_one", "minus_one", "inside_disk"])
+    def test_rate_one_up_to_n_1024(self, spec, grid):
+        # N <= 64 was the cap of every regime
+        rows = convergence_report(spec, grid, (64, 256, 1024))
+        errs = [row["sup_error"] for row in rows]
+        rate = -np.polyfit(np.log([64, 256, 1024]), np.log(errs), 1)[0]
+        assert 0.8 <= rate <= 1.2
 
     def test_oscillatory_comparison_converges_along_doublings(self):
         # the large-height limit of the paired-confluent expression is

@@ -271,6 +271,58 @@ class TestBigMOracle:
         assert out.stdout.strip() == "False"
 
 
+class TestConfluentDtype:
+    """A real argument is evaluated in float64 and gives real values; a
+    complex one takes the complex route, whose values are pinned below."""
+
+    def test_kind_follows_the_argument(self):
+        for call in (big_m_pair, lambda z: (hyp1f1_M(0.5, -0.5, z),)):
+            for z in (0.7, -5.0, 3, [0.7, -5.0], np.array([1, 2])):
+                out = call(z)
+                assert all(np.asarray(v).dtype == np.float64 for v in out)
+                assert all(isinstance(v, float) for v in out) == (np.ndim(z) == 0)
+            for z in (0.7 + 0j, [0.7, -5.0 + 1j], np.array([0.7, -5.0], dtype=complex)):
+                out = call(z)
+                assert all(np.asarray(v).dtype == np.complex128 for v in out)
+
+    def test_complex_route_values_pinned(self):
+        # bit for bit the values before real arguments had a route of their own
+        z = np.array([0.7 + 0j, -5.0 + 0j, 3.0 + 4.0j, -20.0 + 10.0j, 650.0 - 0.5j])
+        m, d = big_m_pair(z)
+        assert m.tolist() == [
+            2.6633738669335476 + 0j, -0.047262518792478184 + 0j,
+            -14.850035302808697 - 50.04291727548339j,
+            -0.0021485050588216158 - 0.001999712592802056j,
+            4.939566497990123e+283 - 2.700962927993812e+283j]
+        assert d.tolist() == [
+            3.5208835153210005 + 0j, -0.015531622752010091 + 0j,
+            -19.334966501418474 - 52.147166439820175j,
+            -6.548817533592664e-05 - 0.00019982428020134265j,
+            4.943364835204956e+283 - 2.7030360740321237e+283j]
+        assert hyp1f1_M(0.5, -0.5, -5.0 + 0j) == 0.06346179208093618 + 0j
+        assert hyp1f1_M(0.5, -0.5, 2.0 + 1j) == 3.2380863258707526 + 3.667680716766038j
+
+    def test_series_path_is_real_part_of_complex_route(self):
+        # |x| - x <= 6: every real point from -3 up takes the series
+        x = np.linspace(-3.0, 700.0, 20001)
+        for real, cplx in zip(big_m_pair(x), big_m_pair(x.astype(complex))):
+            assert np.array_equal(real, cplx.real)
+            assert not cplx.imag.any()
+
+    def test_integral_path_within_rounding_of_complex_route(self):
+        x = np.linspace(-40.0, -3.0, 2001)
+        for real, cplx in zip(big_m_pair(x), big_m_pair(x.astype(complex))):
+            assert np.max(np.abs(real - cplx.real) / np.abs(cplx)) <= 5e-16
+
+    def test_real_arrays_match_mpmath(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 81), np.linspace(50.0, 700.0, 14)])
+        m, d = big_m_pair(x)
+        rm, rd = _mpmath_pair(x)
+        assert m.dtype == d.dtype == np.float64
+        assert np.max(np.abs(m - rm) / np.abs(rm)) <= 1e-12
+        assert np.max(np.abs(d - rd) / np.abs(rd)) <= 1e-12
+
+
 class TestEGamma:
     def test_at_zero(self):
         for g in (-0.5, 0.0, 1.7):
