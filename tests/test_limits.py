@@ -473,6 +473,18 @@ class TestCircleWeightCoefficients:
                 assert val == pytest.approx(float(ref), rel=1e-13, abs=1e-300)
 
 
+_REAL_ANCHOR_GRID = [(0.5, -0.3), (-0.4, 0.2), (0.5, -0.3 + 0.4j), (0.2 + 0.3j, -0.1 + 0.5j)]
+# the regimes whose convergence report takes any N
+_UNCAPPED = [
+    pytest.param(LimitKernelSpec("circle_real", lam=1.0, anchor=1.0), _REAL_ANCHOR_GRID,
+                 id="plus_one"),
+    pytest.param(LimitKernelSpec("circle_real", lam=0.5, anchor=-1.0), _REAL_ANCHOR_GRID,
+                 id="minus_one"),
+    pytest.param(LimitKernelSpec("inside_disk", lam=0.0),
+                 [(0.3, -0.5), (0.1, 0.4), (0.2 + 0.3j, -0.4), (0.3 - 0.2j, 0.1 + 0.5j)],
+                 id="inside_disk")]
+
+
 class TestConvergenceHarness:
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -485,16 +497,9 @@ class TestConvergenceHarness:
         rows = convergence_report(spec, [(0.5, -0.3)], (8, 16))
         assert rows[0]["sup_error"] > rows[1]["sup_error"]
 
-    @pytest.mark.parametrize("spec,grid", [
-        (LimitKernelSpec("circle_real", lam=1.0, anchor=1.0),
-         [(0.5, -0.3), (-0.4, 0.2), (0.5, -0.3 + 0.4j), (0.2 + 0.3j, -0.1 + 0.5j)]),
-        (LimitKernelSpec("circle_real", lam=0.5, anchor=-1.0),
-         [(0.5, -0.3), (-0.4, 0.2), (0.5, -0.3 + 0.4j), (0.2 + 0.3j, -0.1 + 0.5j)]),
-        (LimitKernelSpec("inside_disk", lam=0.0),
-         [(0.3, -0.5), (0.1, 0.4), (0.2 + 0.3j, -0.4), (0.3 - 0.2j, 0.1 + 0.5j)]),
-        (LimitKernelSpec("outside_disk", lam=1.0, c=1.0),
-         [(1.4, 1.8), (-1.5, 2.0), (1.5 + 0.5j, 2.0)])],
-        ids=["plus_one", "minus_one", "inside_disk", "outside_disk"])
+    @pytest.mark.parametrize("spec,grid", _UNCAPPED + [pytest.param(
+        LimitKernelSpec("outside_disk", lam=1.0, c=1.0),
+        [(1.4, 1.8), (-1.5, 2.0), (1.5 + 0.5j, 2.0)], id="outside_disk")])
     def test_whole_blocks_converge_at_rate_one(self, spec, grid):
         # with the (2,1) entry's old sign, +ad, the fitted rate is 0.02 at +1
         # and -0.01 inside the disk
@@ -525,14 +530,7 @@ class TestConvergenceHarness:
         with pytest.raises(DomainError, match="outside_disk"):
             convergence_report(outside, [(1.4, 1.8)], (8, 128))
 
-    @pytest.mark.parametrize("spec,grid", [
-        (LimitKernelSpec("circle_real", lam=1.0, anchor=1.0),
-         [(0.5, -0.3), (-0.4, 0.2), (0.5, -0.3 + 0.4j), (0.2 + 0.3j, -0.1 + 0.5j)]),
-        (LimitKernelSpec("circle_real", lam=0.5, anchor=-1.0),
-         [(0.5, -0.3), (-0.4, 0.2), (0.5, -0.3 + 0.4j), (0.2 + 0.3j, -0.1 + 0.5j)]),
-        (LimitKernelSpec("inside_disk", lam=0.0),
-         [(0.3, -0.5), (0.1, 0.4), (0.2 + 0.3j, -0.4), (0.3 - 0.2j, 0.1 + 0.5j)])],
-        ids=["plus_one", "minus_one", "inside_disk"])
+    @pytest.mark.parametrize("spec,grid", _UNCAPPED)
     def test_rate_one_up_to_n_1024(self, spec, grid):
         # N <= 64 was the cap of every regime
         rows = convergence_report(spec, grid, (64, 256, 1024))
