@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -66,10 +67,10 @@ def run_volume(args) -> int:
     return 0 if abs_diff <= 1e-8 * abs(f_product) else 1
 
 
-def _grid_points(args):
-    re = np.linspace(args.re_min, args.re_max, args.re_steps)
-    im = np.linspace(args.im_min, args.im_max, args.im_steps)
-    return [complex(x, y) for y in im for x in re]
+def _grid(args):
+    """The grid's real parts and the imaginary parts of its rows."""
+    return (np.linspace(args.re_min, args.re_max, args.re_steps),
+            np.linspace(args.im_min, args.im_max, args.im_steps))
 
 
 def run_kernel_grid(args) -> int:
@@ -80,7 +81,8 @@ def run_kernel_grid(args) -> int:
         writer.writerow(["re_u", "im_u", "re_v", "im_v",
                          "e11_re", "e11_im", "e12_re", "e12_im",
                          "e21_re", "e21_im", "e22_re", "e22_im"])
-        for u in _grid_points(args):
+        re, im = _grid(args)
+        for u in (complex(x, y) for y in im for x in re):
             K = kernel.matrix_kernel(params, u, v)
             row = [u.real, u.imag, v.real, v.imag]
             for e in (K.e11, K.e12, K.e21, K.e22):
@@ -94,9 +96,10 @@ _FIELD_OPTIONS = {None: ("N", "s"), "circle_real": ("xi", "lam"), "outside": ("c
 
 
 def _intensity_fn(args):
-    """Pointwise one-point density for the requested finite-N ensemble or
-    limiting regime. Options the field ignores are an error, and a limit
-    field's parameters pass :class:`limits.LimitKernelSpec` before any point."""
+    """The requested finite-N or limiting one-point density as a function of a
+    grid row's real parts ``x`` and imaginary part ``y``, one vectorized library
+    call per row. Options the field ignores are an error, and a limit field's
+    parameters pass :class:`limits.LimitKernelSpec` before any point."""
     ignored = [f"--{k}" for k in ("N", "s", "xi", "lam", "c")
                if getattr(args, k) is not None and k not in _FIELD_OPTIONS[args.regime]]
     if ignored:
@@ -106,42 +109,33 @@ def _intensity_fn(args):
         if args.N is None or args.s is None:
             raise MahlerError("intensity: need --N and --s, or --regime")
         params = kernel.EnsembleParams(args.N, _parse_s(args.s))
-
-        def finite(z: complex) -> float:
-            if z.imag == 0.0:
-                return kernel.intensity_real(params, z.real)
-            return kernel.intensity_complex(params, z)
-        return finite
-
+        return lambda x, y: (kernel.intensity_real(params, x) if y == 0.0
+                             else kernel.intensity_complex(params, x + 1j * y))
     if args.regime == "circle_real":
         spec = limits.LimitKernelSpec(
             "circle_real", lam=1.0 if args.lam is None else args.lam,
             anchor=1.0 if args.xi is None else args.xi)
+        limit, r_min = functools.partial(limits.kappa_xi, spec.lam, spec.anchor.real), 0.0
+    else:
+        c = limits.LimitKernelSpec("outside_disk", c=1.0 if args.c is None else args.c).c
+        # within 4 ulp of |z| = 1, uv - 1 in b_outside is rounding noise
+        limit, r_min = functools.partial(limits.b_outside, c), 1.0 + 4.0 * np.finfo(float).eps
 
-        def circle(z: complex) -> float:
-            if z.imag == 0.0:
-                return 0.0
-            return float((iota(z) * limits.kappa_xi(spec.lam, spec.anchor.real, z,
-                                                    z.conjugate())).real)
-        return circle
-
-    c = limits.LimitKernelSpec("outside_disk", c=1.0 if args.c is None else args.c).c
-
-    def outside(z: complex) -> float:
-        if abs(z) <= 1.0:
-            return 0.0
-        if z.imag == 0.0:
-            return float(limits.b_outside(c, z.real, z.real).real)
-        val = 1j * math.copysign(1.0, z.imag) \
-            * limits.b_outside(c, z, z.conjugate())
-        return float(val.real)
-    return outside
+    def limit_row(x, y):
+        # i sgn(y) limit(z, conj z) off the real line where |z| > r_min, else 0
+        val, z = np.zeros(x.shape), x + 1j * y
+        if y != 0.0:
+            keep = np.abs(z) > r_min
+            val[keep] = np.real(iota(z[keep]) * limit(z[keep], np.conj(z[keep])))
+        return val
+    return limit_row
 
 
 def run_intensity(args) -> int:
-    fn = _intensity_fn(args)
+    field = _intensity_fn(args)
+    re, im = _grid(args)
     # every value before the first line, so that an error leaves no output
-    rows = [[_fmt(z.real), _fmt(z.imag), _fmt(fn(z))] for z in _grid_points(args)]
+    rows = [[_fmt(x), _fmt(y), _fmt(v)] for y in im for x, v in zip(re, field(re, y))]
     with _output(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["re_z", "im_z", "intensity"])

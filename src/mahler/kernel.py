@@ -22,7 +22,7 @@ from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
 from .polys import (_p_table, _pi_odd_table, eps_monomials, p_eval_sequence,
                     s_norm, weight)
 from .quadrature import _check_quad, adaptive, halfline
-from .specfun import gammaln_signed
+from .specfun import gammaln_signed, iota
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class _Features:
             self.epo = (tab.odd @ eps[1::2]).reshape(self.po.shape)
             self.chi = 1.0
         else:
-            phase = 1j * np.sign(u.imag)
+            phase = iota(u)
             self.epe = phase * np.conj(self.pe)
             self.epo = phase * np.conj(self.po)
             self.chi = 0.0
@@ -208,7 +208,7 @@ def intensity_complex(P: EnsembleParams, z):
     tab = _tables(P.N, P.s)
     z = np.asarray(z, dtype=complex)
     pe, po = _family(tab, z)
-    val = 1j * np.sign(z.imag) * _pair_sum(tab, pe, po, np.conj(pe), np.conj(po))
+    val = iota(z) * _pair_sum(tab, pe, po, np.conj(pe), np.conj(po))
     return np.real(val)
 
 

@@ -509,12 +509,13 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
     rows ``entry11`` ... ``entry22`` compare whole 2x2 blocks: the finite
     kernel at the mapped points, divided by ``outer(d(z), d(w))``, against
     :func:`assemble_matrix` of the regime's handle. At +-1, ``d = (N, 1)``
-    for a real point and ``(N, N)`` for a non-real one; elsewhere ``d = 1``.
-    Outside the disk the blocks are compared at real pairs only, since off
-    the real line the finite kernel keeps the phase ``(uv/|uv|)^N``; the
-    ``entry11_scaled`` row, phase removed, covers every pair. That regime
-    takes ``N <= 64``: the row's factor ``|uv|^s`` leaves the double range
-    at larger ``N`` (by ``N = 512`` at ``|uv| = 8.7``).
+    for a real point and ``(N, N)`` for a non-real one; inside the disk
+    ``d = 1``. Outside it ``d = ((z/|z|)^N, (conj z/|z|)^N)``, the phase the
+    finite kernel keeps, which is ``sgn(x)^N`` twice at a real point ``x``; the
+    ``entry11_scaled`` row compares the (1,1) entry, phase removed, with
+    :func:`dsn_limit`. That regime takes ``N <= 64``: the row's factor
+    ``|uv|^s`` leaves the double range at larger ``N`` (by ``N = 512`` at
+    ``|uv| = 8.7``).
     """
     if not N_list or list(N_list) != sorted(set(N_list)):
         raise DomainError(f"N_list must be non-empty and strictly increasing, got {list(N_list)}")
@@ -526,7 +527,7 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
         P = EnsembleParams(N, s)
         lam_N = P.lam
         c_N = s - N
-        errs, pairs = {}, grid
+        errs = {}
         A, at, d = None, (lambda z: z), (lambda z: (1.0, 1.0))
         if spec.regime == "circle_complex":
             zeta = complex(spec.anchor)
@@ -542,14 +543,13 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
         elif spec.regime == "inside_disk":
             A = disk_handle()
         else:
-            A = outside_handle(c_N)
+            A, d = outside_handle(c_N), (lambda z: ((z / abs(z)) ** N, (np.conj(z) / abs(z)) ** N))
             errs["entry11_scaled"] = max(
                 abs(abs(x * y) ** s / (x * y) ** N * kappa_n(P, x, y) / (s - N)
                     - dsn_limit(lam_N, c_N, x, y)) for x, y in grid)
-            pairs = [(x, y) for x, y in grid if _is_real_arg(x) and _is_real_arg(y)]
-        if A is not None and pairs:
+        if A is not None:
             diff = [matrix_kernel(P, at(z), at(w)).as_array() / np.outer(d(z), d(w))
-                    - assemble_matrix(A, z, w).as_array() for z, w in pairs]
+                    - assemble_matrix(A, z, w).as_array() for z, w in grid]
             errs.update(zip(("entry11", "entry12", "entry21", "entry22"),
                             np.abs(diff).max(axis=0).ravel()))
         row = {"regime": spec.regime, "N": N, "s": s,

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConditioningError, DomainError, PairingError
 from .polys import PolyCoeffs
 
+_REAL_TOL = 1e-9  # roots_classify: a root with |Im r| <= this (1 + |r|) is real
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -110,18 +112,16 @@ def sample(cfg: SamplerConfig):
             yield p
 
 
-def roots_classify(p: PolyCoeffs, tol: float = 1e-9) -> RootSet:
+def roots_classify(p: PolyCoeffs) -> RootSet:
     """Split the roots into reals and conjugate-pair representatives.
 
     Roots with small imaginary part (relative to their magnitude) are snapped
     to the real axis; the rest are greedily matched with their nearest
-    conjugate.
+    conjugate, within ``1e-6 (1 + |z|)``.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     roots = p.roots
     # np.hypot, not np.abs: it rounds |r| as the scalar abs(r) does
-    real = np.abs(roots.imag) <= tol * (1.0 + np.hypot(roots.real, roots.imag))
+    real = np.abs(roots.imag) <= _REAL_TOL * (1.0 + np.hypot(roots.real, roots.imag))
     reals, complexes = roots.real[real].tolist(), roots[~real]
     uppers = complexes[complexes.imag > 0].tolist()
     lowers = complexes[complexes.imag < 0].tolist()
@@ -131,7 +131,7 @@ def roots_classify(p: PolyCoeffs, tol: float = 1e-9) -> RootSet:
     for z in uppers:
         dist = [abs(np.conj(z) - w) for w in lowers]
         k = int(np.argmin(dist))
-        if dist[k] > max(tol * (1.0 + abs(z)) * 1e3, 1e-6 * (1.0 + abs(z))):
+        if dist[k] > 1e-6 * (1.0 + abs(z)):
             raise PairingError(
                 f"root {z} has no conjugate partner within tolerance")
         lowers.pop(k)

@@ -264,7 +264,8 @@ def omega(lam: float, tau) -> float:
     return np.where(re <= 0.0, 1.0, np.exp(-np.maximum(re, 0.0) / lam))
 
 
-def iota(z) -> complex:
-    """``i sgn(Im z)``: the phase attached to conjugating a nonreal argument."""
-    im = complex(z).imag
-    return 1j * ((im > 0.0) - (im < 0.0))
+def iota(z):
+    """``i sgn(Im z)``: the phase attached to conjugating a nonreal argument.
+    A complex for a scalar ``z``, an array for an array."""
+    phase = 1j * np.sign(np.imag(z))
+    return complex(phase) if np.ndim(phase) == 0 else phase

@@ -9,7 +9,9 @@ import pytest
 
 import mahler
 from mahler.cli import main
-from mahler.kernel import expected_in_exact
+from mahler.kernel import EnsembleParams, expected_in_exact, intensity_complex, intensity_real
+from mahler.limits import b_outside, kappa_xi
+from mahler.specfun import iota
 
 
 def run(args):
@@ -128,6 +130,53 @@ class TestGridCommands:
             pairs.sort()
             vals = [v for _, v in pairs]
             assert vals == sorted(vals, reverse=True)
+
+    @pytest.mark.parametrize("field", [
+        ["--N", "2", "--s", "5"], ["--N", "15", "--s", "inf"],
+        ["--regime", "circle_real", "--xi", "1", "--lam", "1"],
+        ["--regime", "circle_real", "--xi", "1", "--lam", "0.5"],
+        ["--regime", "circle_real", "--xi", "-1", "--lam", "1"],
+        ["--regime", "circle_real", "--xi", "-1", "--lam", "0.5"],
+        ["--regime", "outside", "--c", "1"], ["--regime", "outside", "--c", "2.5"]],
+        ids=["N2_s5", "N15_inf", "plus_one_lam1", "plus_one_lam05", "minus_one_lam1",
+             "minus_one_lam05", "outside_c1", "outside_c25"])
+    def test_intensity_rows_match_pointwise_library(self, field, tmp_path):
+        # the command evaluates a whole grid row per call; every row must be
+        # the library's value at that one point
+        out = tmp_path / "i.csv"
+        assert run(["intensity", *field, "--re-steps", "9", "--im-steps", "7",
+                    "--out", str(out)]) == 0
+        opts = dict(zip(field[::2], field[1::2]))
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (63, 3)
+        for x, y, val in rows:
+            z = complex(x, y)
+            if "--N" in opts:
+                P = EnsembleParams(int(opts["--N"]), float(opts["--s"]))
+                ref = intensity_real(P, x) if y == 0.0 else intensity_complex(P, z)
+            elif y == 0.0 or (opts["--regime"] == "outside" and abs(z) <= 1.0):
+                ref = 0.0
+            elif opts["--regime"] == "outside":
+                ref = (iota(z) * b_outside(float(opts["--c"]), z, z.conjugate())).real
+            else:
+                ref = (iota(z) * kappa_xi(float(opts["--lam"]), float(opts["--xi"]),
+                                          z, z.conjugate())).real
+            assert val == pytest.approx(ref, rel=1e-13, abs=0.0), (x, y)
+
+    @pytest.mark.parametrize("c", ["1", "2.5"])
+    def test_outside_field_is_zero_on_the_circle(self, c, tmp_path):
+        # the default grid holds 12 points on the circle; at 4 of them
+        # |z| rounds to 1 + 2.2e-16, where uv - 1 is rounding noise and the
+        # field printed 1.6e30 and 6.5e30 against 0 at their mirror points
+        out = tmp_path / "i.csv"
+        assert run(["intensity", "--regime", "outside", "--c", c, "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        field = rows[:, 2].reshape(21, 21)
+        np.testing.assert_allclose(field, field[::-1], rtol=1e-12, atol=0.0)
+        on_circle = np.abs(np.abs(rows[:, 0] + 1j * rows[:, 1]) - 1.0) < 1e-12
+        assert on_circle.sum() == 12
+        assert (rows[on_circle, 2] == 0.0).all()
+        assert 0.0 < field.max() < 1e3
 
     def test_intensity_requires_regime_or_ensemble(self):
         assert run(["intensity", "--re-steps", "2", "--im-steps", "2"]) == 2

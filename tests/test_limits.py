@@ -484,6 +484,9 @@ _UNCAPPED = [
                  [(0.3, -0.5), (0.1, 0.4), (0.2 + 0.3j, -0.4), (0.3 - 0.2j, 0.1 + 0.5j)],
                  id="inside_disk")]
 
+_OUTSIDE = (LimitKernelSpec("outside_disk", lam=1.0, c=1.0),
+            [(1.4, 1.8), (-1.5, 2.0), (1.5 + 0.5j, 2.0)])
+
 
 class TestConvergenceHarness:
     def test_spec_validation(self):
@@ -497,16 +500,22 @@ class TestConvergenceHarness:
         rows = convergence_report(spec, [(0.5, -0.3)], (8, 16))
         assert rows[0]["sup_error"] > rows[1]["sup_error"]
 
-    @pytest.mark.parametrize("spec,grid", _UNCAPPED + [pytest.param(
-        LimitKernelSpec("outside_disk", lam=1.0, c=1.0),
-        [(1.4, 1.8), (-1.5, 2.0), (1.5 + 0.5j, 2.0)], id="outside_disk")])
-    def test_whole_blocks_converge_at_rate_one(self, spec, grid):
-        # with the (2,1) entry's old sign, +ad, the fitted rate is 0.02 at +1
-        # and -0.01 inside the disk
-        rows = convergence_report(spec, grid, (16, 32, 64))
+    @pytest.mark.parametrize("spec,grid,n_list", [
+        pytest.param(*case.values, (16, 32, 64), id=case.id) for case in _UNCAPPED] + [
+        pytest.param(*_OUTSIDE, (16, 32, 64), id="outside_disk"),
+        pytest.param(*_OUTSIDE, (15, 31, 63), id="outside_disk_odd_n")])
+    def test_whole_blocks_converge_at_rate_one(self, spec, grid, n_list):
+        """Rate one at every pair of the grid, real and non-real.
+
+        With the (2,1) entry's old sign, +ad, the fitted rate is 0.02 at +1
+        and -0.01 inside the disk. Outside, the finite blocks keep the phase
+        ``(z/|z|)^N``: compared without dividing it out, the odd-N errors
+        stall at 0.33, since a real point's ``sgn(x)^N`` flips sign.
+        """
+        rows = convergence_report(spec, grid, n_list)
         assert all("entry21" in row for row in rows)
         errs = [row["sup_error"] for row in rows]
-        rate = -np.polyfit(np.log([16, 32, 64]), np.log(errs), 1)[0]
+        rate = -np.polyfit(np.log(n_list), np.log(errs), 1)[0]
         assert 0.8 <= rate <= 1.2
 
     def test_ratio_sums_errors_decrease(self):
