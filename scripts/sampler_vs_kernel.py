@@ -50,10 +50,8 @@ def main() -> None:
           f"mean real-root count {mean_real:.4f}")
     print(f"{'bin':>16} {'observed':>10} {'expected':>10} {'stderr':>9}")
     for j in range(edges.size - 1):
-        expect, _ = adaptive(
-            lambda x: np.array([intensity_real(P, float(t))
-                                for t in np.atleast_1d(x)]),
-            float(edges[j]), float(edges[j + 1]), tol=1e-9)
+        expect, _ = adaptive(lambda x: intensity_real(P, x),
+                             float(edges[j]), float(edges[j + 1]), tol=1e-9)
         obs = rows[:, j].mean()
         se = rows[:, j].std(ddof=1) / math.sqrt(n)
         print(f"[{edges[j]:+6.2f},{edges[j + 1]:+6.2f}] {obs:>10.5f} "

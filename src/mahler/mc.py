@@ -7,9 +7,10 @@ measure stays at most 1 (uniform sampling of the monic star body); at finite
 ``s`` the acceptance ratio is the Mahler-measure power ``(M'/M)^{-s}``.
 Proposals are never auto-rejected silently: a rejected step re-emits the
 current state, which is what keeps the chain's invariant density correct.
-Each proposal is solved once, by the eigenvalues of the companion matrix
-``np.roots`` would build. ``roots_classify`` and ``mahler_measure`` read
-``PolyCoeffs.roots``, which ``sample`` fills in for each state it emits.
+Each proposal is solved once, by the LAPACK ``dgeev`` call behind
+``np.roots``; a non-finite Mahler measure raises ``ConditioningError``.
+``roots_classify`` and ``mahler_measure`` read ``PolyCoeffs.roots``, which
+``sample`` fills in for each state it emits.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals as _eigvals  # unchecked dgeev
 
 from .errors import ConditioningError, DomainError, PairingError
 from .polys import PolyCoeffs
@@ -41,8 +43,8 @@ class SamplerConfig:
             raise DomainError("N must be positive")
         if not (math.isinf(self.s) or self.s > self.N):
             raise DomainError("requires s > N (or s = inf)")
-        if self.step_length <= 0:
-            raise DomainError("step_length must be positive")
+        if not 0 < self.step_length < math.inf:
+            raise DomainError("step_length must be positive and finite")
         if self.steps < self.burn_in or self.burn_in < 0:
             raise DomainError("need steps >= burn_in >= 0")
         if self.thin < 1:
@@ -62,10 +64,9 @@ def mahler_measure(p: PolyCoeffs, cross_check: bool = False) -> float:
     average of ``log |p|`` (512-node trapezoid); the slow convergence of that
     average for roots near the circle is why the check is opt-in.
     """
-    c = np.asarray(p.coeffs, dtype=float)
-    roots = p.roots
-    lead = np.trim_zeros(c, trim="b")[-1]
-    val = abs(lead) * float(np.prod(np.maximum(1.0, np.abs(roots))))
+    roots = p.roots     # DomainError at the zero polynomial
+    lead = np.trim_zeros(np.asarray(p.coeffs, dtype=float), trim="b")[-1]
+    val = abs(lead) * _root_product(roots)
     if cross_check:
         n = 512
         theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
@@ -75,6 +76,10 @@ def mahler_measure(p: PolyCoeffs, cross_check: bool = False) -> float:
             raise ConditioningError(
                 f"root-product {val:.8g} vs circle-average {jensen:.8g}")
     return val
+
+
+def _root_product(roots: np.ndarray) -> float:  # monic Mahler measure
+    return float(np.maximum(np.abs(roots), 1.0).prod())
 
 
 def sample(cfg: SamplerConfig):
@@ -89,15 +94,19 @@ def sample(cfg: SamplerConfig):
     b, roots, m_cur = np.zeros(N), np.zeros(N), 1.0     # z^N: N roots at 0
     for step in range(cfg.steps):
         direction = rng.standard_normal(N)
-        norm = float(np.linalg.norm(direction))
+        norm = math.sqrt(direction @ direction)
         radius = rng.random() ** (1.0 / N)
         prop = b + cfg.step_length * radius * direction / norm
         if prop[0] == 0.0:      # np.roots splits the zero roots off first
             r_prop = np.roots(np.append(prop, 1.0)[::-1])
         else:
             np.negative(prop[::-1], out=companion[0])
-            r_prop = np.linalg.eigvals(companion)
-        m_prop = float(np.prod(np.maximum(1.0, np.abs(r_prop))))
+            r_prop = _eigvals(companion, signature="d->D")
+            if not np.count_nonzero(r_prop.imag):  # np.linalg.eigvals' real cast
+                r_prop = r_prop.real
+        m_prop = _root_product(r_prop)
+        if not math.isfinite(m_prop):
+            raise ConditioningError(f"step {step}: Mahler measure {m_prop}")
         if math.isinf(cfg.s):
             accept = m_prop <= 1.0 + 1e-12
         else:
@@ -106,7 +115,7 @@ def sample(cfg: SamplerConfig):
         if accept:
             b, m_cur, roots = prop, m_prop, r_prop
         if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
-            p = PolyCoeffs(tuple(b) + (1.0,))
+            p = PolyCoeffs((*b.tolist(), 1.0))
             roots.flags.writeable = False
             vars(p)["roots"] = roots    # the cached_property, already solved
             yield p
@@ -116,27 +125,19 @@ def roots_classify(p: PolyCoeffs) -> RootSet:
     """Split the roots into reals and conjugate-pair representatives.
 
     Roots with small imaginary part (relative to their magnitude) are snapped
-    to the real axis; the rest are greedily matched with their nearest
-    conjugate, within ``1e-6 (1 + |z|)``.
+    to the real axis. ``dgeev`` returns the non-real roots of a real matrix
+    in exactly conjugate pairs, upper root first, so the lower roots in solver
+    order must be exactly the conjugates of the upper ones.
     """
     roots = p.roots
     # np.hypot, not np.abs: it rounds |r| as the scalar abs(r) does
     real = np.abs(roots.imag) <= _REAL_TOL * (1.0 + np.hypot(roots.real, roots.imag))
-    reals, complexes = roots.real[real].tolist(), roots[~real]
-    uppers = complexes[complexes.imag > 0].tolist()
-    lowers = complexes[complexes.imag < 0].tolist()
-    if len(uppers) != len(lowers):
-        raise PairingError("unequal numbers of upper and lower roots")
-    pairs = []
-    for z in uppers:
-        dist = [abs(np.conj(z) - w) for w in lowers]
-        k = int(np.argmin(dist))
-        if dist[k] > 1e-6 * (1.0 + abs(z)):
-            raise PairingError(
-                f"root {z} has no conjugate partner within tolerance")
-        lowers.pop(k)
-        pairs.append(z)
-    return RootSet(tuple(sorted(reals)), tuple(pairs))
+    complexes = roots[~real]
+    upper = complexes.imag > 0
+    uppers, lowers = complexes[upper], complexes[~upper]
+    if uppers.size != lowers.size or np.count_nonzero(lowers != uppers.conj()):
+        raise PairingError("non-real roots are not exact conjugate pairs")
+    return RootSet(tuple(sorted(roots.real[real].tolist())), tuple(uppers.tolist()))
 
 
 @dataclass(frozen=True)
@@ -225,8 +226,7 @@ def write_samples_csv(path: str, cfg: SamplerConfig, samples) -> int:
     n = 0
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "index"]
-                        + [f"c{k}" for k in range(cfg.N + 1)])
+        writer.writerow(["seed", "index"] + [f"c{k}" for k in range(cfg.N + 1)])
         for i, p in enumerate(samples):
             writer.writerow([cfg.seed, i] + [_fmt(c) for c in p.coeffs])
             n += 1

@@ -164,10 +164,8 @@ def test_criterion_09_monte_carlo_consistency():
     n_samp = rows.shape[0]
     P = EnsembleParams(4, 8.0)
     for j in range(edges.size - 1):
-        expect, _ = adaptive(
-            lambda x: np.array([intensity_real(P, float(t))
-                                for t in np.atleast_1d(x)]),
-            float(edges[j]), float(edges[j + 1]), tol=1e-9)
+        expect, _ = adaptive(lambda x: intensity_real(P, x),
+                             float(edges[j]), float(edges[j + 1]), tol=1e-9)
         obs = rows[:, j].mean()
         sigma = rows[:, j].std(ddof=1) / math.sqrt(n_samp)
         chi2 = ((obs - expect) / sigma) ** 2

@@ -237,6 +237,14 @@ class TestSampleCommand:
         assert run(["sample", "--N", "2", "--s", "abc", "--out",
                     str(out)]) == 2
 
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_non_finite_step_length_rejected(self, tmp_path, step):
+        # a non-finite step would reach the eigensolver, which checks nothing
+        out = tmp_path / "x.csv"
+        assert run(["sample", "--N", "2", "--s", "5", "--step-length", step,
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestValidateCommand:
     def test_battery_passes(self, capsys):

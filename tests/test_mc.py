@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahler.errors import DomainError, PairingError
+from mahler import mc
+from mahler.errors import ConditioningError, DomainError, PairingError
 from mahler.mc import (RootSet, SamplerConfig, empirical_stats,
                        mahler_measure, roots_classify, sample,
                        write_samples_csv)
@@ -62,12 +63,33 @@ class TestRootsClassify:
         assert rs.pairs == ()
         assert rs.reals == pytest.approx((2.0, 3.0), abs=1e-10)
 
-    @given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=7))
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_counts_add_up(self, coeffs):
         p = PolyCoeffs(tuple(coeffs) + (1.0,))
         rs = roots_classify(p)
         assert len(rs.reals) + 2 * len(rs.pairs) == len(coeffs)
+
+    @pytest.mark.parametrize("base", [(1.0, 0.0, 1.0), (1.0, 1.0), (-1.0, 1.0),
+                                      (1.0, 0.0, 0.0, 0.0, 1.0)],
+                             ids=["z2+1", "z+1", "z-1", "z4+1"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_counts_add_up_at_repeated_roots(self, base, k):
+        # (z^2+1)^k, (z+-1)^k, (z^4+1)^k: clusters of k roots, which the
+        # solver spreads; every non-real one must still find its conjugate
+        coeffs = np.polynomial.polynomial.polypow(base, k)
+        rs = roots_classify(PolyCoeffs(tuple(coeffs)))
+        assert len(rs.reals) + 2 * len(rs.pairs) == len(coeffs) - 1
+        assert all(z.imag > 0 for z in rs.pairs)
+
+    @pytest.mark.parametrize("roots", [
+        (1j, -1j + 1e-12), (2j, -1j), (1j, 1j), (1j, complex("nan")),
+        (1j, -1j, 0.5 + 1j)])
+    def test_unpaired_roots_raise(self, roots):
+        p = PolyCoeffs((1.0, 0.0, 1.0))
+        vars(p)["roots"] = np.array(roots, dtype=complex)
+        with pytest.raises(PairingError):
+            roots_classify(p)
 
 
 def _reference_walk(cfg):
@@ -96,7 +118,8 @@ def _reference_walk(cfg):
 
 def _reference_classify(coeffs, tol=1e-9):
     """Root split from ``np.roots`` of the coefficients, one root at a time
-    (pairs are the upper roots in solver order, as the greedy match keeps)."""
+    (pairs are the upper roots in solver order, as ``roots_classify`` keeps
+    them)."""
     reals, uppers = [], []
     for r in np.roots(np.asarray(coeffs, dtype=float)[::-1]):
         if abs(r.imag) <= tol * (1.0 + abs(r)):
@@ -109,7 +132,8 @@ def _reference_classify(coeffs, tol=1e-9):
 class TestSampler:
     @pytest.mark.parametrize("N,s,thin,burn_in", [
         (1, math.inf, 3, 0), (2, math.inf, 2, 0), (4, math.inf, 5, 0),
-        (20, math.inf, 3, 0), (4, 8.0, 4, 30), (20, 40.0, 1, 0)])
+        (20, math.inf, 3, 0), (4, 8.0, 4, 30), (20, 40.0, 1, 0),
+        (3, 7.0, 2, 10), (1, 3.0, 1, 0)])
     def test_states_and_roots_match_np_roots_route(self, N, s, thin, burn_in):
         for seed in (1, 7, 23):
             cfg = SamplerConfig(N=N, s=s, step_length=0.25 if N == 20 else 0.5,
@@ -177,8 +201,20 @@ class TestSampler:
             SamplerConfig(N=2, s=1.5)
         with pytest.raises(DomainError):
             SamplerConfig(N=2, s=5.0, step_length=0.0)
+        for step in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                SamplerConfig(N=2, s=5.0, step_length=step)
         with pytest.raises(DomainError):
             SamplerConfig(N=2, s=5.0, steps=10, burn_in=20)
+
+    def test_non_finite_measure_raises(self, monkeypatch):
+        # LAPACK leaves NaN where dgeev does not converge
+        def eigvals(a, signature):
+            return np.full(len(a), complex("nan"))
+        monkeypatch.setattr(mc, "_eigvals", eigvals)
+        cfg = SamplerConfig(N=3, s=7.0, steps=10, burn_in=0, seed=1)
+        with pytest.raises(ConditioningError, match="step 0"):
+            next(sample(cfg))
 
     def test_chain_matches_target_density(self):
         # compare box probabilities of (b0, b1) for z^2 + b1 z + b0 against
