@@ -55,10 +55,8 @@ from .limits import (
     xi_handle,
 )
 from .mc import (
-    EmpiricalStats,
     RootSet,
     SamplerConfig,
-    empirical_stats,
     mahler_measure,
     roots_classify,
     sample,

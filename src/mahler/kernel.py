@@ -1,10 +1,15 @@
-"""Finite-N Pfaffian machinery for the real ensemble.
+"""Finite-N Pfaffian machinery for the real ensemble, and the one 2x2 block
+rule of every matrix kernel in the package.
 
-The scalar kernel is the antisymmetric bilinear combination of weighted
-skew-orthogonal polynomials; the 2x2 matrix kernel applies the eps-operator
-in either slot with species dispatch (closed forms on the real line,
-``i sgn(Im) f(conj .)`` off it) and carries the odd-N correction terms.
-Correlation functions are Pfaffians of block matrices of kernel values.
+A point enters a 2x2 block through its side: two rows and their boundary
+scalars ``beta``, ``gamma``. A real point brings a value row and an eps row, a
+non-real ``z`` its row at ``z`` and ``i sgn(Im z)`` times its row at ``conj z``.
+A kernel supplies its sides and a pairing of rows, and :func:`block` forms
+``pair + gamma_u beta_v^T - beta_u gamma_v^T``, plus ``(1/2) sgn(x - y)`` in
+the (2,2) slot at two real points. The finite kernel's rows are the weighted
+skew-orthogonal family and its eps-transforms under the skew pairing; for odd
+N the top member enters through ``beta`` and ``gamma``. Correlation
+functions are Pfaffians of block matrices of kernel values.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,91 +118,108 @@ def _family(tab: _Tables, u):
     return pe, po
 
 
-class _Features:
-    """Values of the weighted family and its eps-transform at one argument.
-
-    ``pe``, ``po`` as returned by :func:`_family`, and ``epe``, ``epo`` their
-    eps-transforms: the matrices times the closed-form monomial transforms
-    for real arguments, ``i sgn(Im u) conj(.)`` for complex ones (the cores
-    are real and the weight depends on ``|u|`` only). Vectorized over arrays
-    of one species.
-    """
-
-    def __init__(self, tab: _Tables, u, is_real: bool):
-        u = np.asarray(u, dtype=float if is_real else complex)
-        self.pe, self.po = _family(tab, u)
-        if is_real:
-            eps = eps_monomials(np.arange(tab.N), tab.s, u.ravel())
-            self.epe = (tab.even @ eps[0::2]).reshape(self.pe.shape)
-            self.epo = (tab.odd @ eps[1::2]).reshape(self.po.shape)
-            self.chi = 1.0
-        else:
-            phase = iota(u)
-            self.epe = phase * np.conj(self.pe)
-            self.epo = phase * np.conj(self.po)
-            self.chi = 0.0
-
-
 def _is_real_arg(u) -> bool:
     return abs(complex(u).imag) == 0.0
 
 
-def _pair_sum(tab: _Tables, au, bu, av, bv):
-    """``2 sum_{j<J} [au_j bv_j - av_j bu_j]`` over even-family values
-    ``au/av`` and odd-family values ``bu/bv`` (the odd-N correction is in
-    the table rows)."""
-    J = tab.J
-    return 2.0 * np.sum(au[:J] * bv - av[:J] * bu, axis=0)
+class Side(NamedTuple):
+    """The sides of a set of points, the points' axes trailing in every field
+    so that :meth:`at` selects or reshapes them: the two rows over ``n``
+    nodes in ``P`` and ``Q``, ``(2, n, ...)``, read only by the kernel's
+    pairing; the rows' boundary scalars ``beta`` and ``gamma``, ``(2, ...)``;
+    each point's real part ``x``, and ``real`` marking the real points."""
+
+    P: np.ndarray
+    Q: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    x: np.ndarray
+    real: np.ndarray
+
+    def at(self, *index) -> Side:
+        return Side(*(f[(Ellipsis,) + index] for f in self))
+
+
+def block(pair, su: Side, sv: Side) -> np.ndarray:
+    """The 2x2 kernel blocks ``(2, 2, ...)`` between the points of two sides
+    with as many point axes, broadcast over them: ``pair(su, sv) + gamma_u
+    beta_v^T - beta_u gamma_v^T``, plus ``(1/2) sgn(x - y)`` in the (2,2) slot
+    when both points are real. ``K(v, u) = -K(u, v)^T`` when the pairing is
+    antisymmetric."""
+    K = pair(su, sv) + su.gamma[:, None] * sv.beta - su.beta[:, None] * sv.gamma
+    K[1, 1] += np.where(su.real & sv.real, 0.5 * np.sign(su.x - sv.x), 0.0)
+    return K
+
+
+def _skew_sum(pu, qu, pv, qv):
+    """``sum_n (pu_n qv_n - qu_n pv_n)`` over the leading axis."""
+    return np.einsum("n...,n...->...", pu, qv) - np.einsum("n...,n...->...", qu, pv)
+
+
+def skew_pair(su: Side, sv: Side):
+    """``sum_n c_n (P_u Q_v - Q_u P_v)`` between every row of ``su`` and of
+    ``sv``, the node weights ``c_n`` carried in ``Q``: the pairing of every
+    kernel but the limit outside the disk."""
+    return (np.einsum("an...,bn...->ab...", su.P, sv.Q)
+            - np.einsum("an...,bn...->ab...", su.Q, sv.P))
+
+
+def _side(tab: _Tables, u) -> Side:
+    """The finite kernel's sides of the points ``u`` (any shape).
+
+    The rows are ``(w pi_{2j}, w pi_{2j+1})``, ``j < J``, and their
+    eps-transforms, with the weight 2 in ``Q``. At a real point the eps row
+    is the coefficient matrices times the closed-form monomial transforms; at
+    a non-real one it is ``i sgn(Im u) conj(.)`` of the first row, as the
+    cores are real and the weight depends on ``|u|`` only. For odd ``N`` the
+    top member enters through ``beta = -(w pi_{2J}, eps w pi_{2J}) /
+    s_{2J}`` and ``gamma = (0, 1)`` at a real point, ``0`` at a non-real one.
+    """
+    u = np.asarray(u)
+    real = u.imag == 0.0
+    if u.dtype.kind != "c" or real.all():
+        u = u.real          # real points run in real arithmetic
+    pe, po = _family(tab, u)
+    if u.dtype.kind != "c":
+        epe, epo = _eps_rows(tab, u)
+    else:
+        phase = iota(u)
+        epe, epo = phase * np.conj(pe), phase * np.conj(po)
+        if real.any():
+            epe[:, real], epo[:, real] = _eps_rows(tab, u[real].real)
+    E, J, zero = np.array([pe, epe]), tab.J, np.zeros(u.shape)
+    beta = E[:, J] / -tab.s2J if tab.odd_N else np.array([zero, zero])
+    return Side(E[:, :J], np.array([po, epo]) * 2.0, beta, np.array([zero, real]), u.real, real)
+
+
+def _eps_rows(tab: _Tables, x):
+    """The eps-transforms of the family at the real points ``x``."""
+    eps = eps_monomials(np.arange(tab.N), tab.s, x.ravel())
+    return ((tab.even @ eps[0::2]).reshape(tab.even.shape[:1] + x.shape),
+            (tab.odd @ eps[1::2]).reshape((tab.J,) + x.shape))
 
 
 def kappa_n(P: EnsembleParams, u, v):
     """Scalar kernel (the (1,1) entry), including the weights; vectorized."""
     tab = _tables(P.N, P.s)
     u, v = np.broadcast_arrays(u, v)
-    return _pair_sum(tab, *_family(tab, u), *_family(tab, v))
-
-
-def _entry_12(tab: _Tables, fu: _Features, fv: _Features):
-    """kappa eps (eps in the second slot) plus the odd-N chi term."""
-    val = _pair_sum(tab, fu.pe, fu.po, fv.epe, fv.epo)
-    if tab.odd_N:
-        val = val + fu.pe[tab.J] * fv.chi / tab.s2J
-    return val
-
-
-def _entry_22(tab: _Tables, fu: _Features, fv: _Features):
-    """eps kappa eps, plus odd-N chi terms (the sgn term is added by callers)."""
-    val = _pair_sum(tab, fu.epe, fu.epo, fv.epe, fv.epo)
-    if tab.odd_N:
-        val = val + (fu.epe[tab.J] * fv.chi - fv.epe[tab.J] * fu.chi) / tab.s2J
-    return val
+    (peu, pou), (pev, pov) = _family(tab, u), _family(tab, v)
+    return 2.0 * _skew_sum(peu[:tab.J], pou, pev[:tab.J], pov)
 
 
 def matrix_kernel(P: EnsembleParams, u, v) -> KernelValue2x2:
-    """The 2x2 matrix kernel at a pair of scalar arguments.
-
-    The (2,2) entry carries ``(1/2) sgn(u - v)`` only when both arguments are
-    real; the (2,1) entry is ``-(1,2)`` with the arguments swapped, which is
-    the antisymmetry of the block kernel.
-    """
-    tab = _tables(P.N, P.s)
-    ur, vr = _is_real_arg(u), _is_real_arg(v)
-    fu = _Features(tab, complex(u).real if ur else u, ur)
-    fv = _Features(tab, complex(v).real if vr else v, vr)
-    e11 = _pair_sum(tab, fu.pe, fu.po, fv.pe, fv.po)
-    e12 = _entry_12(tab, fu, fv)
-    e21 = -_entry_12(tab, fv, fu)
-    e22 = _entry_22(tab, fu, fv)
-    if ur and vr:
-        e22 = e22 + 0.5 * np.sign(complex(u).real - complex(v).real)
-    return KernelValue2x2(complex(e11), complex(e12), complex(e21), complex(e22))
+    """The 2x2 matrix kernel at a pair of scalar arguments: :func:`block` of
+    their sides, built in one call."""
+    side = _side(_tables(P.N, P.s), np.array([u, v]))
+    K = block(skew_pair, side.at(0), side.at(1))
+    return KernelValue2x2(*K.astype(complex).ravel().tolist())
 
 
 def intensity_real(P: EnsembleParams, x):
-    """Density of real roots ``R_{1,0}(x)``; vectorized over real ``x``."""
-    tab = _tables(P.N, P.s)
-    f = _Features(tab, np.asarray(x, dtype=float), True)
-    return np.real(_entry_12(tab, f, f))
+    """Density of real roots ``R_{1,0}(x)``, the (1,2) entry of the block at
+    ``(x, x)``; vectorized over real ``x``."""
+    side = _side(_tables(P.N, P.s), np.asarray(x, dtype=float))
+    return block(skew_pair, side, side)[0, 1][()]
 
 
 def intensity_complex(P: EnsembleParams, z):
@@ -208,8 +230,8 @@ def intensity_complex(P: EnsembleParams, z):
     tab = _tables(P.N, P.s)
     z = np.asarray(z, dtype=complex)
     pe, po = _family(tab, z)
-    val = iota(z) * _pair_sum(tab, pe, po, np.conj(pe), np.conj(po))
-    return np.real(val)
+    pe = pe[:tab.J]
+    return np.real(iota(z) * 2.0 * _skew_sum(pe, po, np.conj(pe), np.conj(po)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,28 +298,17 @@ def pfaffian(A) -> complex:
 def correlation(P: EnsembleParams, pts: PointConfig) -> float:
     """Correlation function: Pfaffian of the block matrix of kernel values.
 
-    Real points first, then upper-half-plane points: one feature build per
-    species, broadcast over all pairs. The result must be real up to a small
-    imaginary residual, which is checked and discarded.
+    Real points first, then upper-half-plane points: one side build for all
+    of them and one :func:`block` call over all pairs. The result must be
+    real up to a small imaginary residual, which is checked and discarded.
     """
-    x = np.array(pts.reals, dtype=float)
-    l, m = x.size, x.size + len(pts.uppers)
-    if l + 2 * len(pts.uppers) > P.N:
+    u = np.concatenate([np.array(pts.reals, dtype=float), np.array(pts.uppers, dtype=complex)])
+    if len(pts.reals) + 2 * len(pts.uppers) > P.N:
         raise DomainError("more points than roots: l + 2m must be <= N")
-    tab = _tables(P.N, P.s)
-    fr = _Features(tab, x, True)
-    fc = _Features(tab, np.array(pts.uppers, dtype=complex), False)
-    f = {k: np.concatenate([getattr(fr, k), getattr(fc, k)], axis=-1)
-         for k in ("pe", "po", "epe", "epo")}
-    f["chi"] = np.repeat([1.0, 0.0], [l, m - l])
-    fu = SimpleNamespace(**{k: v[..., :, None] for k, v in f.items()})
-    fv = SimpleNamespace(**{k: v[..., None, :] for k, v in f.items()})
-    e12, e22 = _entry_12(tab, fu, fv), _entry_22(tab, fu, fv)
-    e22[:l, :l] += 0.5 * np.sign(x[:, None] - x[None, :])
-    M = np.stack([np.stack([_pair_sum(tab, fu.pe, fu.po, fv.pe, fv.po), e12], -1),
-                  np.stack([-e12.T, e22], -1)], 1).reshape(2 * m, 2 * m)
-    M = np.triu(M, 1)       # the strict upper triangle fixes the rest
-    val = pfaffian(M - M.T)
+    side = _side(_tables(P.N, P.s), u)
+    K = block(skew_pair, side.at(slice(None), None), side.at(None, slice(None)))
+    M = np.triu(K.transpose(2, 0, 3, 1).reshape(2 * u.size, 2 * u.size), 1)
+    val = pfaffian(M - M.T)     # the strict upper triangle fixes the rest
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise ResidualError(f"correlation has imaginary residual {val.imag:.3e}")
     return float(val.real)

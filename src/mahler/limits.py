@@ -5,18 +5,17 @@ Four regimes: scaled limits at a non-real unit-circle anchor (a scalar
 determinantal kernel), scaled limits at the real anchors +-1 (a genuinely
 Pfaffian family built from a confluent hypergeometric function), and the two
 unscaled regimes inside and outside the closed unit disk. Each Pfaffian
-regime has one handle ``A(u, v) -> (a, da, ad, dad)``: the antiderivative
-kernel and its closed-form slot derivatives from one shared setup, which
-plug into the species-dispatched 2x2 assembly. Each regime has one node set:
-the 96-node Gauss–Legendre rule on [0, 1] at the circle, on panels of the
-angle inside the disk, and outside a 48-node Gauss–Jacobi rule per real point.
-At +-1 a real point's side runs in real arithmetic on one symmetric half of
-its grid of node products.
+regime has one handle ``handle(pts) -> (side, pair)``: the sides of a
+block's points, each built once, and the regime's pairing, which
+:func:`mahler.kernel.block` turns into 2x2 blocks. Each regime has one node
+set: the 96-node Gauss–Legendre rule on [0, 1] at the circle, on panels of
+the angle inside the disk, and outside a 48-node Gauss–Jacobi rule per real
+point. At +-1 a real point's side runs in real arithmetic on one symmetric
+half of its grid of node products.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -25,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .kernel import (EnsembleParams, KernelValue2x2, _is_real_arg, kappa_n,
-                     matrix_kernel, sum_k)
+from .kernel import (EnsembleParams, KernelValue2x2, Side, _is_real_arg, _skew_sum,
+                     block, kappa_n, matrix_kernel, skew_pair, sum_k)
 from .quadrature import leg_nodes
 from .specfun import (_gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
                       gamma_ratio_table, iota, omega)
@@ -39,14 +38,6 @@ _INSIDE_TERMS = 200  # terms of each binomial series in sum_inside_limit
 def _unit_nodes():
     x, w = leg_nodes(_ORDER)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _check_real(name: str, *pts) -> None:
-    """Raise :class:`DomainError` unless every point is real: ``name``
-    integrates along the real line up to each of them."""
-    for z in pts:
-        if not _is_real_arg(z):
-            raise DomainError(f"{name} needs real arguments, got {z}")
 
 
 @dataclass(frozen=True)
@@ -144,61 +135,65 @@ def kappa_xi(lam: float, xi: float, u, v):
     return val
 
 
-def _entries(u, v, a, da, ad, dad):
-    """A handle's ``(a, da, ad, dad)`` from zero-argument evaluators: a value
-    that integrates along the real line in a slot holding a non-real point is
-    ``None``, so ``a`` needs both points real, ``da`` needs ``v`` real and
-    ``ad`` needs ``u`` real."""
-    ur, vr = _is_real_arg(u), _is_real_arg(v)
-    return (complex(a()) if ur and vr else None, complex(da()) if vr else None,
-            complex(ad()) if ur else None, complex(dad()))
+def _stack(sides) -> Side:
+    """One :class:`Side` of the points whose sides are ``sides``."""
+    fields = (np.array(f) for f in zip(*sides))
+    return Side(*(f.transpose(*range(1, f.ndim), 0) for f in fields))
 
 
 def xi_handle(lam: float, xi: float):
-    """The regime at the real anchor ``xi = +-1`` as ``A(u, v) -> (a, da, ad,
-    dad)``; see :func:`_entries` for the ``None`` slots.
+    """The regime at the real anchor ``xi = +-1`` as ``handle(pts) -> (side,
+    pair)``, one :func:`big_m_pair` call per point.
 
-    One side per argument and one kappa matrix between the two sides. A
-    non-real point's side is :func:`_xi_side` of the point. A real point
-    ``x`` needs ``M, M'`` at ``x xi tau_k`` (row 0) and, for the nodes of
-    ``[0, x]``, at ``x xi t_j tau_k``; ``t`` and ``tau`` are one node set, so
-    that block is symmetric. Its side is one real :func:`big_m_pair` call on
-    row 0 and the upper triangle (:func:`_half_grid`), spread over the block,
-    and a real/real kappa matrix is a real matrix product. ``a`` is the
-    double integral of the scaled scalar kernel over ``[0,u] x [0,v]`` plus
-    the anchoring boundary terms ``(omega(xi u)/4) int_0^1 (1 - lam t) M(u
-    xi t) dt``, and ``dad`` is ``kappa_xi(u, v)``.
+    A point's values are ``(omega M', omega M)`` at ``M, M'`` of ``u xi
+    tau`` on the unit nodes, skew-paired with the weights ``(xi/4) tau (1 -
+    lam tau)`` of :func:`kappa_xi`. A real point ``x`` has the rows ``delta_x``
+    and ``-x`` times the ``[0, x]`` rule, which needs ``M, M'`` at ``x xi t_j
+    tau_k``; ``t`` and ``tau`` are one node set, so that block is symmetric
+    and comes from one real call on row 0 and the upper triangle
+    (:func:`_half_grid`). A non-real ``z`` has the rows ``z`` and ``iota(z)
+    conj(z)``. ``beta`` is the rows applied to the anchoring term ``omega
+    (1/4) int_0^1 (1 - lam t) M(u xi t) dt`` of the antiderivative kernel,
+    and ``gamma = (0, -1)`` at a real point, ``0`` at a non-real one.
     """
     _check_xi(xi)
     t, wt = _unit_nodes()
     grid, where = _half_grid()
-    core, edge = wt * t * (1.0 - lam * t), wt * (1.0 - lam * t)
+    edge = wt * (1.0 - lam * t)
+    weight = (xi / 4.0) * edge * t
 
     def side(u):
-        if _is_real_arg(u):
-            x = complex(u).real
-            m, mp = big_m_pair(x * xi * grid)
-            w, M, Mp = omega(lam, xi * np.append(x, x * t)), m[where], mp[where]
+        z = complex(u)
+        if z.imag == 0.0:
+            m, mp = big_m_pair(z.real * xi * grid)
+            w = omega(lam, xi * np.append(z.real, z.real * t))[:, None]
+            M, Mp, lift = w * m[where], w * mp[where], -z.real * wt
+            P, Q = np.stack([Mp[0], lift @ Mp[1:]]), np.stack([M[0], lift @ M[1:]])
+            gamma = (0.0, -1.0)
         else:
-            w, M, Mp = _xi_side(lam, xi, [u])
-        return w, M, Mp, w * (M @ edge) / 4.0, complex(u).real * wt
+            w, M, Mp = _xi_side(lam, xi, [z, z.conjugate()])
+            phase = np.array([[1.0], [iota(z)]]) * w[:, None]
+            P, Q = phase * Mp, phase * M
+            gamma = (0.0, 0.0)
+        return P, weight * Q, Q @ edge / 4.0, np.array(gamma), z.real, z.imag == 0.0
 
-    def A(u, v):
-        (wu, Mu, Mpu, bu, uw), (wv, Mv, Mpv, bv, vw) = side(u), side(v)
-        k = np.multiply.outer(wu, wv) * (xi / 4.0) \
-            * ((Mpu * core) @ Mv.T - (Mu * core) @ Mpv.T)
-        return _entries(
-            u, v, lambda: uw @ k[1:, 1:] @ vw + float(np.real(vw @ bv[1:] - uw @ bu[1:])),
-            lambda: k[0, 1:] @ vw - bu[0], lambda: uw @ k[1:, 0] + bv[0],
-            lambda: k[0, 0])
-    return A
+    return lambda pts: (_stack(side(u) for u in np.ravel(pts)), skew_pair)
+
+
+def _real_entry(handle, name: str, u, v):
+    """The antiderivative kernel of a regime at real ``u, v``, the (2,2) entry
+    of the block less its ``(1/2) sgn(u - v)``; ``name`` integrates along the
+    real line up to each point, so a non-real one raises :class:`DomainError`."""
+    for z in (u, v):
+        if not _is_real_arg(z):
+            raise DomainError(f"{name} needs real arguments, got {z}")
+    return assemble_matrix(handle, u, v).e22 - 0.5 * np.sign(complex(u).real - complex(v).real)
 
 
 def a_xi(lam: float, xi: float, a: float, b: float) -> complex:
     """Antiderivative kernel at the real anchors (see :func:`xi_handle`);
     both arguments must be real."""
-    _check_real("a_xi", a, b)
-    return xi_handle(lam, xi)(a, b)[0]
+    return _real_entry(xi_handle(lam, xi), "a_xi", a, b)
 
 
 def a_xi_iform(lam: float, xi: float, a: float, b: float) -> complex:
@@ -242,59 +237,64 @@ def _check_disk(inside: bool, *pts):
             raise DomainError(f"argument {z} not {where} unit disk")
 
 
-def _disk_factors(u, v):
-    """Check that ``u, v`` lie in the open unit disk and return the weights
-    of ``(1/(4 pi)) int_0^{2 pi} d theta`` and the factors ``p = sqrt(-tau)``,
-    ``q = conj(p)``, ``tau``, ``conj(tau)``, ``ru = (1 - u^2 conj(tau))^{-1/2}``
-    and ``rv = (1 - v^2 tau)^{-1/2}`` at its nodes ``tau = e^{i theta}``.
+def _disk_rows(pts):
+    """The disk regime's values ``P = (1 - z^2 conj tau)^{-1/2}`` and ``Q = c z
+    (1 - z^2 tau)^{-1/2}`` and their ``z``-derivatives, nodes by points, with
+    ``c`` the weights of ``(1/(4 pi)) int_0^{2 pi} sqrt(-tau) d theta`` at
+    ``tau = e^{i theta}``: the skew sums of the values and of the derivatives
+    are ``a_disk`` and ``dad_disk``.
 
     The nodes are the unit Gauss–Legendre rule on ``theta in (0, 2 pi)``: the
     integrands are analytic on a neighbourhood of the closed interval, whose
     ends sit on the cut of ``sqrt(-tau)``, so the rule converges
-    geometrically. Panels end at ``2 arg u`` and ``-2 arg v``, the real parts
-    of the branch points of ``ru`` and ``rv``, which complex ``u`` or ``v``
-    would otherwise put close to a panel's interior.
+    geometrically. Panels end at ``+-2 arg z`` over all the points, the real
+    parts of the rows' branch points, which a non-real ``z`` would otherwise
+    put close to a panel's interior; the cut set is conjugation-symmetric.
     """
-    _check_disk(True, u, v)
+    z = np.asarray(pts, dtype=complex).ravel()
+    _check_disk(True, z)
     turn = 2.0 * math.pi
-    cuts = sorted({0.0, 2.0 * cmath.phase(u) % turn, -2.0 * cmath.phase(v) % turn})
+    arg = 2.0 * np.angle(z)
+    cuts = sorted({0.0, *np.mod(np.concatenate([arg, -arg]), turn).tolist()})
     width = np.diff(cuts, append=turn)[:, None]
     x, w = _unit_nodes()
     tau = np.exp(1j * (np.array(cuts)[:, None] + width * x).ravel())
-    p, tc = sqrt_minus_tau(tau), np.conj(tau)
-    ru = 1.0 / np.sqrt(1.0 - u * u * tc)
-    rv = 1.0 / np.sqrt(1.0 - v * v * tau)
-    return (width * w).ravel() / (2.0 * turn), p, np.conj(p), tau, tc, ru, rv
-
-
-def _disk(u, v):
-    """The disk regime's ``(a, da, ad, dad)`` from one ``_disk_factors`` call.
-    ``a`` is the circle average of ``(v sqrt(-tau) - u sqrt(-conj tau)) /
-    sqrt((1-u^2 conj tau)(1-v^2 tau))``, the others its derivatives under the
-    integral sign; ``dad`` is the unscaled limit of the scalar kernel inside
-    the disk. No value integrates along the real line, so none is ``None``."""
-    wt, p, q, tau, tc, ru, rv = _disk_factors(u, v)
-    g = v * p - u * q
-    return (complex(wt @ (g * ru * rv)),
-            complex(wt @ (-q * ru * rv + g * u * tc * ru ** 3 * rv)),
-            complex(wt @ (p * ru * rv + g * v * tau * ru * rv ** 3)),
-            complex(wt @ (p * u * tc * ru ** 3 * rv - q * v * tau * ru * rv ** 3
-                          + g * u * v * ru ** 3 * rv ** 3)))
+    tau, z2 = tau[:, None], z * z
+    p, r = 1.0 / np.sqrt(1.0 - z2 * np.conj(tau)), 1.0 / np.sqrt(1.0 - z2 * tau)
+    c = ((width * w).ravel() / (2.0 * turn) * sqrt_minus_tau(tau[:, 0]))[:, None]
+    return p, c * z * r, z * np.conj(tau) * p ** 3, c * (r + z2 * tau * r ** 3)
 
 
 def a_disk(u, v):
-    """Antiderivative kernel inside the disk."""
-    return _disk(u, v)[0]
+    """Antiderivative kernel inside the disk: the circle average of ``(v
+    sqrt(-tau) - u sqrt(-conj tau)) / sqrt((1-u^2 conj tau)(1-v^2 tau))``."""
+    P, Q, _, _ = _disk_rows([u, v])
+    return complex(_skew_sum(P[:, 0], Q[:, 0], P[:, 1], Q[:, 1]))
 
 
 def dad_disk(u, v):
-    """Mixed derivative of the disk kernel."""
-    return _disk(u, v)[3]
+    """Mixed derivative of the disk kernel, the unscaled limit of the scalar
+    kernel inside the disk."""
+    _, _, dP, dQ = _disk_rows([u, v])
+    return complex(_skew_sum(dP[:, 0], dQ[:, 0], dP[:, 1], dQ[:, 1]))
 
 
 def disk_handle():
-    """The disk regime as ``A(u, v) -> (a, da, ad, dad)``."""
-    return _disk
+    """The disk regime as ``handle(pts) -> (side, pair)`` on the nodes of
+    :func:`_disk_rows`: a real ``x`` has the derivative rows at ``x`` and
+    minus the value rows, a non-real ``z`` the derivative rows at ``z`` and
+    ``iota(z)`` times those at ``conj(z)``; no boundary scalars."""
+
+    def handle(pts):
+        z = np.asarray(pts, dtype=complex).ravel()
+        real, n = z.imag == 0.0, z.size
+        P, Q, dP, dQ = _disk_rows(np.concatenate([z, z[~real].conj()]))
+        P, Q, phase = -P[:, :n], -Q[:, :n], iota(z[~real])
+        P[:, ~real], Q[:, ~real] = phase * dP[:, n:], phase * dQ[:, n:]
+        zero = np.zeros((2, n))
+        return Side(np.array([dP[:, :n], P]), np.array([dQ[:, :n], Q]), zero, zero,
+                    z.real, real), skew_pair
+    return handle
 
 
 # ---------------------------------------------------------------------------
@@ -351,54 +351,64 @@ def _jacobi_rule(c: float):
     return x, w
 
 
-def _outside(c: float, u, v):
-    """The outside regime's ``(a, da, ad, dad)`` from one setup; see
-    :func:`_entries` for the ``None`` slots. ``dad = B = c core e(u) e(v)``
-    with ``e(z) = |z|^{-c} / sqrt(z^2-1)``; ``c = inf`` gives zeros.
+def outside_handle(c: float):
+    """The outside regime as ``handle(pts) -> (side, pair)``; ``c = inf``
+    gives the zero kernel.
 
-    A real point ``y`` brings nodes ``u_k`` and weights ``W_k`` with ``sum W_k
-    r(u_k) ~ int_a^inf |u|^{-c} r(u) dt`` at ``u = sgn(y) cosh t``, ``a =
-    arccosh|y|``: minus the tail from ``sgn(y) inf`` to ``y`` against ``du /
-    sqrt(u^2-1)``. ``t = a - log x`` makes ``|u|^{-c} dt`` the Gauss–Jacobi
-    weight ``x^{c-1} dx`` times ``(x|u|)^{-c}``, ``x|u| = (e^a + x^2
-    e^{-a})/2``, which ``W_k`` absorbs without underflow as ``x -> 0``. With
-    ``R = c core`` on the points and nodes, ``C = Gamma((c+1)/2) / (sqrt(pi)
-    Gamma(c/2))``: ``a = W_u R W_v + C (sgn(v) sum W_u - sgn(u) sum W_v)``,
-    ``da = -e(u) (R(u, .) W_v + C sgn(v))``, ``ad = e(v) (C sgn(u) - W_u R(., v))``.
+    A point's rows are weights ``W`` on its ``_TAIL_ORDER + 1`` nodes, paired
+    by ``W_u R W_v^T`` with ``R = c core`` between the points' nodes, so
+    ``dad = B = c core e(u) e(v)`` with ``e(z) = |z|^{-c} / sqrt(z^2-1)``. A
+    non-real ``z`` has the rows ``diag(e(z), iota(z) e(conj z))`` on ``z, conj
+    z`` (zero weight past them), ``beta = 0`` and ``gamma = (e(z), iota(z)
+    e(conj z))``. A real ``y`` has the rows ``e(y) delta_y`` and the tail
+    weights ``W_k`` at the nodes ``u_k``, with ``sum W_k r(u_k) ~ int_a^inf
+    |u|^{-c} r(u) dt`` at ``u = sgn(y) cosh t``, ``a = arccosh|y|``: minus
+    the tail from ``sgn(y) inf`` to ``y`` against ``du / sqrt(u^2-1)``. ``t =
+    a - log x`` makes ``|u|^{-c} dt`` the Gauss–Jacobi weight ``x^{c-1} dx``
+    times ``(x|u|)^{-c}``, ``x|u| = (e^a + x^2 e^{-a})/2``, which ``W_k``
+    absorbs without underflow as ``x -> 0``. Its ``beta = (0, C sgn y)`` and
+    ``gamma = (e(y), sum W_k)``, ``C = Gamma((c+1)/2) / (sqrt(pi)
+    Gamma(c/2))``, are the half-line masses of the antiderivative kernel.
     """
-    _check_disk(False, u, v)
-    if math.isinf(c):
-        return _entries(u, v, *(lambda: 0.0,) * 4)
+    if math.isinf(c):   # c |uv|^{-c} -> 0 for |uv| > 1: zero rows
+        def zero(pts):
+            z = np.asarray(pts, dtype=complex).ravel()
+            _check_disk(False, z)
+            rows, scalars = np.zeros((2, 1, z.size)), np.zeros((2, z.size))
+            return Side(rows, rows, scalars, scalars, z.real, z.imag == 0.0), skew_pair
+        return zero
     x, w = _jacobi_rule(c)
     C = _gamma_quotient(((c + 1.0) / 2.0,), (c / 2.0,)) / math.sqrt(math.pi)
 
-    def side(z):
-        if not _is_real_arg(z):
-            return np.array([z]), np.zeros(0), 0.0
-        y = complex(z).real
-        e = math.exp(math.acosh(abs(y)))
-        xu = 0.5 * (e + x * x / e)
-        return np.append(y, math.copysign(1.0, y) * xu / x), w * xu ** -c, math.copysign(C, y)
+    def side(u):
+        z = complex(u)
+        W = np.zeros((2, _TAIL_ORDER + 1), dtype=float if z.imag == 0.0 else complex)
+        if z.imag == 0.0:
+            y, e = z.real, math.exp(math.acosh(abs(z.real)))
+            xu = 0.5 * (e + x * x / e)
+            nodes = np.append(y, math.copysign(1.0, y) * xu / x)
+            W[0, 0], W[1, 1:] = _edge(c, y).real, w * xu ** -c
+            beta, gamma = (0.0, math.copysign(C, y)), (W[0, 0], W[1].sum())
+        else:
+            nodes = np.append(z, np.full(_TAIL_ORDER, z.conjugate()))
+            W[0, 0], W[1, 1] = _edge(c, z), iota(z) * _edge(c, z.conjugate())
+            beta, gamma = (0.0, 0.0), (W[0, 0], W[1, 1])
+        return W, nodes, np.array(beta), np.array(gamma), z.real, z.imag == 0.0
 
-    (pu, wu, cu), (pv, wv, cv) = side(u), side(v)
-    R = c * _core(1.0 / c, pu[:, None], pv[None, :])
-    eu, ev = _edge(c, pu[0]), _edge(c, pv[0])
-    return _entries(
-        u, v, lambda: (wu @ R[1:, 1:] @ wv + cv * wu.sum() - cu * wv.sum()).real,
-        lambda: -eu * (R[0, 1:] @ wv + cv), lambda: ev * (cu - wu @ R[1:, 0]),
-        lambda: R[0, 0] * eu * ev)
+    def pair(su, sv):
+        R = c * _core(1.0 / c, su.Q[:, None], sv.Q[None])
+        return np.einsum("al...,bl...->ab...", np.einsum("ak...,kl...->al...", su.P, R), sv.P)
+
+    def handle(pts):
+        _check_disk(False, pts)
+        return _stack(side(u) for u in np.ravel(pts)), pair
+    return handle
 
 
 def a_outside(c: float, x: float, y: float) -> float:
     """Antiderivative kernel outside the disk; zero at ``c = inf``. Both
     arguments must be real."""
-    _check_real("a_outside", x, y)
-    return _outside(c, x, y)[0].real
-
-
-def outside_handle(c: float):
-    """The outside regime as ``A(u, v) -> (a, da, ad, dad)``; see :func:`_outside`."""
-    return lambda u, v: _outside(c, u, v)
+    return _real_entry(outside_handle(c), "a_outside", x, y).real
 
 
 def dsn_limit(lam: float, c: float, u, v):
@@ -413,35 +423,13 @@ def dsn_limit(lam: float, c: float, u, v):
 # ---------------------------------------------------------------------------
 
 
-def assemble_matrix(A, u, v) -> KernelValue2x2:
-    """Species-dispatched 2x2 limit kernel from a regime handle
-    ``A(u, v) -> (a, da, ad, dad)``.
-
-    Real/real rows carry the derivative entries, ``-da`` in the (1,2) slot and
-    ``-ad`` in the (2,1) slot so that ``K(x, y) = -K(y, x)^T`` for an
-    antisymmetric ``A``, and the ``(1/2) sgn`` term in the (2,2) slot
-    (oriented as ``sgn(u - v)``, matching the finite-N matrix kernel); a
-    complex first argument uses conjugation with the half-plane phase
-    ``iota``; real-first/complex-second is the negated transpose of the
-    swapped pair; complex/complex uses mixed derivatives only.
-    """
-    ur, vr = _is_real_arg(u), _is_real_arg(v)
-    if ur and vr:
-        x, y = complex(u).real, complex(v).real
-        a, da, ad, dad = A(x, y)
-        return KernelValue2x2(dad, -da, -ad, a + 0.5 * np.sign(x - y))
-    if not ur and vr:
-        z, y = complex(u), complex(v).real
-        _, da, _, dad = A(z, y)
-        _, dac, _, dadc = A(np.conj(z), y)
-        return KernelValue2x2(dad, -da, iota(z) * dadc, -iota(z) * dac)
-    if ur and not vr:
-        K = assemble_matrix(A, v, u)
-        return KernelValue2x2(-K.e11, -K.e21, -K.e12, -K.e22)
-    z, w = complex(u), complex(v)
-    return KernelValue2x2(
-        A(z, w)[3], iota(w) * A(z, np.conj(w))[3], iota(z) * A(np.conj(z), w)[3],
-        iota(z) * iota(w) * A(np.conj(z), np.conj(w))[3])
+def assemble_matrix(handle, u, v) -> KernelValue2x2:
+    """The 2x2 limit kernel at ``(u, v)``: :func:`~mahler.kernel.block` of the
+    two sides from one ``handle([u, v])`` call. As in the finite-N matrix
+    kernel, ``K(v, u) = -K(u, v)^T``."""
+    side, pair = handle([u, v])
+    K = block(pair, side.at(0), side.at(1))
+    return KernelValue2x2(*K.astype(complex).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

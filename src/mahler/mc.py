@@ -1,5 +1,5 @@
-"""Monte-Carlo validation: Mahler measure, star-body ball-walk sampler,
-root classification, and empirical statistics against kernel predictions.
+"""Monte-Carlo validation: Mahler measure, star-body ball-walk sampler and
+root classification.
 
 The sampler is a Metropolis ball walk on the coefficient vector of a monic
 polynomial: at infinite ``s`` proposals are accepted iff the monic Mahler
@@ -26,6 +26,14 @@ from .errors import ConditioningError, DomainError, PairingError
 from .polys import PolyCoeffs
 
 _REAL_TOL = 1e-9  # roots_classify: a root with |Im r| <= this (1 + |r|) is real
+# A proposal moves each coefficient by step_length * radius * d_i / |d| with
+# radius <= 1 and a standard normal d_i, which the generator's ziggurat keeps
+# below 14 in magnitude, so below this bound that product is finite. The
+# proposal's Mahler measure is at most its coefficient 2-norm (Landau's
+# inequality), so it is finite too unless the current state's coefficients
+# are near the double range, which a chain starting at the origin reaches only
+# through proposals accepted with probability below (1/step_length)^s.
+_MAX_STEP = 1e300
 
 
 @dataclass(frozen=True)
@@ -43,8 +51,8 @@ class SamplerConfig:
             raise DomainError("N must be positive")
         if not (math.isinf(self.s) or self.s > self.N):
             raise DomainError("requires s > N (or s = inf)")
-        if not 0 < self.step_length < math.inf:
-            raise DomainError("step_length must be positive and finite")
+        if not 0 < self.step_length <= _MAX_STEP:
+            raise DomainError(f"step_length must lie in (0, {_MAX_STEP:g}]")
         if self.steps < self.burn_in or self.burn_in < 0:
             raise DomainError("need steps >= burn_in >= 0")
         if self.thin < 1:
@@ -138,78 +146,6 @@ def roots_classify(p: PolyCoeffs) -> RootSet:
     if uppers.size != lowers.size or np.count_nonzero(lowers != uppers.conj()):
         raise PairingError("non-real roots are not exact conjugate pairs")
     return RootSet(tuple(sorted(roots.real[real].tolist())), tuple(uppers.tolist()))
-
-
-@dataclass(frozen=True)
-class Histogram1D:
-    edges: np.ndarray
-    density: np.ndarray
-    stderr: np.ndarray
-
-
-@dataclass(frozen=True)
-class Histogram2D:
-    x_edges: np.ndarray
-    y_edges: np.ndarray
-    density: np.ndarray
-    stderr: np.ndarray
-
-
-@dataclass(frozen=True)
-class EmpiricalStats:
-    n_samples: int
-    mean_real_count: float
-    stderr_real_count: float
-    real_hist: Histogram1D
-    complex_hist: Histogram2D
-
-
-def empirical_stats(samples, real_edges, complex_x_edges,
-                    complex_y_edges) -> EmpiricalStats:
-    """Root statistics of a sample collection, normalized as densities.
-
-    The real histogram estimates the one-point density of real roots; the
-    complex histogram records each conjugate pair at its representative and
-    its mirror, so it is conjugate-symmetric by construction and estimates
-    the density of non-real roots.
-    """
-    real_edges = np.asarray(real_edges, dtype=float)
-    cx = np.asarray(complex_x_edges, dtype=float)
-    cy = np.asarray(complex_y_edges, dtype=float)
-    counts = []
-    real_rows = []
-    chist_total = np.zeros((cx.size - 1, cy.size - 1))
-    chist_sq = np.zeros_like(chist_total)
-    for p in samples:
-        rs = roots_classify(p)
-        counts.append(len(rs.reals))
-        row, _ = np.histogram(rs.reals, bins=real_edges)
-        real_rows.append(row)
-        z = np.array(rs.pairs, dtype=complex)
-        z = np.concatenate([z, z.conj()])     # each pair and its mirror
-        crow, _, _ = np.histogram2d(z.real, z.imag, bins=(cx, cy))
-        chist_total += crow
-        chist_sq += crow ** 2
-    n = len(counts)
-    if n < 1:
-        raise DomainError("no samples provided")
-    counts = np.asarray(counts, dtype=float)
-    real_rows = np.asarray(real_rows, dtype=float)
-    widths = np.diff(real_edges)
-    density = real_rows.mean(axis=0) / widths
-    stderr = real_rows.std(axis=0, ddof=1) / widths / math.sqrt(n) \
-        if n > 1 else np.zeros_like(density)
-    area = np.outer(np.diff(cx), np.diff(cy))
-    cdensity = chist_total / (n * area)
-    cvar = chist_sq / n - (chist_total / n) ** 2
-    cstderr = np.sqrt(np.maximum(cvar, 0.0) / max(n - 1, 1)) / area
-    return EmpiricalStats(
-        n_samples=n,
-        mean_real_count=float(counts.mean()),
-        stderr_real_count=float(counts.std(ddof=1) / math.sqrt(n))
-        if n > 1 else 0.0,
-        real_hist=Histogram1D(real_edges, density, stderr),
-        complex_hist=Histogram2D(cx, cy, cdensity, cstderr))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ closed-form non-real root count; the block matrix of a correlation
 assembled pair by pair, the second route of ``kernel.correlation``; and
 the circle weight ``Lambda`` pointwise from Gauss hypergeometric functions
 (DLMF 15), the second route of its Fourier coefficients
-``limits._lambda_fourier``; and the +-1 limit handle on the full complex
-grid, the second route of ``limits.xi_handle``'s real half-grid."""
+``limits._lambda_fourier``; and the 2x2 kernels entry by entry, the second
+route of ``kernel.block``: the finite kernel's pair sums with their odd-N
+``chi`` terms, and each limit regime as a handle ``A(u, v) -> (a, da, ad,
+dad)`` with its species-dispatched assembly. The +-1 handle runs on the full
+complex grid, so it is also the second route of ``limits.xi_handle``'s real
+half-grid."""
 
 import math
 
@@ -16,10 +20,13 @@ from scipy.integrate import quad
 from scipy.special import gamma, gammaln, rgamma
 
 from mahler.errors import DomainError, InfiniteValueError, PoleError
-from mahler.kernel import EnsembleParams, _is_real_arg, intensity_complex, matrix_kernel
-from mahler.limits import _entries, _unit_nodes, _xi_side
+from mahler.kernel import (EnsembleParams, KernelValue2x2, _family, _is_real_arg, _tables,
+                           intensity_complex, matrix_kernel)
+from mahler.limits import (_check_disk, _core, _edge, _jacobi_rule, _unit_nodes, _xi_side,
+                           sqrt_minus_tau)
+from mahler.polys import eps_monomials
 from mahler.quadrature import _check_quad, adaptive, halfline, leg_nodes
-from mahler.specfun import _gamma_quotient, _is_nonpositive_integer
+from mahler.specfun import _gamma_quotient, _is_nonpositive_integer, iota
 
 
 class DivergenceError(ArithmeticError):
@@ -263,11 +270,83 @@ def lambda_weight(b1: float, b2: float, zeta) -> complex:
     return gamma(-b1 - b2 - 1.0) * rgamma(-b1) * rgamma(-b2) * (f1 + f2 - 1.0)
 
 
+def matrix_kernel_by_entries(P: EnsembleParams, u, v) -> KernelValue2x2:
+    """The finite 2x2 kernel entry by entry: ``kappa``, ``kappa eps`` and
+    ``eps kappa eps`` as pair sums over the family and its eps-transforms at
+    each point, each with its odd-N ``chi`` terms written out (``chi = 1`` at
+    a real point, 0 at a non-real one), and ``e21 = -e12`` with the points
+    swapped."""
+    tab = _tables(P.N, P.s)
+    J = tab.J
+
+    def features(u):
+        real = _is_real_arg(u)
+        u = complex(u).real if real else complex(u)
+        pe, po = _family(tab, u)
+        if real:
+            eps = eps_monomials(np.arange(tab.N), tab.s, u)
+            return pe, po, tab.even @ eps[0::2], tab.odd @ eps[1::2], 1.0
+        return pe, po, iota(u) * np.conj(pe), iota(u) * np.conj(po), 0.0
+
+    def pair(au, bu, av, bv):
+        return 2.0 * np.sum(au[:J] * bv - av[:J] * bu)
+
+    def entry_12(fu, fv):
+        val = pair(fu[0], fu[1], fv[2], fv[3])
+        return val + fu[0][J] * fv[4] / tab.s2J if tab.odd_N else val
+
+    fu, fv = features(u), features(v)
+    e22 = pair(fu[2], fu[3], fv[2], fv[3])
+    if tab.odd_N:
+        e22 += (fu[2][J] * fv[4] - fv[2][J] * fu[4]) / tab.s2J
+    if fu[4] and fv[4]:
+        e22 += 0.5 * np.sign(complex(u).real - complex(v).real)
+    return KernelValue2x2(complex(pair(fu[0], fu[1], fv[0], fv[1])), complex(entry_12(fu, fv)),
+                          complex(-entry_12(fv, fu)), complex(e22))
+
+
+def _entries(u, v, a, da, ad, dad):
+    """A handle's ``(a, da, ad, dad)`` from zero-argument evaluators: a value
+    that integrates along the real line in a slot holding a non-real point is
+    ``None``, so ``a`` needs both points real, ``da`` needs ``v`` real and
+    ``ad`` needs ``u`` real."""
+    ur, vr = _is_real_arg(u), _is_real_arg(v)
+    return (complex(a()) if ur and vr else None, complex(da()) if vr else None,
+            complex(ad()) if ur else None, complex(dad()))
+
+
+def assemble_by_entries(A, u, v) -> KernelValue2x2:
+    """Species-dispatched 2x2 limit kernel from a handle ``A(u, v) -> (a, da,
+    ad, dad)``: real/real is ``(dad, -da, -ad, a + sgn(u - v)/2)``; a complex
+    first argument conjugates with the half-plane phase ``iota``;
+    real-first/complex-second is the negated transpose of the swapped pair;
+    complex/complex uses mixed derivatives only."""
+    ur, vr = _is_real_arg(u), _is_real_arg(v)
+    if ur and vr:
+        x, y = complex(u).real, complex(v).real
+        a, da, ad, dad = A(x, y)
+        return KernelValue2x2(dad, -da, -ad, a + 0.5 * np.sign(x - y))
+    if not ur and vr:
+        z, y = complex(u), complex(v).real
+        _, da, _, dad = A(z, y)
+        _, dac, _, dadc = A(np.conj(z), y)
+        return KernelValue2x2(dad, -da, iota(z) * dadc, -iota(z) * dac)
+    if ur and not vr:
+        K = assemble_by_entries(A, v, u)
+        return KernelValue2x2(-K.e11, -K.e21, -K.e12, -K.e22)
+    z, w = complex(u), complex(v)
+    return KernelValue2x2(
+        A(z, w)[3], iota(w) * A(z, np.conj(w))[3], iota(z) * A(np.conj(z), w)[3],
+        iota(z) * iota(w) * A(np.conj(z), np.conj(w))[3])
+
+
 def xi_handle_full_grid(lam: float, xi: float):
-    """``limits.xi_handle`` with every side in complex arithmetic on the
-    whole ``97 x 96`` grid: ``M, M'`` at ``u xi tau_k`` and, for a real
-    point, at ``(x t_j) (xi tau_k)`` for every ``j`` and ``k``, with no use of
-    the block's symmetry."""
+    """The +-1 regime as ``A(u, v) -> (a, da, ad, dad)`` with every side in
+    complex arithmetic on the whole ``97 x 96`` grid: ``M, M'`` at ``u xi
+    tau_k`` and, for a real point, at ``(x t_j) (xi tau_k)`` for every ``j``
+    and ``k``, with no use of the block's symmetry. One kappa matrix between
+    the two sides; ``a`` is the double integral of the scaled scalar kernel
+    over ``[0,u] x [0,v]`` plus the anchoring boundary terms."""
     t, wt = _unit_nodes()
     core, edge = wt * t * (1.0 - lam * t), wt * (1.0 - lam * t)
 
@@ -284,4 +363,57 @@ def xi_handle_full_grid(lam: float, xi: float):
             u, v, lambda: uw @ k[1:, 1:] @ vw + float(np.real(vw @ bv[1:] - uw @ bu[1:])),
             lambda: k[0, 1:] @ vw - bu[0], lambda: uw @ k[1:, 0] + bv[0],
             lambda: k[0, 0])
+    return A
+
+
+def disk_entries(u, v):
+    """The disk regime's ``(a, da, ad, dad)``: ``a`` is the circle average of
+    ``g / sqrt((1-u^2 conj tau)(1-v^2 tau))``, ``g = v sqrt(-tau) - u
+    sqrt(-conj tau)``, the others its derivatives under the integral sign, on
+    Gauss–Legendre panels of the angle cut at ``0``, ``2 arg u`` and ``-2 arg
+    v``."""
+    _check_disk(True, u, v)
+    turn = 2.0 * math.pi
+    cuts = sorted({0.0, 2.0 * np.angle(u) % turn, -2.0 * np.angle(v) % turn})
+    width = np.diff(cuts, append=turn)[:, None]
+    x, w = _unit_nodes()
+    tau = np.exp(1j * (np.array(cuts)[:, None] + width * x).ravel())
+    wt, p, tc = (width * w).ravel() / (2.0 * turn), sqrt_minus_tau(tau), np.conj(tau)
+    q, ru, rv = np.conj(p), 1.0 / np.sqrt(1.0 - u * u * tc), 1.0 / np.sqrt(1.0 - v * v * tau)
+    g = v * p - u * q
+    return (complex(wt @ (g * ru * rv)),
+            complex(wt @ (-q * ru * rv + g * u * tc * ru ** 3 * rv)),
+            complex(wt @ (p * ru * rv + g * v * tau * ru * rv ** 3)),
+            complex(wt @ (p * u * tc * ru ** 3 * rv - q * v * tau * ru * rv ** 3
+                          + g * u * v * ru ** 3 * rv ** 3)))
+
+
+def outside_entries(c: float):
+    """The outside regime as ``A(u, v) -> (a, da, ad, dad)``, from one 48-node
+    Gauss–Jacobi tail rule per real point: with ``R = c core`` on the points
+    and the tail nodes, ``a = W_u R W_v + C (sgn(v) sum W_u - sgn(u) sum
+    W_v)``, ``da = -e(u) (R(u, .) W_v + C sgn(v))``, ``ad = e(v) (C sgn(u) -
+    W_u R(., v))`` and ``dad = R(u, v) e(u) e(v)``; zeros at ``c = inf``."""
+    def A(u, v):
+        _check_disk(False, u, v)
+        if math.isinf(c):
+            return _entries(u, v, *(lambda: 0.0,) * 4)
+        x, w = _jacobi_rule(c)
+        C = _gamma_quotient(((c + 1.0) / 2.0,), (c / 2.0,)) / math.sqrt(math.pi)
+
+        def side(z):
+            if not _is_real_arg(z):
+                return np.array([z]), np.zeros(0), 0.0
+            y = complex(z).real
+            e = math.exp(math.acosh(abs(y)))
+            xu = 0.5 * (e + x * x / e)
+            return np.append(y, math.copysign(1.0, y) * xu / x), w * xu ** -c, math.copysign(C, y)
+
+        (pu, wu, cu), (pv, wv, cv) = side(u), side(v)
+        R = c * _core(1.0 / c, pu[:, None], pv[None, :])
+        eu, ev = _edge(c, pu[0]), _edge(c, pv[0])
+        return _entries(
+            u, v, lambda: (wu @ R[1:, 1:] @ wv + cv * wu.sum() - cu * wv.sum()).real,
+            lambda: -eu * (R[0, 1:] @ wv + cv), lambda: ev * (cu - wu @ R[1:, 0]),
+            lambda: R[0, 0] * eu * ev)
     return A

@@ -1,9 +1,11 @@
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 
+import mahler.limits as limits
 from mahler.errors import DomainError
 from mahler.kernel import EnsembleParams, matrix_kernel, sum_k
 from mahler.limits import (LimitKernelSpec, _lambda_fourier, a_disk,
@@ -16,7 +18,8 @@ from mahler.limits import (LimitKernelSpec, _lambda_fourier, a_disk,
 from mahler.quadrature import leg_nodes
 from mahler.specfun import iota
 
-from identities import lambda_weight, xi_handle_full_grid
+from identities import (assemble_by_entries, disk_entries, lambda_weight,
+                        matrix_kernel_by_entries, outside_entries, xi_handle_full_grid)
 
 
 class TestCircleComplexKernel:
@@ -80,21 +83,14 @@ class TestCircleRealKernel:
                              - a_xi(lam, xi, a - h, b)) / (2 * h)
                     fd_ad = (a_xi(lam, xi, a, b + h)
                              - a_xi(lam, xi, a, b - h)) / (2 * h)
-                    _, da, ad, _ = A(a, b)
-                    assert da == pytest.approx(fd_da, abs=1e-8)
-                    assert ad == pytest.approx(fd_ad, abs=1e-8)
+                    K = assemble_matrix(A, a, b)
+                    assert -K.e12 == pytest.approx(fd_da, abs=1e-8)
+                    assert -K.e21 == pytest.approx(fd_ad, abs=1e-8)
 
     def test_handle_entries_match_scalar_kernels(self):
-        A = xi_handle(0.5, -1.0)
-        a, _, _, dad = A(0.7, -0.4)
-        assert a == a_xi(0.5, -1.0, 0.7, -0.4)
-        assert dad == pytest.approx(kappa_xi(0.5, -1.0, 0.7, -0.4), rel=1e-14)
-        # only what does not integrate along the real line through a
-        # non-real point is defined
-        z = 0.3 + 0.4j
-        assert [e is None for e in A(z, 0.5)] == [True, False, True, False]
-        assert [e is None for e in A(0.5, z)] == [True, True, False, False]
-        assert A(z, z)[:3] == (None, None, None)
+        K = assemble_matrix(xi_handle(0.5, -1.0), 0.7, -0.4)
+        assert K.e22 - 0.5 == a_xi(0.5, -1.0, 0.7, -0.4)
+        assert K.e11 == pytest.approx(kappa_xi(0.5, -1.0, 0.7, -0.4), rel=1e-14)
 
     @pytest.mark.parametrize("xi", [1.0, -1.0])
     @pytest.mark.parametrize("lam", [0.5, 8.0 / 9.0, 1.0])
@@ -106,15 +102,14 @@ class TestCircleRealKernel:
         A, B = xi_handle(lam, xi), xi_handle_full_grid(lam, xi)
         for u in pts:
             for v in pts:
-                for e, ref in zip(A(u, v), B(u, v)):
-                    assert (e is None) == (ref is None)
-                    if e is not None:
-                        assert abs(e - ref) <= 1e-14 * max(1.0, abs(ref)), (u, v)
+                K = assemble_matrix(A, u, v).as_array()
+                ref = assemble_by_entries(B, u, v).as_array()
+                assert np.all(np.abs(K - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), (u, v)
         reals = [p for p in pts if isinstance(p, float)]
         for u in reals:
             for v in reals:
-                a = A(u, v)[0]
-                assert abs(a + A(v, u)[0]) <= 1e-14 * max(1.0, abs(a)), (u, v)
+                a = assemble_matrix(A, u, v).e22
+                assert abs(a + assemble_matrix(A, v, u).e22) <= 1e-14 * max(1.0, abs(a)), (u, v)
 
     def test_non_real_argument_raises(self):
         # a_xi returned None here
@@ -158,12 +153,12 @@ class TestInsideDiskKernel:
         A = disk_handle()
         fd_da = (a_disk(u + h, v) - a_disk(u - h, v)) / (2 * h)
         fd_ad = (a_disk(u, v + h) - a_disk(u, v - h)) / (2 * h)
-        fd_dad = (A(u, v + h)[1] - A(u, v - h)[1]) / (2 * h)
-        _, da, ad, dad = A(u, v)
-        assert da == pytest.approx(fd_da, abs=1e-8)
-        assert ad == pytest.approx(fd_ad, abs=1e-8)
-        assert dad == pytest.approx(fd_dad, abs=1e-7)
-        assert dad == dad_disk(u, v)
+        fd_dad = (assemble_matrix(A, u, v - h).e12 - assemble_matrix(A, u, v + h).e12) / (2 * h)
+        K = assemble_matrix(A, u, v)
+        assert -K.e12 == pytest.approx(fd_da, abs=1e-8)
+        assert -K.e21 == pytest.approx(fd_ad, abs=1e-8)
+        assert K.e11 == pytest.approx(fd_dad, abs=1e-7)
+        assert K.e11 == dad_disk(u, v)
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
@@ -231,15 +226,16 @@ class TestOutsideKernel:
             for x, y in ((1.5, 2.0), (-1.5, 2.0), (1.5, -2.0), (-1.5, -2.0)):
                 fd_da = (a_outside(c, x + h, y) - a_outside(c, x - h, y)) / (2 * h)
                 fd_ad = (a_outside(c, x, y + h) - a_outside(c, x, y - h)) / (2 * h)
-                _, da, ad, _ = A(x, y)
-                assert da == pytest.approx(fd_da, abs=1e-7)
-                assert ad == pytest.approx(fd_ad, abs=1e-7)
+                K = assemble_matrix(A, x, y)
+                assert -K.e12 == pytest.approx(fd_da, abs=1e-7)
+                assert -K.e21 == pytest.approx(fd_ad, abs=1e-7)
 
     @staticmethod
     def _mpmath_outside(c, u, v):
-        """The outside handle's entries by mpmath ``quad`` at 20 digits in
-        ``t = arccosh|u|``, where ``du / sqrt(u^2-1) = dt`` on the trace
-        branch; ``None`` where the handle has ``None``. The double integral
+        """The outside kernel's ``(a, da, ad, dad)`` by mpmath ``quad`` at 20
+        digits in ``t = arccosh|u|``, where ``du / sqrt(u^2-1) = dt`` on the
+        trace branch; ``None`` for a value that integrates along the real
+        line through a non-real point. The double integral
         runs in ``x = e^{arccosh|y| - t}`` over ``(0, 1]^2`` instead: there
         tanh-sinh meets the endpoint power ``x^(c-1)`` with about a fifth of
         the points it needs on the two half-lines."""
@@ -287,8 +283,10 @@ class TestOutsideKernel:
     def test_handle_matches_mpmath_quadrature(self, c, u, v):
         # the two Gauss–Legendre tail rules this replaced were off by 3.6e-7
         # in a at (1.4, 1.8), c = 1.2, and by 1.6e-12 at (-1.5, 2.0), c = 2.5
-        for got, ref in zip(outside_handle(c)(u, v), self._mpmath_outside(c, u, v)):
-            assert (got is None) == (ref is None)
+        a, da, ad, dad = self._mpmath_outside(c, u, v)
+        refs = (dad, None if da is None else -da, None if ad is None else -ad,
+                None if a is None else a + 0.5 * np.sign(u - v))
+        for got, ref in zip(assemble_matrix(outside_handle(c), u, v).as_array().ravel(), refs):
             if ref is not None:
                 assert abs(got - ref) <= 1e-13 * abs(ref)
 
@@ -363,6 +361,49 @@ class TestAssembly:
             ref = (iota(z) * kappa_xi(1.0, 1.0, z, np.conj(z))).real
             assert pf.real == pytest.approx(ref, rel=1e-10)
             assert pf.real >= 0.0
+
+
+def _rules():
+    """The block rule and the per-entry rule of every kernel, with real and
+    non-real points of its domain and the tolerance of the comparison."""
+    reals, uppers = (0.3, -1.2, 2.5), (0.4 + 0.7j, -0.6 + 1.1j)
+    for N, s in ((8, 9.0), (9, 10.5), (16, math.inf), (15, math.inf), (33, 34.0), (64, 65.5)):
+        P = EnsembleParams(N, s)
+        yield pytest.param(partial(matrix_kernel, P), partial(matrix_kernel_by_entries, P),
+                           reals, uppers, 1e-14, id=f"finite_N{N}_s{s}")
+
+    def limit(handle, entries):
+        return partial(assemble_matrix, handle), partial(assemble_by_entries, entries)
+    for lam, xi in ((0.5, 1.0), (1.0, -1.0)):
+        yield pytest.param(*limit(xi_handle(lam, xi), xi_handle_full_grid(lam, xi)),
+                           (0.5, -0.3, -8.0 * xi), (-0.3 + 0.4j, 1.2 - 0.7j), 1e-14,
+                           id=f"xi{xi:+g}_lam{lam}")
+    yield pytest.param(*limit(disk_handle(), disk_entries), (0.3, -0.5, 0.95),
+                       (0.3 + 0.4j, 0.2 - 0.8j, 0.9j), 1e-13, id="disk")
+    for c in (1.0, 2.5, math.inf):
+        yield pytest.param(*limit(outside_handle(c), outside_entries(c)), (1.4, -2.0, 1.3),
+                           (1.5 + 0.5j, -1.1 - 0.7j), 1e-14, id=f"outside_c{c}")
+
+
+class TestBlockRule:
+    @pytest.mark.parametrize("species", ["rr", "rc", "cr", "cc"])
+    @pytest.mark.parametrize("new,old,reals,uppers,tol", list(_rules()))
+    def test_matches_per_entry_rule(self, new, old, reals, uppers, tol, species):
+        pts = {"r": reals, "c": uppers}
+        for u in pts[species[0]]:
+            for v in pts[species[1]]:
+                K, ref = new(u, v).as_array(), old(u, v).as_array()
+                assert np.max(np.abs(K - ref)) <= tol * max(1.0, np.max(np.abs(ref))), (u, v)
+
+    @pytest.mark.parametrize("u,v", [(0.5, -0.3), (0.5, -0.3 + 0.4j), (0.2 + 0.3j, -0.3 + 0.4j)],
+                             ids=["rr", "rc", "cc"])
+    def test_one_side_build_per_point(self, monkeypatch, u, v):
+        # the species branches built 2, 4 and 8 sides, one big_m_pair call each
+        calls = []
+        big_m_pair = limits.big_m_pair
+        monkeypatch.setattr(limits, "big_m_pair", lambda z: calls.append(z) or big_m_pair(z))
+        assemble_matrix(xi_handle(1.0, 1.0), u, v)
+        assert len(calls) == 2
 
 
 class TestAsymptoticCounts:
