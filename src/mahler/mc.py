@@ -30,9 +30,9 @@ _REAL_TOL = 1e-9  # roots_classify: a root with |Im r| <= this (1 + |r|) is real
 # radius <= 1 and a standard normal d_i, which the generator's ziggurat keeps
 # below 14 in magnitude, so below this bound that product is finite. The
 # proposal's Mahler measure is at most its coefficient 2-norm (Landau's
-# inequality), so it is finite too unless the current state's coefficients
-# are near the double range, which a chain starting at the origin reaches only
-# through proposals accepted with probability below (1/step_length)^s.
+# inequality), so it is finite too unless the current state's coefficients are
+# near the double range, which a chain from the origin reaches only through
+# accepted proposals of huge measure, whose acceptance ratio (M'/M)^-s is tiny.
 _MAX_STEP = 1e300
 
 
