@@ -10,8 +10,8 @@ block's points, each built once, and the regime's pairing, which
 :func:`mahler.kernel.block` turns into 2x2 blocks. Each regime has one node
 set: the 96-node Gauss–Legendre rule on [0, 1] at the circle, on panels of
 the angle inside the disk, and outside a 48-node Gauss–Jacobi rule per real
-point. At +-1 a real point's side runs in real arithmetic on one symmetric
-half of its grid of node products.
+point. At +-1 a real point's side runs in real arithmetic, from Taylor
+coefficients on the nodes or from exact antiderivatives.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InfiniteValueError
 from .kernel import (EnsembleParams, KernelValue2x2, Side, _is_real_arg, _skew_sum,
                      block, kappa_n, matrix_kernel, skew_pair, sum_k)
 from .quadrature import leg_nodes
-from .specfun import (_gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
+from .specfun import (_finite, _gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
                       gamma_ratio_table, iota, omega)
 
 _ORDER = 96          # all limit integrals over [0, 1] (integrands entire)
@@ -107,21 +107,6 @@ def _xi_side(lam: float, xi: float, u):
     return omega(lam, xi * u), M, Mp
 
 
-@lru_cache(maxsize=1)
-def _half_grid():
-    """The unit nodes ``tau_k`` followed by the products ``t_j tau_k``, ``j <=
-    k``, of the same nodes, and the index that spreads values on these
-    points over the ``(_ORDER + 1) x _ORDER`` block of rows ``tau`` and ``t_j
-    tau``; the block below row 0 is symmetric. Read-only."""
-    t, _ = _unit_nodes()
-    j, k = np.triu_indices(_ORDER)
-    pos = np.empty((_ORDER, _ORDER), dtype=np.intp)
-    pos[j, k] = pos[k, j] = _ORDER + np.arange(j.size)
-    grid, where = np.append(t, t[j] * t[k]), np.vstack([np.arange(_ORDER), pos])
-    grid.flags.writeable = where.flags.writeable = False
-    return grid, where
-
-
 def kappa_xi(lam: float, xi: float, u, v):
     """Scaled scalar kernel at the real anchor ``xi = +-1``; vectorized."""
     tau, wt = _unit_nodes()
@@ -143,33 +128,56 @@ def _stack(sides) -> Side:
 
 def xi_handle(lam: float, xi: float):
     """The regime at the real anchor ``xi = +-1`` as ``handle(pts) -> (side,
-    pair)``, one :func:`big_m_pair` call per point.
+    pair)``.
 
     A point's values are ``(omega M', omega M)`` at ``M, M'`` of ``u xi
     tau`` on the unit nodes, skew-paired with the weights ``(xi/4) tau (1 -
-    lam tau)`` of :func:`kappa_xi`. A real point ``x`` has the rows ``delta_x``
-    and ``-x`` times the ``[0, x]`` rule, which needs ``M, M'`` at ``x xi t_j
-    tau_k``; ``t`` and ``tau`` are one node set, so that block is symmetric
-    and comes from one real call on row 0 and the upper triangle
-    (:func:`_half_grid`). A non-real ``z`` has the rows ``z`` and ``iota(z)
-    conj(z)``. ``beta`` is the rows applied to the anchoring term ``omega
-    (1/4) int_0^1 (1 - lam t) M(u xi t) dt`` of the antiderivative kernel,
-    and ``gamma = (0, -1)`` at a real point, ``0`` at a non-real one.
+    lam tau)`` of :func:`kappa_xi`. A real point ``x`` has the rows
+    ``delta_x`` and ``-int_0^x omega(xi y) (M', M)(xi tau y) dy``. Where
+    :func:`big_m_pair` would sum its series, ``c = xi x >= -3``, both come
+    from the Taylor coefficients ``b_n = (n + 1) a_{n+1}`` and ``a_n`` of
+    ``M'`` and ``M``: ``omega(c) sum_n (b_n, a_n) c^n tau^n`` and ``-x sum_n
+    (b_n, a_n) c^n mu_n tau^n``, with ``mu_n = sum_j wt_j omega(c t_j)
+    t_j^n``. The second is the unit rule on ``[0, x]`` with its sums over
+    nodes and terms swapped; the term count depends on ``|c|`` alone. For
+    ``c < -3``, ``omega = 1`` on ``[0, x]`` and the integrals are exact,
+    ``(M(c tau) - 1)/(xi tau)`` and ``2x (M' - M)(c tau)``, from one real
+    :func:`big_m_pair` call. A non-real ``z`` has the rows ``z`` and
+    ``iota(z) conj(z)``, from one complex call.
+    ``beta`` is the rows applied to the anchoring term ``omega (1/4) int_0^1
+    (1 - lam t) M(u xi t) dt`` of the antiderivative kernel, and ``gamma =
+    (0, -1)`` at a real point, ``0`` at a non-real one.
     """
     _check_xi(xi)
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"xi_handle requires lam in [0, 1], got {lam}")
     t, wt = _unit_nodes()
-    grid, where = _half_grid()
     edge = wt * (1.0 - lam * t)
     weight = (xi / 4.0) * edge * t
+
+    def real_rows(x):
+        """The rows ``(P, Q)`` of ``delta_x``, then of ``[0, x]``, at a real ``x``."""
+        c = xi * float(_finite(x))
+        if c < -3.0:
+            M, Mp = big_m_pair(c * t)
+            return np.array([Mp, M, (1.0 - M) / (xi * t), 2.0 * x * (M - Mp)])
+        # the first term left out is below 1e-19 of the largest one
+        n = np.arange(int(abs(c) + 9.0 * math.sqrt(abs(c)) + 25.0), dtype=float)
+        powers = np.vander(t, n.size, increasing=True)
+        mu = (wt * omega(lam, c * t)) @ powers
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.cumprod(np.append(1.0, c * (n[:-1] + 1.5) / (n[:-1] + 1.0) ** 2))
+            coef = np.array([a * (n + 1.5) / (n + 1.0), a])
+            rows = np.vstack([omega(lam, c) * coef, -x * mu * coef]) @ powers.T
+        if not np.isfinite(rows).all():
+            raise InfiniteValueError(f"xi_handle leaves the double range at x = {x}")
+        return rows
 
     def side(u):
         z = complex(u)
         if z.imag == 0.0:
-            m, mp = big_m_pair(z.real * xi * grid)
-            w = omega(lam, xi * np.append(z.real, z.real * t))[:, None]
-            M, Mp, lift = w * m[where], w * mp[where], -z.real * wt
-            P, Q = np.stack([Mp[0], lift @ Mp[1:]]), np.stack([M[0], lift @ M[1:]])
-            gamma = (0.0, -1.0)
+            rows = real_rows(z.real)
+            P, Q, gamma = rows[0::2], rows[1::2], (0.0, -1.0)
         else:
             w, M, Mp = _xi_side(lam, xi, [z, z.conjugate()])
             phase = np.array([[1.0], [iota(z)]]) * w[:, None]

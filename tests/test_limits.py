@@ -1,12 +1,13 @@
 import math
-from functools import partial
+import warnings
+from functools import lru_cache, partial
 
 import mpmath
 import numpy as np
 import pytest
 
 import mahler.limits as limits
-from mahler.errors import DomainError
+from mahler.errors import DomainError, InfiniteValueError
 from mahler.kernel import EnsembleParams, matrix_kernel, sum_k
 from mahler.limits import (LimitKernelSpec, _lambda_fourier, a_disk,
                            a_outside, a_xi, a_xi_iform, assemble_matrix,
@@ -44,6 +45,18 @@ class TestCircleComplexKernel:
             rot = complex(math.cos(theta), math.sin(theta))
             val = abs(k_zeta(lam, zeta * rot, z * rot, w * rot))
             assert val == pytest.approx(base, rel=1e-12, abs=1e-15)
+
+
+@lru_cache(maxsize=None)
+def _far_real_rows(xi, tau):
+    """``-int_0^x (M', M)(xi tau y) dy`` at ``x = -40 xi`` by a 30-digit mpmath
+    quadrature, ``M = 1F1(3/2; 1; .)`` and ``M' = (3/2) 1F1(5/2; 2; .)``."""
+    x = -40.0 * xi
+    with mpmath.workdps(30):
+        rows = [-mpmath.quad(lambda y: c * mpmath.hyp1f1(a, b, xi * tau * y),
+                             mpmath.linspace(0.0, x, 5))
+                for c, a, b in ((1.5, 2.5, 2.0), (1.0, 1.5, 1.0))]
+    return float(rows[0]), float(rows[1])
 
 
 class TestCircleRealKernel:
@@ -93,29 +106,59 @@ class TestCircleRealKernel:
         assert K.e11 == pytest.approx(kappa_xi(0.5, -1.0, 0.7, -0.4), rel=1e-14)
 
     @pytest.mark.parametrize("xi", [1.0, -1.0])
-    @pytest.mark.parametrize("lam", [0.5, 8.0 / 9.0, 1.0])
-    def test_half_grid_matches_full_grid(self, lam, xi):
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 8.0 / 9.0, 1.0])
+    def test_real_side_matches_full_grid(self, lam, xi):
         # real/real, real/complex and complex/complex pairs, the circle_real
-        # grid points, and |x| up to 8 on both sides of the anchor
+        # grid points and |x| up to 8 on both sides of the anchor; then, against
+        # a few partners, |x| up to 20 and both sides of xi x = -3, where a
+        # real side leaves its Taylor sums for the exact antiderivatives
         pts = [0.5, -0.3, -0.4, 0.2, -xi * 8.0, -xi * 0.2, xi * 7.5, 0.0,
                -0.3 + 0.4j, 1.2 - 0.7j]
+        more = [1e-12, -1e-12, -3.0 * xi + 1e-9, -3.0 * xi - 1e-9, 12.0, -12.0, 20.0, -20.0]
+        pairs = [(u, v) for u in pts for v in pts]
+        pairs += [p for u in more for v in (0.5, -xi * 8.0, -0.3 + 0.4j) for p in ((u, v), (v, u))]
         A, B = xi_handle(lam, xi), xi_handle_full_grid(lam, xi)
-        for u in pts:
-            for v in pts:
-                K = assemble_matrix(A, u, v).as_array()
-                ref = assemble_by_entries(B, u, v).as_array()
-                assert np.all(np.abs(K - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), (u, v)
-        reals = [p for p in pts if isinstance(p, float)]
+        for u, v in pairs:
+            K = assemble_matrix(A, u, v).as_array()
+            ref = assemble_by_entries(B, u, v).as_array()
+            assert np.all(np.abs(K - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), (u, v)
+        reals = [p for p in pts + more if isinstance(p, float)]
         for u in reals:
             for v in reals:
                 a = assemble_matrix(A, u, v).e22
                 assert abs(a + assemble_matrix(A, v, u).e22) <= 1e-14 * max(1.0, abs(a)), (u, v)
+        # at x = -40 xi the full grid's own [0, x] rule is 6e-13 off, so the
+        # rows there are checked against mpmath
+        t, wt = limits._unit_nodes()
+        side = A([-40.0 * xi])[0].at(0)
+        P, Q = side.P[1], side.Q[1] / ((xi / 4.0) * wt * (1.0 - lam * t) * t)
+        for k in (0, 40, 95):
+            ref_p, ref_q = _far_real_rows(xi, t[k])
+            assert abs(P[k] - ref_p) <= 1e-14 * abs(ref_p), k
+            assert abs(Q[k] - ref_q) <= 1e-14 * abs(ref_q), k
 
     def test_non_real_argument_raises(self):
         # a_xi returned None here
         for a, b in ((0.3 + 0.1j, 0.2), (0.3, -0.2 - 0.5j)):
             with pytest.raises(DomainError, match="real"):
                 a_xi(1.0, 1.0, a, b)
+
+    @pytest.mark.parametrize("xi", [1.0, -1.0])
+    def test_real_point_guards(self, xi):
+        # a real side with xi x >= -3 sums its Taylor series and one with
+        # xi x < -3 calls no omega; each must still fail fast and quietly
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                assemble_matrix(xi_handle(0.5, xi), x, 0.3)
+        for lam in (-0.5, 1.5):
+            for u in (0.5 * xi, -8.0 * xi, 0.3 + 0.2j):
+                with pytest.raises(DomainError):
+                    assemble_matrix(xi_handle(lam, xi), u, -9.0 * xi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (0.0, 0.5, 1.0):
+                with pytest.raises(InfiniteValueError):
+                    assemble_matrix(xi_handle(lam, xi), 712.0 * xi, 0.3)
 
     def test_anchor_must_be_plus_or_minus_one(self):
         # kappa_xi(1.0, 0.5, 0.3, -0.2) used to return -8.6e-4
@@ -395,15 +438,19 @@ class TestBlockRule:
                 K, ref = new(u, v).as_array(), old(u, v).as_array()
                 assert np.max(np.abs(K - ref)) <= tol * max(1.0, np.max(np.abs(ref))), (u, v)
 
-    @pytest.mark.parametrize("u,v", [(0.5, -0.3), (0.5, -0.3 + 0.4j), (0.2 + 0.3j, -0.3 + 0.4j)],
-                             ids=["rr", "rc", "cc"])
-    def test_one_side_build_per_point(self, monkeypatch, u, v):
-        # the species branches built 2, 4 and 8 sides, one big_m_pair call each
+    @pytest.mark.parametrize("u,v,sizes", [(0.5, -0.3, ()), (-5.0, 0.5, (96,)),
+                                           (0.5, -0.3 + 0.4j, (192,)),
+                                           (0.2 + 0.3j, -0.3 + 0.4j, (192, 192))],
+                             ids=["rr", "rr_far", "rc", "cc"])
+    def test_one_side_build_per_point(self, monkeypatch, u, v, sizes):
+        # a real point with xi x >= -3 sums Taylor series and calls no
+        # big_m_pair; one with xi x < -3 makes one call on the 96 nodes, and a
+        # non-real point one on its 96 nodes and their conjugates
         calls = []
         big_m_pair = limits.big_m_pair
-        monkeypatch.setattr(limits, "big_m_pair", lambda z: calls.append(z) or big_m_pair(z))
+        monkeypatch.setattr(limits, "big_m_pair", lambda z: calls.append(np.size(z)) or big_m_pair(z))
         assemble_matrix(xi_handle(1.0, 1.0), u, v)
-        assert len(calls) == 2
+        assert tuple(calls) == sizes
 
 
 class TestAsymptoticCounts:

@@ -431,10 +431,18 @@ class TestLambdaWeight:
     def test_fourier_zero_mode_plain_trapezoid(self):
         b1, b2 = -0.6, -1.4
         ref = math.gamma(-b1 - b2 - 1) / (math.gamma(-b1) * math.gamma(-b2))
+        # real b1, b2 give Lambda(conj zeta) = conj Lambda(zeta), so the real
+        # part is even in theta and the symmetric midpoint grid needs only
+        # its theta > 0 half
+        for t in (0.3, 1.7, 2.9, 3.1):
+            zeta = complex(math.cos(t), math.sin(t))
+            val = lambda_weight(b1, b2, zeta)
+            assert abs(lambda_weight(b1, b2, zeta.conjugate()) - val.conjugate()) <= 1e-12 * abs(val)
         n = 4096
         theta = (np.arange(n) + 0.5) * (2 * math.pi / n) - math.pi
+        assert np.allclose(theta[n // 2:], -theta[n // 2 - 1::-1], rtol=0.0, atol=1e-14)
         vals = [lambda_weight(b1, b2, complex(math.cos(t), math.sin(t))).real
-                for t in theta]
+                for t in theta[n // 2:]]
         assert float(np.mean(vals)) == pytest.approx(ref, abs=5e-4)
 
     def test_conjugate_swap(self):
