@@ -217,9 +217,9 @@ def matrix_kernel(P: EnsembleParams, u, v) -> KernelValue2x2:
 
 def intensity_real(P: EnsembleParams, x):
     """Density of real roots ``R_{1,0}(x)``, the (1,2) entry of the block at
-    ``(x, x)``; vectorized over real ``x``."""
-    side = _side(_tables(P.N, P.s), np.asarray(x, dtype=float))
-    return block(skew_pair, side, side)[0, 1][()]
+    ``(x, x)``, formed alone from the side; vectorized over real ``x``."""
+    p, q, beta, gamma = _side(_tables(P.N, P.s), np.asarray(x, dtype=float))[:4]
+    return (_skew_sum(p[0], q[0], p[1], q[1]) + gamma[0] * beta[1] - beta[0] * gamma[1])[()]
 
 
 def intensity_complex(P: EnsembleParams, z):

@@ -1,12 +1,12 @@
 """Skew-symmetric bilinear form, Gram matrix, and the volume identity.
 
 The form splits into a real part (a double integral against ``sgn(y - x)``,
-reduced here to one dimension through the eps antiderivative) and a complex
-part (an area integral of ``Im(conj(f) g)`` against the squared weight over
-the upper half-plane). Monomial moments have closed forms; general monic
-bases are handled by bilinearity. The Pfaffian of the Gram matrix equals a
-finite rational product in ``s`` — the star-body volume, up to the factor
-``2/(N+1)``.
+reduced to one dimension through the eps antiderivative, by quadrature) and a
+complex part (an area integral of ``Im(conj(f) g)`` against the squared weight
+over the upper half-plane, in closed form). Monomial moments have closed
+forms, checked by the real part's quadrature; general monic bases are handled
+by bilinearity. The Pfaffian of the Gram matrix equals a finite rational
+product in ``s`` — the star-body volume, up to the factor ``2/(N+1)``.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, IntegrabilityError
 from .kernel import pfaffian
 from .polys import PolyCoeffs, eps_poly, weight
-from .quadrature import _check_quad, adaptive, halfline, leg_nodes
-
-_N_THETA = 96  # Gauss–Legendre nodes in the angle of bilinear_c
+from .quadrature import _check_quad, adaptive, halfline
 
 
 def skew_moment(n, m, s: float):
@@ -131,7 +129,7 @@ def volume_ball(N: int, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadrature evaluation of the bilinear form (oracle route)
+# the form of two polynomials: real part by quadrature (oracle route), complex part exact
 # ---------------------------------------------------------------------------
 
 
@@ -154,28 +152,30 @@ def bilinear_r(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> fl
     return total
 
 
-def bilinear_c(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> float:
-    """Complex part: ``4 int_H Im(conj(f) g) max(1,|z|)^{-2s} dA`` in polar
-    coordinates, radially split at the unit circle."""
-    xg, wg = leg_nodes(_N_THETA)
-    theta = 0.5 * math.pi * (xg + 1.0)
-    wtheta = 0.5 * math.pi * wg
-    etheta = np.exp(1j * theta)
+def complex_moment(a, b, s: float):
+    """Complex part of the skew product of ``z^a`` against ``z^b``: ``8 mu/(b - a)``
+    for odd ``b - a``, 0 for even, with ``mu = 1/(a+b+2) + 1/(2s-a-b-2)`` (no
+    second term at ``s = inf``). An odd pair with ``2s <= a+b+2`` diverges and
+    raises :class:`IntegrabilityError`. Vectorized over integer arrays."""
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    if (a < 0).any() or (b < 0).any():
+        raise DomainError("exponent indices must be nonnegative")
+    odd = (b - a) % 2 == 1
+    n = (a + b)[odd] + 2.0
+    if not math.isinf(s) and (2.0 * s <= n).any():
+        raise IntegrabilityError(f"complex moments need s > {n.max() / 2}, got {s}")
+    val = np.zeros(a.shape)
+    val[odd] = 8.0 * (1.0 / n + (0.0 if math.isinf(s) else 1.0 / (2.0 * s - n))) / (b - a)[odd]
+    return float(val) if val.ndim == 0 else val
 
-    def radial(r):
-        z = np.multiply.outer(np.asarray(r, dtype=float), etheta)
-        w2 = weight(s, z) ** 2 if not math.isinf(s) else weight(s, z)
-        vals = np.imag(np.conj(f(z)) * g(z)) * w2
-        return 4.0 * (vals * wtheta).sum(axis=-1) * np.asarray(r)
 
-    total, toterr = adaptive(radial, 0.0, 1.0, tol=tol)
-    if not math.isinf(s):
-        v1, e1 = halfline(radial, 1.0, tol=tol)
-        total, toterr = total + v1, toterr + e1
-    _check_quad(total, toterr)
-    return total
+def bilinear_c(f: PolyCoeffs, g: PolyCoeffs, s: float) -> float:
+    """Complex part ``4 int_H Im(conj(f) g) max(1,|z|)^{-2s} dA``: ``sum_{a,b}
+    f_a g_b complex_moment(a, b, s)`` over the pairs with ``f_a g_b != 0``."""
+    a, b = np.nonzero(fg := np.multiply.outer(f.coeffs, g.coeffs))
+    return float(np.sum(fg[a, b] * complex_moment(a, b, s)))
 
 
 def bilinear(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> float:
-    """Full skew form by quadrature (real plus complex part)."""
-    return bilinear_r(f, g, s, tol) + bilinear_c(f, g, s, tol)
+    """Full skew form: the real part by quadrature to ``tol``, the complex exact."""
+    return bilinear_r(f, g, s, tol) + bilinear_c(f, g, s)

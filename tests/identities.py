@@ -10,7 +10,11 @@ route of ``kernel.block``: the finite kernel's pair sums with their odd-N
 ``chi`` terms, and each limit regime as a handle ``A(u, v) -> (a, da, ad,
 dad)`` with its species-dispatched assembly. The +-1 handle runs on the full
 complex grid, so it is also the second route of ``limits.xi_handle``'s real
-half-grid."""
+half-grid. The adaptive bisection with every panel evaluated from scratch by
+scalar ``fixed_panel`` calls, the second route of ``quadrature.adaptive``'s
+one call per step; and the complex part of the skew form by an angular Gauss
+rule inside an adaptive radial quadrature, the second route of
+``volume.complex_moment``."""
 
 import math
 
@@ -24,8 +28,8 @@ from mahler.kernel import (EnsembleParams, KernelValue2x2, _family, _is_real_arg
                            intensity_complex, matrix_kernel)
 from mahler.limits import (_check_disk, _core, _edge, _jacobi_rule, _unit_nodes, _xi_side,
                            sqrt_minus_tau)
-from mahler.polys import eps_monomials
-from mahler.quadrature import _check_quad, adaptive, halfline, leg_nodes
+from mahler.polys import PolyCoeffs, eps_monomials, weight
+from mahler.quadrature import _check_quad, adaptive, fixed_panel, halfline, leg_nodes
 from mahler.specfun import _gamma_quotient, _is_nonpositive_integer, iota
 
 
@@ -181,6 +185,55 @@ def complex_count_quadrature(P: EnsembleParams, r_max: float | None,
         total, toterr = total + v2, toterr + e2
     _check_quad(total, toterr)
     return 2.0 * total
+
+
+def adaptive_by_panels(f, a, b, tol):
+    """The bisection loop of ``quadrature.adaptive`` with every panel
+    evaluated from scratch: three scalar ``fixed_panel`` calls per panel.
+    Returns ``(value, error, calls)``."""
+    calls = 0
+
+    def panel(lo, hi):
+        nonlocal calls
+        calls += 3
+        mid = 0.5 * (lo + hi)
+        whole = fixed_panel(f, lo, hi)
+        halves = fixed_panel(f, lo, mid) + fixed_panel(f, mid, hi)
+        return abs(whole - halves), lo, hi, halves
+
+    panels = [panel(a, b)]
+    while True:
+        total = sum(p[3] for p in panels)
+        total_err = sum(p[0] for p in panels)
+        if total_err <= tol * max(1.0, abs(total)):
+            return total, total_err, calls
+        panels.sort(key=lambda p: p[0])
+        _, lo, hi, _ = panels.pop()
+        mid = 0.5 * (lo + hi)
+        panels += [panel(lo, mid), panel(mid, hi)]
+
+
+def bilinear_c_quadrature(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> float:
+    """Complex part of the skew form, ``4 int_H Im(conj(f) g) max(1,|z|)^{-2s}
+    dA``, in polar coordinates: 96 Gauss–Legendre nodes in the angle inside an
+    adaptive radial quadrature, split at the unit circle."""
+    xg, wg = leg_nodes(96)
+    theta = 0.5 * math.pi * (xg + 1.0)
+    wtheta = 0.5 * math.pi * wg
+    etheta = np.exp(1j * theta)
+
+    def radial(r):
+        z = np.multiply.outer(np.asarray(r, dtype=float), etheta)
+        w2 = weight(s, z) ** 2 if not math.isinf(s) else weight(s, z)
+        vals = np.imag(np.conj(f(z)) * g(z)) * w2
+        return 4.0 * (vals * wtheta).sum(axis=-1) * np.asarray(r)
+
+    total, toterr = adaptive(radial, 0.0, 1.0, tol=tol)
+    if not math.isinf(s):
+        v1, e1 = halfline(radial, 1.0, tol=tol)
+        total, toterr = total + v1, toterr + e1
+    _check_quad(total, toterr)
+    return total
 
 
 def block_by_pairs(P: EnsembleParams, points) -> np.ndarray:

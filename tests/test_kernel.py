@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, gammasgn
 
-from identities import block_by_pairs, complex_count_quadrature
+from identities import adaptive_by_panels, block_by_pairs, complex_count_quadrature
 from mahler.errors import (DomainError, NotAntisymmetricError,
                            OddDimensionError, QuadratureError)
-from mahler.kernel import (EnsembleParams, PointConfig, _tables, correlation,
-                           expected_counts, expected_in_exact,
+from mahler.kernel import (EnsembleParams, PointConfig, _side, _tables, block,
+                           correlation, expected_counts, expected_in_exact,
                            expected_out_exact, intensity_complex,
                            intensity_real, kappa_n, matrix_kernel, pfaffian,
-                           sum_k)
+                           skew_pair, sum_k)
 from mahler.polys import p_poly
 from mahler.specfun import iota
 from mahler.volume import gram_matrix
@@ -306,6 +306,19 @@ class TestCorrelation:
 
 
 class TestExpectedCounts:
+    @pytest.mark.parametrize("N,s", [(8, 9.0), (15, 30.0), (16, 32.0), (32, 33.0),
+                                     (64, 128.0)])
+    def test_real_counts_match_panel_by_panel_quadrature(self, N, s):
+        # one integrand call per adaptive step changes no count: the same
+        # bisection with three scalar panel calls per panel
+        P, tol = EnsembleParams(N, s), 1e-9
+        inside = adaptive_by_panels(lambda x: intensity_real(P, x), -1.0, 1.0, tol)[0]
+        outside = 2.0 * adaptive_by_panels(
+            lambda t: intensity_real(P, 1.0 / t) / t**2, 0.0, 1.0, tol)[0]
+        for region, ref in (("inside", inside), ("outside", outside),
+                            ("realline", inside + outside)):
+            assert expected_counts(P, region, tol) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     def test_degree_two_closed_form(self):
         for s in (3.0, 5.0, 12.0):
             P = EnsembleParams(2, s)
@@ -421,6 +434,17 @@ class TestExpectedCounts:
 
 
 class TestIntensities:
+    @pytest.mark.parametrize("N", [1, 8, 15, 64])
+    @pytest.mark.parametrize("kind", ["plus1", "inf"])
+    def test_real_intensity_is_block_entry(self, N, kind):
+        # the (1,2) entry formed alone equals the whole block's at (x, x)
+        s = N + 1.0 if kind == "plus1" else math.inf
+        x = np.concatenate([np.linspace(-3.0, 3.0, 25), [-1.0, 1.0, 1e-12]])
+        side = _side(_tables(N, s), x)
+        ref = block(skew_pair, side, side)[0, 1]
+        got = intensity_real(EnsembleParams(N, s), x)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
     def test_real_intensity_nonnegative(self):
         P = EnsembleParams(5, 11.0)
         for x in np.linspace(-2.0, 2.0, 41):

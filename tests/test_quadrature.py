@@ -4,34 +4,35 @@ import time
 import numpy as np
 import pytest
 
+from identities import adaptive_by_panels
 from mahler.errors import DomainError, QuadratureError
 from mahler.kernel import EnsembleParams, expected_counts
 from mahler.quadrature import DEFAULT_ORDER, adaptive, fixed_panel, leg_nodes
 
 
-def adaptive_reference(f, a, b, tol):
-    """The bisection loop with every panel evaluated from scratch: three
-    ``fixed_panel`` calls per panel. Returns ``(value, error, calls)``."""
-    calls = 0
+class TestFixedPanel:
+    @pytest.mark.parametrize("f", [np.cos, lambda x: np.exp(1j * x) / (1.5 + x),
+                                   lambda x: np.abs(x - 0.3) ** 0.5],
+                             ids=["real", "complex", "kink"])
+    def test_stacked_panels_match_scalar_calls(self, f):
+        # each row of one stacked call is summed as the scalar call sums it
+        lo = np.array([-1.0, -1.0, 0.0, 0.25, 1e-3, -7.5])
+        hi = np.array([1.0, 0.0, 1.0, 0.375, 2e-3, 3.25])
+        calls = []
 
-    def panel(lo, hi):
-        nonlocal calls
-        calls += 3
-        mid = 0.5 * (lo + hi)
-        whole = fixed_panel(f, lo, hi)
-        halves = fixed_panel(f, lo, mid) + fixed_panel(f, mid, hi)
-        return abs(whole - halves), lo, hi, halves
+        def counted(x):
+            calls.append(x.shape)
+            return f(x)
 
-    panels = [panel(a, b)]
-    while True:
-        total = sum(p[3] for p in panels)
-        total_err = sum(p[0] for p in panels)
-        if total_err <= tol * max(1.0, abs(total)):
-            return total, total_err, calls
-        panels.sort(key=lambda p: p[0])
-        _, lo, hi, _ = panels.pop()
-        mid = 0.5 * (lo + hi)
-        panels += [panel(lo, mid), panel(mid, hi)]
+        stacked = fixed_panel(counted, lo, hi)
+        assert calls == [(lo.size * DEFAULT_ORDER,)]
+        x, w = leg_nodes(DEFAULT_ORDER)
+        scalar = [0.5 * (b - a) * np.sum(w * f(0.5 * (a + b) + 0.5 * (b - a) * x))
+                  for a, b in zip(lo.tolist(), hi.tolist())]
+        assert stacked.dtype == np.asarray(scalar).dtype
+        assert stacked.tolist() == scalar
+        assert [fixed_panel(f, a, b) for a, b in zip(lo.tolist(), hi.tolist())] == scalar
+        assert fixed_panel(f, [0.5], [0.75], 12).tolist() == [fixed_panel(f, 0.5, 0.75, 12)]
 
 
 class TestAdaptive:
@@ -49,14 +50,15 @@ class TestAdaptive:
 
         with pytest.raises(QuadratureError, match=r"\[0\.0, 1\.0\]"):
             adaptive(f, 0.0, 1.0)
-        assert len(calls) == 3       # the panel and its two halves
+        assert len(calls) == 1       # the panel and its two halves, stacked
 
     @pytest.mark.parametrize("f,a,b", [(np.sqrt, 0.0, 1.0),
                                        (lambda x: np.abs(x - 0.3), -1.0, 1.0),
                                        (lambda x: 1.0 / (1e-3 + x * x), -1.0, 2.0)])
     def test_children_reuse_parent_halves(self, f, a, b):
         # same values and error estimates as evaluating every panel from
-        # scratch, with two fixed_panel calls per child instead of three
+        # scratch, with one integrand call per step: the first panel with its
+        # halves, then the children's four quarter panels per bisection
         calls = []
 
         def counted(x):
@@ -64,11 +66,11 @@ class TestAdaptive:
             return f(x)
 
         val, err = adaptive(counted, a, b, tol=1e-12)
-        ref_val, ref_err, ref_calls = adaptive_reference(f, a, b, 1e-12)
+        ref_val, ref_err, ref_calls = adaptive_by_panels(f, a, b, 1e-12)
         assert (val, err) == (ref_val, ref_err)
         bisections = (ref_calls - 3) // 6
         assert bisections > 0
-        assert len(calls) == 3 + 4 * bisections
+        assert len(calls) == 1 + bisections
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0])
     def test_unmeetable_tolerance_raises_at_once(self, tol):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from identities import bilinear_c_quadrature
 from mahler import volume
-from mahler.errors import DomainError, QuadratureError
+from mahler.errors import DomainError, IntegrabilityError, QuadratureError
 from mahler.polys import PolyCoeffs, pi_pair
 from mahler.volume import (GramMatrix, bilinear, bilinear_c, bilinear_r,
-                           chern_vaaler_f, gram_matrix, gram_pf,
+                           chern_vaaler_f, complex_moment, gram_matrix, gram_pf,
                            monomial_moment, skew_moment, volume_ball)
 
 
@@ -167,12 +168,70 @@ class TestSkewOrthonormality:
                     0.0, abs=1e-7)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [65.5, 129.0, math.inf])
+    def test_delta_pattern_at_n64(self, s):
+        # degrees up to 63: z^n overflows the polar quadrature of the
+        # complex part past the unit circle, but not its closed form
+        pairs = {n: pi_pair(n, s) for n in (16, 30, 31)}
+        for n, (even_n, odd_n) in pairs.items():
+            for m, (even_m, odd_m) in pairs.items():
+                assert abs(bilinear(even_n, odd_m, s) - (n == m)) <= 1e-12
+                assert abs(bilinear(even_n, even_m, s)) <= 1e-12
+                assert abs(bilinear(odd_n, odd_m, s)) <= 1e-12
+
+
+class TestComplexPart:
+    @pytest.mark.parametrize("s", [13.5, 25.0, math.inf])
+    def test_closed_form_matches_quadrature(self, s):
+        rng = np.random.default_rng(19)
+        for _ in range(6):
+            f = PolyCoeffs(tuple(rng.standard_normal(rng.integers(1, 14))))
+            g = PolyCoeffs(tuple(rng.standard_normal(rng.integers(1, 14))))
+            ref = bilinear_c_quadrature(f, g, s)
+            assert abs(bilinear_c(f, g, s) - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("s", [9.5, 20.0, math.inf])
+    def test_parts_add_up_to_moments(self, s):
+        # complex part in closed form + real part by quadrature = whole moment
+        a, b = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
+        C = complex_moment(a, b, s)
+        for i, j in zip(a.ravel(), b.ravel()):
+            zi = PolyCoeffs((0.0,) * i + (1.0,))
+            zj = PolyCoeffs((0.0,) * j + (1.0,))
+            assert C[i, j] + bilinear_r(zi, zj, s, tol=1e-12) == pytest.approx(
+                monomial_moment(i, j, s), abs=1e-10)
+            assert C[i, j] == complex_moment(i, j, s)
+
+    def test_lowest_moment(self):
+        assert complex_moment(0, 1, 5.0) == pytest.approx(8.0 * (1 / 3 + 1 / 7), rel=1e-15)
+        assert complex_moment(1, 0, math.inf) == pytest.approx(-8.0 / 3.0, rel=1e-15)
+        assert complex_moment(2, 4, 5.0) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_integrability_guard(self):
+        # only odd pairs with a nonzero coefficient product enter; at s = 5
+        # the even pair (4, 4) sits on 2s = a + b + 2 and the odd (2, 7) past it
+        s = 5.0
+        z4 = PolyCoeffs((0.0,) * 4 + (1.0,))
+        assert bilinear_c(z4, z4, s) == 0.0
+        one, z7 = PolyCoeffs((1.0, 0.0, 0.0)), PolyCoeffs((0.0,) * 7 + (1.0,))
+        assert bilinear_c(one, z7, s) == complex_moment(0, 7, s)
+        with pytest.raises(IntegrabilityError):
+            bilinear_c(PolyCoeffs((1.0, 0.0, 2.0)), z7, s)
+        with pytest.raises(IntegrabilityError):
+            complex_moment(1, 8, 5.5)       # 2s = a + b + 2
+        with pytest.raises(DomainError):
+            complex_moment(-1, 2, s)
+
+
 class TestBilinearErrorCheck:
-    @pytest.mark.parametrize("part", [bilinear_r, bilinear_c])
+    @pytest.mark.parametrize("part", [bilinear_r])
     @pytest.mark.parametrize("rule", ["adaptive", "halfline"])
     def test_large_error_estimate_raises(self, monkeypatch, part, rule):
         # each quadrature piece's error estimate reaches the check: inflate
-        # one piece's estimate and the form must refuse its value
+        # one piece's estimate and the form must refuse its value (the
+        # complex part is in closed form and has no estimate)
         real = getattr(volume, rule)
 
         def inflated(*args, **kwargs):
