@@ -207,7 +207,7 @@ def _validate_battery():
 
     params = kernel.EnsembleParams(2, 5.0)
     total = kernel.expected_counts(params, "all")
-    checks.append(("N=2 s=5 normalization", abs(total - 2.0) <= 1e-5))
+    checks.append(("N=2 s=5 normalization", abs(total - 2.0) <= 1e-12))
 
     e_in = kernel.expected_in_exact(2, 5.0)
     checks.append(("N=2 closed-form inside count",

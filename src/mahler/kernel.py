@@ -26,7 +26,6 @@ from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
                      ResidualError)
 from .polys import (_p_table, _pi_odd_table, eps_monomials, p_eval_sequence,
                     s_norm, weight)
-from .quadrature import _check_quad, adaptive, halfline
 from .specfun import gammaln_signed, iota
 
 
@@ -319,72 +318,70 @@ def correlation(P: EnsembleParams, pts: PointConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def expected_counts(P: EnsembleParams, region, tol: float = 1e-9) -> float:
-    """Expected number of roots in a region.
+def expected_counts(P: EnsembleParams, region) -> float:
+    """Expected number of roots in a region, in closed form.
 
     ``region`` is one of ``'inside'`` (real roots in [-1, 1]), ``'outside'``
     (real roots beyond), ``'realline'``, ``'complex'`` (conjugate pairs,
     counted as 2 roots each), ``('disk', r)`` for pairs within radius
-    ``r >= 0``, or ``'all'`` (everything; integrates to N). Real-line counts
-    come from adaptive quadrature to ``tol``; non-real counts are exact
-    moment sums, which ``tol`` does not affect.
+    ``r >= 0``, or ``'all'`` (everything; N). Every region is an exact
+    moment sum of the coefficient tables, :func:`_count`.
     """
     if isinstance(region, tuple) and region[:1] == ("disk",):
         r = region[1] if len(region) == 2 else None
         if not (isinstance(r, numbers.Real) and r >= 0):
             raise DomainError(f"a disk region is ('disk', r), r >= 0: {region!r}")
-        return _complex_count(P, float(r))
-    if region == "inside":
-        val, err = adaptive(lambda x: intensity_real(P, x), -1.0, 1.0, tol=tol)
-        _check_quad(val, err)
-        return val
-    if region == "outside":
-        return _outside_count(P, tol)
+        return _count(P, float(r))
+    if region in ("inside", "outside"):
+        return _count(P, region)
     if region == "realline":
-        return expected_counts(P, "inside", tol) + _outside_count(P, tol)
+        return _count(P, "inside") + _count(P, "outside")
     if region == "complex":
-        return _complex_count(P, math.inf)
+        return _count(P, math.inf)
     if region == "all":
-        return expected_counts(P, "realline", tol) + _complex_count(P, math.inf)
+        return expected_counts(P, "realline") + _count(P, math.inf)
     raise DomainError(f"unknown region {region!r}")
 
 
-def _outside_count(P: EnsembleParams, tol: float) -> float:
-    if math.isinf(P.s):
-        return 0.0
-    val, err = halfline(lambda x: intensity_real(P, x), 1.0, tol=tol)
-    _check_quad(val, err)
-    return 2.0 * val       # the density is even
+def _count(P: EnsembleParams, region) -> float:
+    """Expected number of real roots ``'inside'`` or ``'outside'`` [-1, 1], or
+    of non-real roots of modulus below ``region = r``: the contraction
+    ``sum_{j,k,l} E_jk O_jl C_kl`` with ``E = even[:J]``, ``O = odd`` and the
+    region's moment table ``C``.
 
-
-def _complex_count(P: EnsembleParams, r_max: float) -> float:
-    """Expected number of non-real roots of modulus below ``r_max``: twice
-    the integral of ``R_{0,1}`` over the upper half-plane, in closed form.
-
-    With ``E = even[:J]``, ``O = odd`` and ``z = r e^{i theta}``,
-    ``pe_j conj(po_j) = w(r)^2 sum_{k,l} E_jk O_jl r^{2k+2l+1}
-    e^{i(2k-2l-1) theta}`` and the density is ``-4 sum_j Im(pe_j conj po_j)``.
-    Since ``int_0^pi sin(m theta) d theta = 2/m`` for odd ``m``, the count is
-    ``-16 sum_{j,k,l} E_jk O_jl mu_{k+l} / (2k-2l-1)`` with the radial moments
-    ``mu_n = int_0^r_max w(r)^2 r^{2n+2} dr``, finite for ``n <= N-2`` as ``s > N``.
+    Write ``a = 2k+1``, ``b = 2l+2``, ``n = a+b`` and ``t = 1/(s-b)`` (0 at
+    ``s = inf``). With ``z = r e^{i theta}``, ``pe_j conj(po_j) = w(r)^2
+    sum_{k,l} E_jk O_jl r^{n-1} e^{i(a-b) theta}``, the pair density is
+    ``-4 sum_j Im(pe_j conj po_j)`` and ``int_0^pi sin(m theta) d theta =
+    2/m`` for odd ``m``, so ``C = -16 mu_n/(a-b)`` with ``mu_n = int_0^r
+    w(r)^2 r^{n-1} dr``, finite as ``s > N``. The real density ``2 sum_j
+    (pe_j eps po_j - po_j eps pe_j)`` is even, its eps rows are powers of
+    ``x >= 0``, and twice its integral is ``C = 4 (2/n + t)/a`` over [0, 1],
+    ``C = 4 (2/(2s-n) + 1/a) t`` over [1, inf). For odd ``N`` the top member
+    adds ``w pi_{2J}/s_{2J}``: ``(2/s_{2J}) sum_k E_Jk m_k``, ``m = 1/a``
+    inside and ``1/(s-a)`` beyond.
     """
-    tab = _tables(P.N, P.s)
-    k = np.arange(tab.even.shape[1])[:, None]
-    l = np.arange(tab.J)
-    e = 2.0 * (k + l) + 3.0
-    mu = min(r_max, 1.0) ** e / e
-    if r_max > 1.0 and not math.isinf(P.s):
-        d = 2.0 * P.s - e
-        mu = mu + (1.0 - r_max ** -d) / d
-    C = mu / (2.0 * (k - l) - 1.0)
-    return -16.0 * float(np.sum(tab.even[:tab.J] * (tab.odd @ C.T)))
+    tab, s = _tables(P.N, P.s), P.s
+    a = 2.0 * np.arange(tab.even.shape[1])[:, None] + 1.0
+    b = 2.0 * np.arange(tab.J) + 2.0
+    n, t = a + b, 1.0 / (s - b)
+    if region == "inside":
+        C, m = 4.0 * (2.0 / n + t) / a, 1.0 / a
+    elif region == "outside":
+        C, m = 4.0 * (2.0 / (2.0 * s - n) + 1.0 / a) * t, 1.0 / (s - a)
+    else:
+        mu = min(region, 1.0) ** n / n
+        if region > 1.0 and not math.isinf(s):
+            mu = mu + (1.0 - region ** (n - 2.0 * s)) / (2.0 * s - n)
+        C, m = -16.0 * mu / (a - b), 0.0 * a
+    total = float(np.sum(tab.even[:tab.J] * (tab.odd @ C.T)))
+    return total + 2.0 / tab.s2J * float(tab.even[tab.J] @ m[:, 0]) if tab.odd_N else total
 
 
 def expected_in_exact(N: int, s: float) -> float:
-    """Exact expected number of real roots in [-1, 1] for even ``N = 2J``.
-
-    A double Gamma-ratio sum evaluated in log space; valid to N of order
-    thousands.
+    """Exact expected number of real roots in [-1, 1] for even ``N = 2J``
+    only: the second route of ``expected_counts(P, 'inside')``, a double
+    Gamma-ratio sum in log space, valid to N of order thousands.
     """
     if N % 2 != 0:
         raise DomainError("exact count sums require even N")
@@ -408,7 +405,8 @@ def expected_in_exact(N: int, s: float) -> float:
 
 
 def expected_out_exact(N: int, s: float) -> float:
-    """Exact expected number of real roots outside [-1, 1] for even ``N``."""
+    """Exact expected number of real roots outside [-1, 1] for even ``N``
+    only: the second route of ``expected_counts(P, 'outside')``."""
     if N % 2 != 0:
         raise DomainError("exact count sums require even N")
     if math.isinf(s):

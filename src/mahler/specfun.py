@@ -225,12 +225,12 @@ def _endpoint_moment(g: float, core, tol: float) -> complex:
     return (1.0 + g) * val
 
 
-def e_gamma(g: float, tau, tol: float = 1e-13) -> complex:
-    """``(1+g) \\int_0^1 x^g e^{tau x} dx``, normalized so the value at 0 is 1."""
+def e_gamma(g: float, tau) -> complex:
+    """``(1+g) \\int_0^1 x^g e^{tau x} dx = 1F1(1+g; 2+g; tau)`` (DLMF 13.4.1),
+    normalized so the value at 0 is 1."""
     if g <= -1.0:
         raise DomainError(f"e_gamma requires g > -1, got {g}")
-    tau = complex(tau)
-    return _endpoint_moment(g, lambda x: np.exp(tau * x), tol)
+    return hyp1f1_M(g, 0.0, complex(tau))
 
 
 def e_pair(a1: float, b1: float, a2: float, b2: float, t1, t2,

@@ -72,9 +72,10 @@ def test_criterion_04_degree_two_expectation():
         P = EnsembleParams(2, s)
         closed = (2 * s - 1) / (3 * s)
         exact = expected_in_exact(2, s)
-        quad = expected_counts(P, "inside", tol=1e-12)
+        quad, _ = adaptive(lambda x: intensity_real(P, x), -1.0, 1.0, tol=1e-12)
         ok &= abs(exact - closed) <= 1e-9
         ok &= abs(quad - closed) <= 1e-9
+        ok &= abs(expected_counts(P, "inside") - closed) <= 1e-9
     _report(4, "degree-2 expected count inside [-1,1] matches the closed "
                "form by sum and by quadrature", ok)
 

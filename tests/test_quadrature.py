@@ -6,7 +6,7 @@ import pytest
 
 from identities import adaptive_by_panels
 from mahler.errors import DomainError, QuadratureError
-from mahler.kernel import EnsembleParams, expected_counts
+from mahler.kernel import EnsembleParams, intensity_real
 from mahler.quadrature import DEFAULT_ORDER, adaptive, fixed_panel, leg_nodes
 
 
@@ -76,9 +76,10 @@ class TestAdaptive:
     def test_unmeetable_tolerance_raises_at_once(self, tol):
         # no error estimate is <= a NaN or negative tolerance, so the loop
         # would bisect up to max_panels before it failed
+        P = EnsembleParams(4, 9.0)
         start = time.perf_counter()
         with pytest.raises(DomainError, match="tol"):
-            expected_counts(EnsembleParams(4, 9.0), "inside", tol=tol)
+            adaptive(lambda x: intensity_real(P, x), -1.0, 1.0, tol=tol)
         assert time.perf_counter() - start < 0.5
 
     def test_smooth_integrand_converges(self):

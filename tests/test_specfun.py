@@ -343,6 +343,14 @@ class TestEGamma:
         with pytest.raises(DomainError):
             e_gamma(-1.0, 0.5)
 
+    def test_matches_mpmath_hyp1f1(self):
+        # (1+g) int_0^1 x^g e^{tau x} dx = 1F1(1+g; 2+g; tau), DLMF 13.4.1
+        with mpmath.workdps(30):
+            for g in (-0.5, 0.0, 0.4, 1.7, 2.0):
+                for tau in (0.8, -1.5 + 0.6j, 3 + 2j, -10.0):
+                    ref = complex(mpmath.hyp1f1(1 + g, 2 + g, tau))
+                    assert abs(e_gamma(g, tau) - ref) <= 1e-14 * abs(ref)
+
 
 class TestEPair:
     def test_at_zero(self):

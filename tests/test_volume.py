@@ -244,3 +244,11 @@ class TestBilinearErrorCheck:
         monkeypatch.setattr(volume, rule, inflated)
         with pytest.raises(QuadratureError):
             part(even, odd, 11.0)
+
+    @pytest.mark.parametrize("s", [129.0, 257.0])
+    def test_half_line_overflow_raises_without_warnings(self, s):
+        # at N = 128 the monomial basis overflows on the half-line nodes:
+        # a QuadratureError, not a RuntimeWarning (an error under this config)
+        even, odd = pi_pair(63, s)
+        with pytest.raises(QuadratureError):
+            bilinear_r(even, odd, s)
