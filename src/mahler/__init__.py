@@ -2,8 +2,8 @@
 
 A numerical library for the Pfaffian point process formed by the roots:
 skew-orthogonal polynomial families, finite-N 2x2 matrix kernels and
-correlation functions, six scaling/unscaled limit kernels, exact and
-asymptotic expected real-root counts, the star-body volume identity, and a
+correlation functions, six scaling/unscaled limit kernels, exact
+expected root counts, the star-body volume identity, and a
 Metropolis ball-walk sampler for Monte-Carlo validation.
 """
 
@@ -36,10 +36,8 @@ from .kernel import (
     sum_k,
 )
 from .limits import (
-    AsymptoticCounts,
     LimitKernelSpec,
     assemble_matrix,
-    asymptotic_real_counts,
     a_disk,
     a_outside,
     a_xi,

@@ -195,7 +195,7 @@ def _validate_battery():
             even, _ = pi_pair(n, s)
             _, odd = pi_pair(m, s)
             val = volume.bilinear(even, odd, s)
-            ok &= abs(val - (1.0 if n == m else 0.0)) <= 1e-7
+            ok &= abs(val - (1.0 if n == m else 0.0)) <= 1e-12
     checks.append(("skew-orthonormality indices <= 2, s=11", ok))
 
     rng = np.random.default_rng(0)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
                      ResidualError)
 from .polys import (_p_table, _pi_odd_table, eps_monomials, p_eval_sequence,
-                    s_norm, weight)
+                    region_moments, s_norm, weight)
 from .specfun import gammaln_signed, iota
 
 
@@ -347,35 +347,21 @@ def _count(P: EnsembleParams, region) -> float:
     """Expected number of real roots ``'inside'`` or ``'outside'`` [-1, 1], or
     of non-real roots of modulus below ``region = r``: the contraction
     ``sum_{j,k,l} E_jk O_jl C_kl`` with ``E = even[:J]``, ``O = odd`` and the
-    region's moment table ``C``.
-
-    Write ``a = 2k+1``, ``b = 2l+2``, ``n = a+b`` and ``t = 1/(s-b)`` (0 at
-    ``s = inf``). With ``z = r e^{i theta}``, ``pe_j conj(po_j) = w(r)^2
-    sum_{k,l} E_jk O_jl r^{n-1} e^{i(a-b) theta}``, the pair density is
-    ``-4 sum_j Im(pe_j conj po_j)`` and ``int_0^pi sin(m theta) d theta =
-    2/m`` for odd ``m``, so ``C = -16 mu_n/(a-b)`` with ``mu_n = int_0^r
-    w(r)^2 r^{n-1} dr``, finite as ``s > N``. The real density ``2 sum_j
-    (pe_j eps po_j - po_j eps pe_j)`` is even, its eps rows are powers of
-    ``x >= 0``, and twice its integral is ``C = 4 (2/n + t)/a`` over [0, 1],
-    ``C = 4 (2/(2s-n) + 1/a) t`` over [1, inf). For odd ``N`` the top member
-    adds ``w pi_{2J}/s_{2J}``: ``(2/s_{2J}) sum_k E_Jk m_k``, ``m = 1/a``
-    inside and ``1/(s-a)`` beyond.
+    region's moment table ``C_kl`` of ``x^{2k}`` against ``x^{2l+1}``,
+    :func:`mahler.polys.region_moments` (finite as ``s > N``). The density
+    of each region is a sum over ``j`` of the skew densities of the pairs
+    ``(pi_{2j}, pi_{2j+1})``. For odd ``N`` the top member adds ``w
+    pi_{2J}/s_{2J}``: ``(2/s_{2J}) sum_k E_Jk m_k``, with ``m = 1/(2k+1)``
+    inside and ``1/(s-2k-1)`` beyond.
     """
     tab, s = _tables(P.N, P.s), P.s
-    a = 2.0 * np.arange(tab.even.shape[1])[:, None] + 1.0
-    b = 2.0 * np.arange(tab.J) + 2.0
-    n, t = a + b, 1.0 / (s - b)
-    if region == "inside":
-        C, m = 4.0 * (2.0 / n + t) / a, 1.0 / a
-    elif region == "outside":
-        C, m = 4.0 * (2.0 / (2.0 * s - n) + 1.0 / a) * t, 1.0 / (s - a)
-    else:
-        mu = min(region, 1.0) ** n / n
-        if region > 1.0 and not math.isinf(s):
-            mu = mu + (1.0 - region ** (n - 2.0 * s)) / (2.0 * s - n)
-        C, m = -16.0 * mu / (a - b), 0.0 * a
-    total = float(np.sum(tab.even[:tab.J] * (tab.odd @ C.T)))
-    return total + 2.0 / tab.s2J * float(tab.even[tab.J] @ m[:, 0]) if tab.odd_N else total
+    e = 2 * np.arange(tab.even.shape[1])
+    total = float(np.sum(tab.even[:tab.J] * (tab.odd @ region_moments(
+        e[:, None], 2 * np.arange(tab.J) + 1, s, region).T)))
+    if not tab.odd_N or region not in ("inside", "outside"):
+        return total
+    m = 1.0 / (e + 1.0) if region == "inside" else 1.0 / (s - (e + 1.0))
+    return total + 2.0 / tab.s2J * float(tab.even[tab.J] @ m)
 
 
 def expected_in_exact(N: int, s: float) -> float:

@@ -441,44 +441,6 @@ def assemble_matrix(handle, u, v) -> KernelValue2x2:
 
 
 # ---------------------------------------------------------------------------
-# asymptotic real-root counts
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AsymptoticCounts:
-    e_in: float
-    e_out: float
-    regime: str
-    alpha: float
-
-
-def asymptotic_real_counts(N: int, s: float) -> AsymptoticCounts:
-    """Leading-order expected real-root counts and the growth regime.
-
-    ``E_in ~ (1/pi) log N``; ``E_out ~ -(1/pi) (sqrt(N(2s-N))/s)
-    log(1 - N/s)``. Regimes: ratio N/s bounded away from 1 (outside count
-    stays O(sqrt(N/s))), ``s = N + N^{1-alpha}`` (outside count grows like
-    ``(alpha/pi) log N``), and ``s - N`` bounded (total ``(2/pi) log N``,
-    the same leading term as for independent Gaussian coefficients).
-    """
-    if not s > N:
-        raise DomainError("requires s > N")
-    e_in = math.log(N) / math.pi
-    if math.isinf(s):
-        return AsymptoticCounts(e_in, 0.0, "ratio_below_one", 0.0)
-    e_out = -(math.sqrt(N * (2.0 * s - N)) / s) * math.log1p(-N / s) / math.pi
-    gap = s - N
-    if N / s <= 0.75:
-        return AsymptoticCounts(e_in, e_out, "ratio_below_one", 0.0)
-    alpha = 1.0 - math.log(max(gap, 1.0)) / math.log(N) if N > 1 else 1.0
-    alpha = min(max(alpha, 0.0), 1.0)
-    if gap <= 2.0 or alpha >= 0.95:
-        return AsymptoticCounts(e_in, e_out, "gap_bounded", 1.0)
-    return AsymptoticCounts(e_in, e_out, "intermediate", alpha)
-
-
-# ---------------------------------------------------------------------------
 # convergence harness
 # ---------------------------------------------------------------------------
 

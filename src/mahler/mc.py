@@ -65,25 +65,11 @@ class RootSet:
     pairs: tuple[complex, ...]
 
 
-def mahler_measure(p: PolyCoeffs, cross_check: bool = False) -> float:
-    """``|leading coefficient| * prod max(1, |root|)``.
-
-    With ``cross_check=True`` the value is compared against the circle
-    average of ``log |p|`` (512-node trapezoid); the slow convergence of that
-    average for roots near the circle is why the check is opt-in.
-    """
+def mahler_measure(p: PolyCoeffs) -> float:
+    """``|leading coefficient| * prod max(1, |root|)``."""
     roots = p.roots     # DomainError at the zero polynomial
     lead = np.trim_zeros(np.asarray(p.coeffs, dtype=float), trim="b")[-1]
-    val = abs(lead) * _root_product(roots)
-    if cross_check:
-        n = 512
-        theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-        pv = p(np.exp(1j * theta))
-        jensen = math.exp(float(np.mean(np.log(np.abs(pv)))))
-        if abs(jensen - val) > 1e-4 * max(1.0, abs(val)):
-            raise ConditioningError(
-                f"root-product {val:.8g} vs circle-average {jensen:.8g}")
-    return val
+    return abs(lead) * _root_product(roots)
 
 
 def _root_product(roots: np.ndarray) -> float:  # monic Mahler measure

@@ -188,6 +188,36 @@ def eps_monomials(degrees, s: float, y) -> np.ndarray:
     return np.where(e % 2 == 1, -np.sign(y) * g, g_inf - g)
 
 
+def region_moments(e, o, s: float, region):
+    """Twice a part of the skew form of ``x^e`` (even ``e``) against ``x^o``
+    (odd ``o``), broadcast over integer arrays ``e``, ``o``: the real-line
+    part over [-1, 1] (``region = 'inside'``) or beyond (``'outside'``), or
+    the non-real part within ``|z| < r`` (``region = r``, ``inf`` allowed).
+
+    Write ``a = e+1``, ``b = o+1``, ``n = a+b`` and ``t = 1/(s-b)`` (0 at
+    ``s = inf``). The real part of the form is the integral over the line of
+    ``d = x^e w eps(x^o w) - x^o w eps(x^e w)``. By :func:`eps_monomials` the
+    eps rows are ``G_o(inf) - G_o(|x|)`` and ``-sgn(x) G_e(|x|)``, so ``d``
+    is even, and twice its integral is ``4 (2/n + t)/a`` over [-1, 1] and
+    ``4 (2/(2s-n) + 1/a) t`` over ``|x| > 1``. The complex part is ``4 int_H
+    Im(conj(z^e) z^o) w^2 dA``. With ``z = r e^{i theta}`` and ``int_0^pi
+    sin(m theta) d theta = 2/m`` for odd ``m``, twice its part within
+    ``|z| < r`` is ``-16 mu_n/(a-b)`` with ``mu_n = int_0^r w(r)^2 r^{n-1}
+    dr``. The real parts need ``s > b`` and ``2s > n``, the complex part
+    ``2s > n`` when ``r > 1``; the callers check.
+    """
+    a, b = e + 1.0, o + 1.0
+    n, t = a + b, 1.0 / (s - b)
+    if region == "inside":
+        return 4.0 * (2.0 / n + t) / a
+    if region == "outside":
+        return 4.0 * (2.0 / (2.0 * s - n) + 1.0 / a) * t
+    mu = min(region, 1.0) ** n / n
+    if region > 1.0 and not math.isinf(s):
+        mu = mu + (1.0 - region ** (n - 2.0 * s)) / (2.0 * s - n)
+    return -16.0 * mu / (a - b)
+
+
 def eps_pi(kind: str, n: int, s: float, y):
     """Closed-form ``eps`` of the weighted skew-orthogonal polynomials.
 

@@ -1,15 +1,14 @@
 """Gauss–Legendre panel quadrature with adaptive bisection.
 
-Conventions used throughout the package:
-
-* finite intervals are integrated with fixed-order Gauss–Legendre panels,
-  refined by bisection until the panel-sum error estimate meets the target;
-* half-lines ``[a, inf)`` with ``a > 0`` are mapped to ``(0, 1/a]`` through
-  ``x = 1/t``;
-* the limit kernels of :mod:`mahler.limits` use fixed rules instead: circle
-  averages take Gauss–Legendre panels in the angle, split where a branch
-  point comes near the circle, and the tails beyond the disk a Gauss–Jacobi
-  rule that absorbs their endpoint power.
+The library computes no quantity by adaptive quadrature: its counts, skew
+forms and endpoint moments are closed forms. The limit kernels of
+:mod:`mahler.limits` take fixed rules built on :func:`leg_nodes`: circle
+averages take Gauss–Legendre panels in the angle, split where a branch point
+comes near the circle, and the tails beyond the disk a Gauss–Jacobi rule
+that absorbs their endpoint power. :func:`adaptive` and :func:`fixed_panel`
+serve the declared second routes in the tests, the scripts and the
+benchmark's checks: finite intervals in fixed-order panels, refined by
+bisection until the panel-sum error estimate meets the target.
 
 Integrands must be vectorized over numpy arrays (real or complex output);
 ``adaptive`` calls one once per step, on the stacked nodes of that step's
@@ -87,22 +86,3 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None
         q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
         quarters = fixed_panel(f, [lo, q1, mid, q3], [q1, mid, q3, hi], order)
         panels += [panel(lo, mid, left, *quarters[:2]), panel(mid, hi, right, *quarters[2:])]
-
-
-def _check_quad(val, err):
-    """Raise when an error estimate exceeds ``1e-6 * max(1, |val|)``."""
-    if err > 1e-6 * max(1.0, abs(val)):
-        raise QuadratureError(f"quadrature error {err:.3e} too large for value {val:.3e}")
-
-
-def halfline(f, a: float, tol: float = 1e-12, order: int | None = None):
-    """Integral of ``f`` over ``[a, inf)`` for ``a > 0`` via ``x = 1/t``.
-
-    The integrand must decay fast enough that ``f(1/t)/t^2`` is integrable
-    at ``t = 0``; the substituted integrand is evaluated on ``(0, 1/a]`` where
-    Gauss nodes never touch the endpoint.
-    """
-    if a <= 0:
-        raise ValueError("halfline requires a > 0")
-    return adaptive(lambda t: f(1.0 / t) / t**2, 0.0, 1.0 / a, tol=tol, order=order)
-

@@ -1,12 +1,15 @@
 """Skew-symmetric bilinear form, Gram matrix, and the volume identity.
 
 The form splits into a real part (a double integral against ``sgn(y - x)``,
-reduced to one dimension through the eps antiderivative, by quadrature) and a
-complex part (an area integral of ``Im(conj(f) g)`` against the squared weight
-over the upper half-plane, in closed form). Monomial moments have closed
-forms, checked by the real part's quadrature; general monic bases are handled
-by bilinearity. The Pfaffian of the Gram matrix equals a finite rational
-product in ``s`` — the star-body volume, up to the factor ``2/(N+1)``.
+reduced to one dimension through the eps antiderivative) and a complex part
+(an area integral of ``Im(conj(f) g)`` against the squared weight over the
+upper half-plane). Both parts of a monomial pair are closed forms, read from
+the region moment tables of :func:`mahler.polys.region_moments` that the
+expected root counts also read; their sum is the closed total
+:func:`skew_moment`, the Gram matrix's route. Polynomials and monic bases
+are handled by bilinearity. The Pfaffian of the Gram matrix equals a finite
+rational product in ``s`` — the star-body volume, up to the factor
+``2/(N+1)``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrabilityError
 from .kernel import pfaffian
-from .polys import PolyCoeffs, eps_poly, weight
-from .quadrature import _check_quad, adaptive, halfline
+from .polys import PolyCoeffs, region_moments
 
 
 def skew_moment(n, m, s: float):
@@ -39,16 +41,23 @@ def skew_moment(n, m, s: float):
     return float(val) if val.ndim == 0 else val
 
 
-def monomial_moment(a, b, s: float):
-    """Skew product of ``z^a`` against ``z^b`` for arbitrary parities;
-    vectorized over integer arrays ``a``, ``b``."""
-    a, b = np.broadcast_arrays(a, b)
+def _by_parity(part, a, b):
+    """``part(e, o)`` at the pairs of ``z^a``, ``z^b`` with odd ``a - b``, ``e``
+    the even exponent and ``o`` the odd one; swapping a pair flips the sign,
+    and same-parity pairs are 0. Vectorized over integer arrays ``a``, ``b``."""
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    if (a < 0).any() or (b < 0).any():
+        raise DomainError("exponent indices must be nonnegative")
     odd, swap = (a - b) % 2 == 1, a % 2 == 1
     val = np.zeros(a.shape)
-    val[odd] = skew_moment(np.where(swap, b, a)[odd] // 2,      # the even exponent 2n
-                           np.where(swap, a, b)[odd] // 2, s)   # the odd one 2m + 1
-    val[odd & swap] *= -1.0                                     # a swap flips the sign
+    val[odd] = part(np.where(swap, b, a)[odd], np.where(swap, a, b)[odd])
+    val[odd & swap] *= -1.0
     return float(val) if val.ndim == 0 else val
+
+
+def monomial_moment(a, b, s: float):
+    """Skew product of ``z^a`` against ``z^b`` for arbitrary parities."""
+    return _by_parity(lambda e, o: skew_moment(e // 2, o // 2, s), a, b)
 
 
 @dataclass(frozen=True)
@@ -129,55 +138,50 @@ def volume_ball(N: int, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the form of two polynomials: real part by quadrature (oracle route), complex part exact
+# the form of two polynomials: both parts as exact moment sums
 # ---------------------------------------------------------------------------
 
 
-def bilinear_r(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> float:
-    """Real part of the skew form: ``2 int f~(x) (eps g~)(x) dx``.
+def _region_part(a, b, s: float, regions):
+    """Half the sum of the ``regions`` tables of
+    :func:`mahler.polys.region_moments` at the pairs of ``z^a``, ``z^b``. An
+    odd pair with ``2s <= a+b+2``, or for the real parts with ``s <= o+1``
+    (``o`` the odd exponent), diverges and raises :class:`IntegrabilityError`."""
+    def part(e, o):
+        bad = (2.0 * s <= e + o + 2) | (("inside" in regions) & (s <= o + 1))
+        if bad.any():
+            raise IntegrabilityError(f"z^{e[bad][0]} against z^{o[bad][0]} diverges at s={s}")
+        return 0.5 * sum(region_moments(e, o, s, region) for region in regions)
+    return _by_parity(part, a, b)
 
-    The double integral against ``sgn(y - x)`` collapses to one dimension via
-    the eps antiderivative of the weighted polynomial. An overflow of the
-    monomial basis (N = 128) raises :class:`QuadratureError`, not a warning.
-    """
-    def simple(x):
-        xv = np.asarray(x, dtype=float)
-        return 2.0 * f(xv) * weight(s, xv) * eps_poly(g.coeffs, s, xv)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        total, toterr = adaptive(simple, -1.0, 1.0, tol=tol)
-        if not math.isinf(s):
-            v1, e1 = halfline(simple, 1.0, tol=tol)
-            v2, e2 = halfline(lambda x: simple(-x), 1.0, tol=tol)
-            total, toterr = total + (v1 + v2), toterr + e1 + e2
-    _check_quad(total, toterr)
-    return total
+def real_moment(a, b, s: float):
+    """Real part of the skew product of ``z^a`` against ``z^b``."""
+    return _region_part(a, b, s, ("inside", "outside"))
 
 
 def complex_moment(a, b, s: float):
-    """Complex part of the skew product of ``z^a`` against ``z^b``: ``8 mu/(b - a)``
-    for odd ``b - a``, 0 for even, with ``mu = 1/(a+b+2) + 1/(2s-a-b-2)`` (no
-    second term at ``s = inf``). An odd pair with ``2s <= a+b+2`` diverges and
-    raises :class:`IntegrabilityError`. Vectorized over integer arrays."""
-    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-    if (a < 0).any() or (b < 0).any():
-        raise DomainError("exponent indices must be nonnegative")
-    odd = (b - a) % 2 == 1
-    n = (a + b)[odd] + 2.0
-    if not math.isinf(s) and (2.0 * s <= n).any():
-        raise IntegrabilityError(f"complex moments need s > {n.max() / 2}, got {s}")
-    val = np.zeros(a.shape)
-    val[odd] = 8.0 * (1.0 / n + (0.0 if math.isinf(s) else 1.0 / (2.0 * s - n))) / (b - a)[odd]
-    return float(val) if val.ndim == 0 else val
+    """Complex part of the skew product of ``z^a`` against ``z^b``: ``8
+    mu/(b - a)`` for odd ``b - a``, with ``mu = 1/(a+b+2) + 1/(2s-a-b-2)``."""
+    return _region_part(a, b, s, (math.inf,))
+
+
+def _form(moment, f: PolyCoeffs, g: PolyCoeffs, s: float) -> float:
+    """``sum_{a,b} f_a g_b moment(a, b, s)`` over the pairs with ``f_a g_b != 0``."""
+    a, b = np.nonzero(fg := np.multiply.outer(f.coeffs, g.coeffs))
+    return float(np.sum(fg[a, b] * moment(a, b, s)))
+
+
+def bilinear_r(f: PolyCoeffs, g: PolyCoeffs, s: float) -> float:
+    """Real part ``2 int f(x) w(x) eps(g w)(x) dx`` of the skew form."""
+    return _form(real_moment, f, g, s)
 
 
 def bilinear_c(f: PolyCoeffs, g: PolyCoeffs, s: float) -> float:
-    """Complex part ``4 int_H Im(conj(f) g) max(1,|z|)^{-2s} dA``: ``sum_{a,b}
-    f_a g_b complex_moment(a, b, s)`` over the pairs with ``f_a g_b != 0``."""
-    a, b = np.nonzero(fg := np.multiply.outer(f.coeffs, g.coeffs))
-    return float(np.sum(fg[a, b] * complex_moment(a, b, s)))
+    """Complex part ``4 int_H Im(conj(f) g) max(1,|z|)^{-2s} dA`` of the skew form."""
+    return _form(complex_moment, f, g, s)
 
 
-def bilinear(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> float:
-    """Full skew form: the real part by quadrature to ``tol``, the complex exact."""
-    return bilinear_r(f, g, s, tol) + bilinear_c(f, g, s)
+def bilinear(f: PolyCoeffs, g: PolyCoeffs, s: float) -> float:
+    """Full skew form of two polynomials, both parts exact."""
+    return bilinear_r(f, g, s) + bilinear_c(f, g, s)

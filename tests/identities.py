@@ -10,11 +10,15 @@ route of ``kernel.block``: the finite kernel's pair sums with their odd-N
 ``chi`` terms, and each limit regime as a handle ``A(u, v) -> (a, da, ad,
 dad)`` with its species-dispatched assembly. The +-1 handle runs on the full
 complex grid, so it is also the second route of ``limits.xi_handle``'s real
-half-grid. The adaptive bisection with every panel evaluated from scratch by
-scalar ``fixed_panel`` calls, the second route of ``quadrature.adaptive``'s
-one call per step; and the complex part of the skew form by an angular Gauss
-rule inside an adaptive radial quadrature, the second route of
-``volume.complex_moment``."""
+half-grid. The half-line rule ``x = 1/t`` and the error-estimate check of
+the quadrature routes. The adaptive bisection with every panel evaluated
+from scratch by scalar ``fixed_panel`` calls, the second route of
+``quadrature.adaptive``'s one call per step; the real part of the skew form by adaptive quadrature of
+the eps antiderivative, the second route of ``volume.real_moment``, and its
+complex part by an angular Gauss rule inside an adaptive radial quadrature,
+the second route of ``volume.complex_moment``; and the Mahler measure as the
+circle average of ``log |p|`` (Jensen's formula), the second route of
+``mc.mahler_measure``."""
 
 import math
 
@@ -23,13 +27,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma, gammaln, rgamma
 
-from mahler.errors import DomainError, InfiniteValueError, PoleError
+from mahler.errors import DomainError, InfiniteValueError, PoleError, QuadratureError
 from mahler.kernel import (EnsembleParams, KernelValue2x2, _family, _is_real_arg, _tables,
                            intensity_complex, matrix_kernel)
 from mahler.limits import (_check_disk, _core, _edge, _jacobi_rule, _unit_nodes, _xi_side,
                            sqrt_minus_tau)
-from mahler.polys import PolyCoeffs, eps_monomials, weight
-from mahler.quadrature import _check_quad, adaptive, fixed_panel, halfline, leg_nodes
+from mahler.polys import PolyCoeffs, eps_monomials, eps_poly, weight
+from mahler.quadrature import adaptive, fixed_panel, leg_nodes
 from mahler.specfun import _gamma_quotient, _is_nonpositive_integer, iota
 
 
@@ -153,6 +157,24 @@ def random_instances(rng: np.random.Generator, count: int):
     return out
 
 
+def _check_quad(val, err):
+    """Raise when an error estimate exceeds ``1e-6 * max(1, |val|)``."""
+    if err > 1e-6 * max(1.0, abs(val)):
+        raise QuadratureError(f"quadrature error {err:.3e} too large for value {val:.3e}")
+
+
+def halfline(f, a: float, tol: float = 1e-12, order: int | None = None):
+    """Integral of ``f`` over ``[a, inf)`` for ``a > 0`` via ``x = 1/t``.
+
+    The integrand must decay fast enough that ``f(1/t)/t^2`` is integrable
+    at ``t = 0``; the substituted integrand is evaluated on ``(0, 1/a]`` where
+    Gauss nodes never touch the endpoint.
+    """
+    if a <= 0:
+        raise ValueError("halfline requires a > 0")
+    return adaptive(lambda t: f(1.0 / t) / t**2, 0.0, 1.0 / a, tol=tol, order=order)
+
+
 def complex_count_quadrature(P: EnsembleParams, r_max: float | None,
                              tol: float = 1e-9, n_theta: int = 96,
                              order: int = 96) -> float:
@@ -213,6 +235,26 @@ def adaptive_by_panels(f, a, b, tol):
         panels += [panel(lo, mid), panel(mid, hi)]
 
 
+def bilinear_r_quadrature(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> float:
+    """Real part of the skew form, ``2 int f(x) w(x) eps(g w)(x) dx``: the
+    double integral against ``sgn(y - x)`` collapsed to one dimension by the
+    eps antiderivative, by adaptive quadrature over [-1, 1] and the two
+    half-lines. An overflow of the monomial basis (N = 128) raises
+    :class:`QuadratureError`, not a warning."""
+    def simple(x):
+        xv = np.asarray(x, dtype=float)
+        return 2.0 * f(xv) * weight(s, xv) * eps_poly(g.coeffs, s, xv)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, toterr = adaptive(simple, -1.0, 1.0, tol=tol)
+        if not math.isinf(s):
+            v1, e1 = halfline(simple, 1.0, tol=tol)
+            v2, e2 = halfline(lambda x: simple(-x), 1.0, tol=tol)
+            total, toterr = total + (v1 + v2), toterr + e1 + e2
+    _check_quad(total, toterr)
+    return total
+
+
 def bilinear_c_quadrature(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1e-10) -> float:
     """Complex part of the skew form, ``4 int_H Im(conj(f) g) max(1,|z|)^{-2s}
     dA``, in polar coordinates: 96 Gauss–Legendre nodes in the angle inside an
@@ -234,6 +276,14 @@ def bilinear_c_quadrature(f: PolyCoeffs, g: PolyCoeffs, s: float, tol: float = 1
         total, toterr = total + v1, toterr + e1
     _check_quad(total, toterr)
     return total
+
+
+def mahler_measure_jensen(p: PolyCoeffs, n: int = 512) -> float:
+    """``exp`` of the circle average of ``log |p|`` on ``n`` midpoint nodes,
+    Jensen's formula for the Mahler measure; it converges slowly when a root
+    lies near the circle."""
+    theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    return math.exp(float(np.mean(np.log(np.abs(p(np.exp(1j * theta)))))))
 
 
 def block_by_pairs(P: EnsembleParams, points) -> np.ndarray:

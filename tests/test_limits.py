@@ -8,10 +8,10 @@ import pytest
 
 import mahler.limits as limits
 from mahler.errors import DomainError, InfiniteValueError
-from mahler.kernel import EnsembleParams, matrix_kernel, sum_k
+from mahler.kernel import EnsembleParams, expected_counts, matrix_kernel, sum_k
 from mahler.limits import (LimitKernelSpec, _lambda_fourier, a_disk,
                            a_outside, a_xi, a_xi_iform, assemble_matrix,
-                           asymptotic_real_counts, b_outside, compare_report,
+                           b_outside, compare_report,
                            convergence_report, dad_disk, disk_handle, dsn_limit,
                            k_zeta, kappa_xi, kasymp_report, outside_handle,
                            ratio_sums_report, sqrt_minus_tau,
@@ -453,28 +453,40 @@ class TestBlockRule:
         assert tuple(calls) == sizes
 
 
+def _log_slope(region, s_of, n=512):
+    """``pi (E(2n) - E(n)) / log 2`` for the exact count of a region at
+    ``s = s_of(N)``: ``c`` for a count that grows like ``(c/pi) log N``."""
+    low, high = (expected_counts(EnsembleParams(N, float(s_of(N))), region) for N in (n, 2 * n))
+    return math.pi * (high - low) / math.log(2.0)
+
+
 class TestAsymptoticCounts:
+    """The paper's growth claims for the real-root counts, on the exact counts."""
+
+    @pytest.mark.parametrize("s_of", [lambda N: math.inf, lambda N: N + 1,
+                                      lambda N: 2 * N, lambda N: 4 * N],
+                             ids=["inf", "N+1", "2N", "4N"])
+    def test_inside_count_grows_like_log_n(self, s_of):
+        assert _log_slope("inside", s_of) == pytest.approx(1.0, rel=0.01)
+
     def test_bounded_gap_regime(self):
-        big = 10 ** 7
-        counts = asymptotic_real_counts(big, big + 2.0)
-        assert counts.regime == "gap_bounded"
-        assert counts.e_in == pytest.approx(math.log(big) / math.pi,
-                                           rel=1e-12)
-        assert counts.e_out == pytest.approx(math.log(big) / math.pi,
-                                             rel=0.1)
+        # s - N bounded: the outside count grows as the inside one does
+        assert _log_slope("outside", lambda N: N + 1) == pytest.approx(1.0, rel=0.01)
 
     def test_power_gap_regime(self):
+        # s = N + N^(1 - alpha): the outside count grows like (alpha/pi) log N;
+        # the slope nears alpha slowly (0.93, 0.95 and 0.96 of it from
+        # N = 256, 512 and 1024)
         alpha = 0.5
-        big = 10 ** 8
-        counts = asymptotic_real_counts(big, big + big ** (1 - alpha))
-        assert counts.e_out == pytest.approx(
-            alpha * math.log(big) / math.pi, rel=0.1)
+        assert _log_slope("outside", lambda N: N + N ** (1 - alpha)) == pytest.approx(
+            alpha, rel=0.1)
 
     def test_bounded_ratio_regime(self):
-        for big in (10 ** 4, 10 ** 6):
-            counts = asymptotic_real_counts(big, 4.0 * big)
-            assert counts.regime == "ratio_below_one"
-            assert abs(counts.e_out) <= 2.0 * math.sqrt(big / (4.0 * big))
+        # N/s fixed below 1: the outside count converges to a positive number
+        for k in (2, 4):
+            low, high = (expected_counts(EnsembleParams(N, k * N), "outside") for N in (512, 1024))
+            assert abs(high - low) < 2e-4
+            assert high > 0.1
 
 
 class TestCircleWeightCoefficients:

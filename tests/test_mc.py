@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from identities import mahler_measure_jensen
 from mahler import mc
 from mahler.errors import ConditioningError, DomainError, PairingError
 from mahler.mc import (RootSet, SamplerConfig, mahler_measure, roots_classify, sample,
@@ -14,9 +15,10 @@ from mahler.polys import PolyCoeffs
 
 class TestMahlerMeasure:
     def test_linear(self):
-        assert mahler_measure(PolyCoeffs((-2.0, 1.0)),
-                              cross_check=True) == pytest.approx(2.0,
-                                                                 rel=1e-12)
+        p = PolyCoeffs((-2.0, 1.0))
+        val = mahler_measure(p)
+        assert val == pytest.approx(2.0, rel=1e-12)
+        assert abs(mahler_measure_jensen(p) - val) <= 1e-4 * max(1.0, val)
 
     def test_cyclotomic_like(self):
         for n in (2, 5, 8):
@@ -33,8 +35,9 @@ class TestMahlerMeasure:
     def test_circle_average_cross_check(self):
         # well-conditioned input: roots far from the unit circle
         p = PolyCoeffs((6.0, -5.0, 1.0))  # (z-2)(z-3)
-        assert mahler_measure(p, cross_check=True) == pytest.approx(6.0,
-                                                                    rel=1e-6)
+        val = mahler_measure(p)
+        assert val == pytest.approx(6.0, rel=1e-6)
+        assert abs(mahler_measure_jensen(p) - val) <= 1e-4 * max(1.0, val)
 
     @given(scale=st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from identities import halfline
 from mahler.errors import DomainError, IntegrabilityError
 from mahler.polys import (PolyCoeffs, eps_pi, eps_poly, p_eval, p_poly,
                           pi_even_core, pi_pair, s_norm, weight, zero_check)
-from mahler.quadrature import adaptive, halfline
+from mahler.quadrature import adaptive
 from mahler.specfun import gamma_ratio, hyp1f1_M
 
 

@@ -384,6 +384,29 @@ class TestEPair:
         assert e_pair(a1, b1, a2, b2, 1.0, 1.0) == pytest.approx(
             total, rel=1e-9)
 
+    def test_matches_mpmath_quadrature(self):
+        # the library sums the same double series, so the independent route
+        # is a 30-digit quadrature of the product of two mpmath 1F1 factors
+        def m(alpha, beta, z):
+            return mpmath.hyp1f1(1 + alpha, 2 + alpha + beta, z)
+
+        for a1, b1, a2, b2 in ((0.5, -0.5, 0.5, -1.5), (1.5, -1.5, 0.5, -0.5),
+                               (0.3, 0.2, -0.4, 0.1)):
+            g = 2 + a1 + b1 + a2 + b2
+            for t1 in (0.0, 0.6, -2.0, 2j, -1.4 + 1.4j):
+                for t2 in (-0.6, 2.0, 1.2 - 1.6j):
+                    with mpmath.workdps(30):
+                        ref = complex((1 + g) * mpmath.quad(
+                            lambda x: x ** g * m(a1, b1, t1 * x) * m(a2, b2, t2 * x), [0, 1]))
+                    val = e_pair(a1, b1, a2, b2, t1, t2)
+                    assert abs(val - ref) <= 1e-13 * abs(ref)
+
+    def test_domain_error_beyond_radius(self):
+        e_pair(0.5, -0.5, 0.5, -1.5, 2.0, -2.0)
+        for t1, t2 in ((2.01, 0.0), (0.0, -2.5), (1.5 + 1.5j, 0.3)):
+            with pytest.raises(DomainError):
+                e_pair(0.5, -0.5, 0.5, -1.5, t1, t2)
+
 
 class TestGauss2F1:
     """The series behind the test-only circle weight (``identities``)."""

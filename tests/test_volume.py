@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from identities import bilinear_c_quadrature
-from mahler import volume
+import identities
+from identities import bilinear_c_quadrature, bilinear_r_quadrature
 from mahler.errors import DomainError, IntegrabilityError, QuadratureError
 from mahler.polys import PolyCoeffs, pi_pair
 from mahler.volume import (GramMatrix, bilinear, bilinear_c, bilinear_r,
                            chern_vaaler_f, complex_moment, gram_matrix, gram_pf,
-                           monomial_moment, skew_moment, volume_ball)
+                           monomial_moment, real_moment, skew_moment, volume_ball)
 
 
 class TestSkewMoments:
@@ -29,19 +29,21 @@ class TestSkewMoments:
 
     def test_quadrature_oracle(self):
         # the closed moment against full numerical evaluation of the
-        # real-line and half-plane parts of the form
+        # real-line and half-plane parts of the form, and against the form
         s = 5.0
         one = PolyCoeffs((1.0,))
         z = PolyCoeffs((0.0, 1.0))
-        assert bilinear(one, z, s) == pytest.approx(
-            monomial_moment(0, 1, s), abs=1e-6)
+        quad = bilinear_r_quadrature(one, z, s) + bilinear_c_quadrature(one, z, s)
+        assert quad == pytest.approx(monomial_moment(0, 1, s), abs=1e-6)
+        assert bilinear(one, z, s) == pytest.approx(monomial_moment(0, 1, s), abs=1e-6)
 
     def test_quadrature_oracle_higher(self):
         s = 9.0
         z2 = PolyCoeffs((0.0, 0.0, 1.0))
         z3 = PolyCoeffs((0.0, 0.0, 0.0, 1.0))
-        assert bilinear(z2, z3, s) == pytest.approx(
-            monomial_moment(2, 3, s), abs=1e-6)
+        quad = bilinear_r_quadrature(z2, z3, s) + bilinear_c_quadrature(z2, z3, s)
+        assert quad == pytest.approx(monomial_moment(2, 3, s), abs=1e-6)
+        assert bilinear(z2, z3, s) == pytest.approx(monomial_moment(2, 3, s), abs=1e-6)
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
@@ -161,11 +163,11 @@ class TestSkewOrthonormality:
                 even_m, odd_m = pi_pair(m, s)
                 target = 1.0 if n == m else 0.0
                 assert bilinear(even_n, odd_m, s) == pytest.approx(
-                    target, abs=1e-7)
+                    target, abs=1e-12)
                 assert bilinear(even_n, even_m, s) == pytest.approx(
-                    0.0, abs=1e-7)
+                    0.0, abs=1e-12)
                 assert bilinear(odd_n, odd_m, s) == pytest.approx(
-                    0.0, abs=1e-7)
+                    0.0, abs=1e-12)
 
 
     @pytest.mark.filterwarnings("error")
@@ -173,12 +175,24 @@ class TestSkewOrthonormality:
     def test_delta_pattern_at_n64(self, s):
         # degrees up to 63: z^n overflows the polar quadrature of the
         # complex part past the unit circle, but not its closed form
-        pairs = {n: pi_pair(n, s) for n in (16, 30, 31)}
-        for n, (even_n, odd_n) in pairs.items():
-            for m, (even_m, odd_m) in pairs.items():
-                assert abs(bilinear(even_n, odd_m, s) - (n == m)) <= 1e-12
-                assert abs(bilinear(even_n, even_m, s)) <= 1e-12
-                assert abs(bilinear(odd_n, odd_m, s)) <= 1e-12
+        _check_delta_pattern((16, 30, 31), s)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("N,s", [(128, 129.0), (128, 257.0), (128, math.inf),
+                                     (256, 257.0), (256, math.inf)])
+    def test_delta_pattern_at_large_n(self, N, s):
+        # degrees up to N - 1: the real part's quadrature overflows on its
+        # half-line nodes at N = 128, the moment sums do not
+        _check_delta_pattern((N // 8, N // 2 - 2, N // 2 - 1), s)
+
+
+def _check_delta_pattern(indices, s):
+    pairs = {n: pi_pair(n, s) for n in indices}
+    for n, (even_n, odd_n) in pairs.items():
+        for m, (even_m, odd_m) in pairs.items():
+            assert abs(bilinear(even_n, odd_m, s) - (n == m)) <= 1e-12
+            assert abs(bilinear(even_n, even_m, s)) <= 1e-12
+            assert abs(bilinear(odd_n, odd_m, s)) <= 1e-12
 
 
 class TestComplexPart:
@@ -193,14 +207,17 @@ class TestComplexPart:
 
     @pytest.mark.parametrize("s", [9.5, 20.0, math.inf])
     def test_parts_add_up_to_moments(self, s):
-        # complex part in closed form + real part by quadrature = whole moment
+        # real part + complex part, both from the region tables, = the closed
+        # total; the real part also against its quadrature
         a, b = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-        C = complex_moment(a, b, s)
+        R, C, M = real_moment(a, b, s), complex_moment(a, b, s), monomial_moment(a, b, s)
+        assert np.all(np.abs(R + C - M) <= 1e-14 * np.abs(M))
         for i, j in zip(a.ravel(), b.ravel()):
             zi = PolyCoeffs((0.0,) * i + (1.0,))
             zj = PolyCoeffs((0.0,) * j + (1.0,))
-            assert C[i, j] + bilinear_r(zi, zj, s, tol=1e-12) == pytest.approx(
-                monomial_moment(i, j, s), abs=1e-10)
+            assert R[i, j] == pytest.approx(bilinear_r_quadrature(zi, zj, s, tol=1e-12),
+                                            abs=1e-10)
+            assert R[i, j] == real_moment(i, j, s) == bilinear_r(zi, zj, s)
             assert C[i, j] == complex_moment(i, j, s)
 
     def test_lowest_moment(self):
@@ -225,14 +242,30 @@ class TestComplexPart:
             complex_moment(-1, 2, s)
 
 
+class TestRealPart:
+    def test_integrability_guard(self):
+        # an odd pair diverges at s <= o + 1 or 2s <= e + o + 2, o the odd
+        # exponent; s <= e + 1 alone does not make the pair diverge
+        with pytest.raises(IntegrabilityError):
+            real_moment(0, 7, 5.0)          # s <= o + 1
+        with pytest.raises(IntegrabilityError):
+            real_moment(8, 1, 5.5)          # 2s = e + o + 2
+        with pytest.raises(IntegrabilityError):
+            bilinear_r(PolyCoeffs((1.0, 0.0, 2.0)), PolyCoeffs((0.0,) * 7 + (1.0,)), 5.0)
+        z4, z = PolyCoeffs((0.0,) * 4 + (1.0,)), PolyCoeffs((0.0, 1.0))
+        assert real_moment(4, 1, 4.5) == pytest.approx(
+            bilinear_r_quadrature(z4, z, 4.5, tol=1e-12), abs=1e-10)
+        assert real_moment(1, 4, 4.5) == -real_moment(4, 1, 4.5)
+        assert real_moment(2, 4, 4.5) == 0.0
+
+
 class TestBilinearErrorCheck:
-    @pytest.mark.parametrize("part", [bilinear_r])
     @pytest.mark.parametrize("rule", ["adaptive", "halfline"])
-    def test_large_error_estimate_raises(self, monkeypatch, part, rule):
-        # each quadrature piece's error estimate reaches the check: inflate
-        # one piece's estimate and the form must refuse its value (the
-        # complex part is in closed form and has no estimate)
-        real = getattr(volume, rule)
+    def test_large_error_estimate_raises(self, monkeypatch, rule):
+        # each quadrature piece's error estimate in the real part's second
+        # route reaches the check: inflate one piece's estimate and the
+        # oracle must refuse its value
+        real = getattr(identities, rule)
 
         def inflated(*args, **kwargs):
             val, _ = real(*args, **kwargs)
@@ -240,15 +273,7 @@ class TestBilinearErrorCheck:
 
         even, _ = pi_pair(1, 11.0)
         _, odd = pi_pair(1, 11.0)
-        part(even, odd, 11.0)
-        monkeypatch.setattr(volume, rule, inflated)
+        bilinear_r_quadrature(even, odd, 11.0)
+        monkeypatch.setattr(identities, rule, inflated)
         with pytest.raises(QuadratureError):
-            part(even, odd, 11.0)
-
-    @pytest.mark.parametrize("s", [129.0, 257.0])
-    def test_half_line_overflow_raises_without_warnings(self, s):
-        # at N = 128 the monomial basis overflows on the half-line nodes:
-        # a QuadratureError, not a RuntimeWarning (an error under this config)
-        even, odd = pi_pair(63, s)
-        with pytest.raises(QuadratureError):
-            bilinear_r(even, odd, s)
+            bilinear_r_quadrature(even, odd, 11.0)
