@@ -347,12 +347,11 @@ def _count(P: EnsembleParams, region) -> float:
     """Expected number of real roots ``'inside'`` or ``'outside'`` [-1, 1], or
     of non-real roots of modulus below ``region = r``: the contraction
     ``sum_{j,k,l} E_jk O_jl C_kl`` with ``E = even[:J]``, ``O = odd`` and the
-    region's moment table ``C_kl`` of ``x^{2k}`` against ``x^{2l+1}``,
-    :func:`mahler.polys.region_moments` (finite as ``s > N``). The density
-    of each region is a sum over ``j`` of the skew densities of the pairs
-    ``(pi_{2j}, pi_{2j+1})``. For odd ``N`` the top member adds ``w
-    pi_{2J}/s_{2J}``: ``(2/s_{2J}) sum_k E_Jk m_k``, with ``m = 1/(2k+1)``
-    inside and ``1/(s-2k-1)`` beyond.
+    region's table ``C_kl`` of ``x^{2k}`` against ``x^{2l+1}`` from
+    :func:`mahler.polys.region_moments`, one term per pair ``(pi_{2j},
+    pi_{2j+1})``. For odd ``N`` the top member adds ``w pi_{2J}/s_{2J}``:
+    ``(2/s_{2J}) sum_k E_Jk m_k``, ``m = 1/(2k+1)`` inside and
+    ``1/(s-2k-1)`` beyond.
     """
     tab, s = _tables(P.N, P.s), P.s
     e = 2 * np.arange(tab.even.shape[1])

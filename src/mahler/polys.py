@@ -15,7 +15,8 @@ kernel's matrices per ``(N, s)`` are whole tables.
 
 The eps-transform ``eps f(y) = (1/2) int f(t) sgn(t-y) dt`` of a weighted
 monomial has elementary closed forms on both sides of ``|y| = 1``; all
-eps-evaluations here reduce to those.
+eps-evaluations here reduce to those, and so do the skew form's region
+moment tables, :func:`region_moments`, read by the counts and the form.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ def region_moments(e, o, s: float, region):
     sin(m theta) d theta = 2/m`` for odd ``m``, twice its part within
     ``|z| < r`` is ``-16 mu_n/(a-b)`` with ``mu_n = int_0^r w(r)^2 r^{n-1}
     dr``. The real parts need ``s > b`` and ``2s > n``, the complex part
-    ``2s > n`` when ``r > 1``; the callers check.
+    ``2s > n`` when ``r > 1``; ``s > N`` gives both for the degree-N counts,
+    and :mod:`mahler.volume` checks them for the skew form.
     """
     a, b = e + 1.0, o + 1.0
     n, t = a + b, 1.0 / (s - b)
