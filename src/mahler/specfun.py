@@ -1,17 +1,18 @@
 """Special functions used by the polynomial and kernel layers.
 
-Everything here is a pure function. This is the one Gamma layer of the
-package: :func:`gammaln_signed` applies ``math.lgamma`` elementwise and keeps
-the sign of ``Gamma`` apart, and Gamma quotients are summed in log space so
-they stay finite for large indices. Power series are truncated once the term
-magnitude stays below ``1e-16`` times the partial sum for three consecutive
-terms. The endpoint moments are closed forms: ``e_gamma`` is a ``1F1``, and
-``e_pair`` integrates the product of two series term by term on a bounded
-disk. Nothing here integrates numerically.
+Everything here is a pure function. This is the one Gamma layer of the package:
+:func:`gammaln_signed` applies ``math.lgamma`` elementwise and keeps the sign of
+``Gamma`` apart, and Gamma quotients are summed in log space so they stay finite
+for large indices. The confluent functions pick a route per point: a power series,
+a large-``|z|`` expansion, or (``big_m_pair`` only) a midpoint rule, the one
+numerical integral here. The endpoint moments are closed forms: ``e_gamma`` is a
+``1F1``, and ``e_pair`` integrates two series term by term on a bounded disk.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +20,8 @@ import numpy as np
 from .errors import DomainError, InfiniteValueError, PoleError
 
 _TRUNC = 1e-16
-_TINY = 1e-300
-_MAX_TERMS = 100000
+_R, _R_TERMS = 60.0, 40       # past |z| = _R: DLMF 13.7.2 with this many terms per exponential
+_BLOCK = 16384                # largest (points x nodes) array of the midpoint rule: 256 KB
 _E_PAIR_TERMS, _E_PAIR_RADIUS = 48, 2.0   # e_pair: double-series terms, largest |t|
 
 
@@ -90,45 +91,88 @@ def _finite(z) -> np.ndarray:
     return z
 
 
-def _split(mask, z, first, rest):
-    """``first`` on ``z[mask]`` and ``rest`` on the other points; each gives a pair."""
-    if mask.all() or not mask.any():
-        return (first if mask.all() else rest)(z)
-    out = np.empty((2,) + z.shape, dtype=z.dtype)
-    out[:, mask], out[:, ~mask] = first(z[mask]), rest(z[~mask])
-    return out[0], out[1]
-
-
-def _in_double_range(name: str, z, pair):
-    """``pair()`` with overflow quiet; :class:`InfiniteValueError` where it is not finite."""
+def _evaluate(name: str, z, route, fns, count: int):
+    """``fns[k]`` on the points where ``route == k`` in complex arithmetic, ``count`` rows
+    each, overflow quiet; a real ``z`` gets the real parts. :class:`InfiniteValueError` where
+    a value is not finite. A route multiplies complex arrays only as contiguous operands of one
+    shape into a separate output, so numpy takes one kernel at any size."""
+    flat, route = z.ravel(), route.ravel()
+    w, out = flat.astype(complex), np.empty((count, flat.size), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        first, second = pair()
-    bad = ~(np.isfinite(first) & np.isfinite(second))
+        for k, fn in enumerate(fns):
+            idx = np.flatnonzero(route == k)
+            if idx.size == flat.size:
+                out = fn(w)
+                break
+            if idx.size:
+                out[:, idx] = fn(w[idx])
+    bad = ~np.isfinite(out).all(axis=0)
     if bad.any():
-        raise InfiniteValueError(f"{name} leaves the double range at z = {z[bad][0]}")
-    return first, second
+        raise InfiniteValueError(f"{name} leaves the double range at z = {flat[bad][0]}")
+    out = out.reshape((count,) + z.shape)
+    return out if np.iscomplexobj(z) else out.real.copy()
+
+
+@functools.lru_cache(maxsize=32)
+def _last_terms(b: float, top: float) -> np.ndarray:
+    """The last term the series sums at each radius ``r = j/8 <= 60``: the first ``n``
+    where, with ``m_{n+1} = m_n |(n+top)/((n+b)(n+1))| r`` and ``m_0 = 1``, three terms
+    in a row are at most ``1e-16`` of their running bound ``1 + sum m_n``."""
+    r = np.arange(8.0 * _R + 1.0) / 8.0
+    m, bound, loud = np.ones_like(r), np.ones_like(r), np.full(r.shape, -1)
+    last = np.full(r.shape, -1, dtype=np.int16)       # loud: the last term failing the test
+    for n in itertools.count():
+        m *= abs((n + top) / ((n + b) * (n + 1.0))) * r
+        bound += m
+        np.putmask(loud, m > _TRUNC * bound, n)
+        np.putmask(last, (loud == n - 3) & (last < 0), n)
+        if last.min() >= 0:
+            last.flags.writeable = False
+            return last
 
 
 def _series(a: float, b: float, top: float, step: float, w):
-    """Sums of ``t_n`` and ``t_n (n*step+a)/(n+b)``, ``t_{n+1} = t_n (n+top)/((n+b)(n+1)) w``,
-    until the terms stay below ``1e-16`` of the largest partial sum for three terms:
+    """Sums of ``t_n`` and ``t_n (n*step+a)/(n+b)``, ``t_{n+1} = t_n (n+top)/((n+b)(n+1)) w``:
     ``1F1(a; b; w)`` and its derivative for ``top = a, step = 1``, and ``e^w`` times
-    ``1F1(a; b; -w)`` and its derivative for ``top = b - a, step = 0`` (DLMF 13.2.39)."""
-    term, der, tmp, mag = np.ones_like(w), np.zeros_like(w), np.empty_like(w), np.empty(w.shape)
-    val, quiet, bound = term.copy(), 0, 1.0
-    for n in range(_MAX_TERMS):
-        der += np.multiply(term, (n * step + a) / (n + b), out=tmp)
-        term *= (n + top) / ((n + b) * (n + 1.0))
-        term *= w
-        val += term
-        small = np.abs(term, out=mag).max()
-        bound += small        # still >= max|val|; made exact only when it matters
-        if small <= _TRUNC * max(bound, _TINY):
-            bound = np.abs(val, out=mag).max()
-        quiet = quiet + 1 if small <= _TRUNC * max(bound, _TINY) else 0
-        if quiet >= 3 or not math.isfinite(small):
-            break
-    return val, der
+    ``1F1(a; b; -w)`` and its derivative for ``top = b - a, step = 0`` (DLMF 13.2.39), each
+    point to the last term :func:`_last_terms` gives at ``|w| <= 60`` rounded up to 1/8ths."""
+    last = _last_terms(b, top)[np.ceil(8.0 * np.abs(w)).astype(int)]
+    order = np.argsort(-last, kind="stable")
+    n = np.arange(last.max(initial=-1) + 1.0)
+    sizes = np.searchsorted(-last[order], -n, side="right").tolist()
+    coefs = np.array([(n * step + a) / (n + b), (n + top) / ((n + b) * (n + 1.0))], dtype=w.dtype)
+    x, buf, k = w[order], np.zeros((5,) + w.shape, dtype=w.dtype), -1  # 2 sums, t_n, t_n * coefs
+    buf[0] = buf[2] = 1.0
+    for size, coef in zip(sizes, coefs.T[:, :, None]):
+        if size != k:
+            k, x, part = size, x[:size], buf[:, :size]
+            sums, inc, term, scaled, lead = part[:2], part[2:4], part[2], part[3:], part[4]
+        np.multiply(term, coef, out=scaled)
+        np.multiply(lead, x, out=term)
+        sums += inc
+    out = np.empty((2,) + w.shape, dtype=w.dtype)
+    out[0, order], out[1, order] = buf[:2]
+    return out
+
+
+def _large(params, z):
+    """``1F1(a; b; z)`` at ``|z| > 60`` for each ``(a, b)`` in ``params``, DLMF 13.7.2 times
+    ``Gamma(b)``: ``e^z z^(a-b) S1 / Gamma(a) + (-z)^-a S2 / Gamma(b-a)``, the sums of
+    ``(1-a)_s (b-a)_s / s! z^-s`` and ``(a)_s (a-b+1)_s / s! (-z)^-s`` over ``s < 40``.
+    :class:`DomainError` where a 40th term at ``|z| = 60`` exceeds ``1e-16``."""
+    s = np.arange(1.0, _R_TERMS)
+    ratios = np.array([[(s - a) * (s - 1.0 + b - a), -(s - 1.0 + a) * (s + a - b)]
+                       for a, b in params]).reshape(-1, s.size) / s
+    coef = np.cumprod(np.c_[np.ones(len(ratios)), ratios], axis=1)
+    if np.abs(coef[:, -1]).max() > _TRUNC * _R ** (_R_TERMS - 1):
+        raise DomainError(f"1F1 at {params} has no large-|z| expansion to double precision")
+    u, e = np.tile(1.0 / z, len(ratios)), np.exp(z)
+    acc, tmp = np.zeros((2, len(ratios), z.size), dtype=complex)
+    for c in coef.T[::-1, :, None]:
+        np.add(np.multiply(acc.ravel(), u, out=tmp.ravel()).reshape(acc.shape), c, out=acc)
+    return np.array([_gamma_quotient([b], [a]) * e * z ** (a - b) * s1
+                     + _gamma_quotient([b], [b - a]) * (-z) ** -a * s2
+                     for (a, b), s1, s2 in zip(params, acc[::2], acc[1::2])])
 
 
 def _gamma_param(alpha: float, beta: float) -> float:
@@ -144,71 +188,66 @@ def hyp1f1_M(alpha: float, beta: float, z):
 
     Defined by the normalized series with coefficient ratio
     ``(n+1+alpha)/((n+1+gamma)(n+1))`` where ``gamma = 1+alpha+beta``, that is
-    ``1F1(1+alpha; 1+gamma; z)``; the value at 0 is 1. The special case
-    ``(1/2, -3/2)`` is the kernel of the circle scaling limits. Points with
-    ``Re z < 0`` sum Kummer's transformation ``e^z 1F1(b-a; b; -z)`` (DLMF
-    13.2.39) in a loop of their own, so neither series alternates. Accepts
-    scalars or numpy arrays and keeps their dtype as :func:`big_m_pair` does.
-    A non-finite ``z`` raises :class:`DomainError`,
-    and one where a series leaves the double range :class:`InfiniteValueError`.
+    ``1F1(1+alpha; 1+gamma; z)``; the value at 0 is 1. The special case ``(1/2, -3/2)``
+    is the kernel of the circle scaling limits. Past ``|z| = 60`` :func:`_large`, below
+    it the series, at ``Re z < 0`` of Kummer's ``e^z 1F1(b-a; b; -z)`` (DLMF 13.2.39).
+    Keeps the dtype of ``z`` and raises as :func:`big_m_pair` and :func:`_large` do.
     """
     g = _gamma_param(alpha, beta)
     a, b, z = 1.0 + alpha, 1.0 + g, _finite(z)
-    val, _ = _in_double_range("hyp1f1_M", z, lambda: _split(
-        z.real >= 0.0, z, lambda x: _series(a, b, a, 1.0, x),
-        lambda x: np.exp(x) * np.array(_series(a, b, b - a, 0.0, -x))))
+    val, = _evaluate("hyp1f1_M", z, (np.abs(z) <= _R) * (1 + (z.real < 0.0)), (
+        lambda x: _large([(a, b)], x), lambda x: _series(a, b, a, 1.0, x)[:1],
+        lambda x: (np.exp(x) * _series(a, b, b - a, 0.0, -x)[0])[None]), 1)
     return val.item() if val.ndim == 0 else val
 
 
 def _m_pair_integral(z):
     """``(M(z), M'(z))`` for ``M = 1F1(3/2; 1; z)`` by the midpoint rule in ``theta``.
 
-    With ``c = cos^2(theta/2)``, DLMF 13.4.1 and ``M = 1F1(1/2; 1) + 2z
-    1F1'(1/2; 1)`` give ``M = (1/pi) int_0^pi e^{zc} (1 + 2zc) dtheta``. Adding
-    the derivative of ``sin(theta) (1 + c + c^2 + c^3) e^{zc}`` (integral 0)
-    makes the integrand ``e^{zc} (8c^4 - c^3 - c^2 - c + 2zc^5)``, which does
-    not cancel at ``c = 0`` when ``Re z < 0``; ``M'`` integrates its
-    ``z``-derivative. The error falls geometrically in ``k`` (Trefethen &
-    Weideman, SIAM Rev. 56 (2014)).
+    With ``c = cos^2(theta/2)``, DLMF 13.4.1 and ``M = 1F1(1/2; 1) + 2z 1F1'(1/2; 1)``
+    give ``M = (1/pi) int_0^pi e^{zc} (1 + 2zc) dtheta``. Adding the derivative of
+    ``sin(theta) (1 + c + c^2 + c^3) e^{zc}`` (integral 0) makes the integrand
+    ``e^{zc} (8c^4 - c^3 - c^2 - c + 2zc^5)``, which does not cancel at ``c = 0`` when
+    ``Re z < 0``; ``M'`` integrates its ``z``-derivative. The error falls geometrically
+    in the node count (Trefethen & Weideman, SIAM Rev. 56 (2014)), here ``|z|/2 +
+    3 sqrt(|z|/2 + 1) + 14`` at the point's own ``|z|`` up to a multiple of 8.
     """
-    r = float(np.max(np.abs(z)))
-    k = int(r / 2.0 + 3.0 * math.sqrt(r / 2.0 + 1.0) + 14.0)
-    c = np.cos((np.arange(k) + 0.5) * (0.5 * math.pi / k)) ** 2
-    base = c * (((8.0 * c - 1.0) * c - 1.0) * c - 1.0)
-    m, d, zc, e = (np.zeros_like(z) for _ in range(4))
-    for ci, bi, slope, extra in zip(c.tolist(), base.tolist(), (2.0 * c ** 4).tolist(),
-                                    (2.0 * c ** 5).tolist()):
-        np.exp(np.multiply(z, ci, out=zc), out=e)
-        zc *= slope
-        zc += bi
-        zc *= e                 # the integrand of M; that of M' is c times it + 2c^5 e^{zc}
-        m += zc
-        d += np.multiply(zc, ci, out=zc)
-        d += np.multiply(e, extra, out=e)
-    return m / k, d / k
+    r = np.abs(z)
+    k = -(-(r / 2.0 + 3.0 * np.sqrt(r / 2.0 + 1.0) + 14.0).astype(int) // 8) * 8
+    m, d = np.empty_like(z), np.empty_like(z)
+    for nodes in range(k.min(), k.max() + 1, 8):
+        c = np.cos((np.arange(nodes) + 0.5) * (0.5 * math.pi / nodes)) ** 2
+        base, top = c * (((8.0 * c - 1.0) * c - 1.0) * c - 1.0), 2.0 * c ** 5
+        idx = np.flatnonzero(k == nodes)
+        for lo in range(0, idx.size, _BLOCK // nodes):
+            sel = idx[lo:lo + _BLOCK // nodes]
+            x = z[sel, None]
+            e = np.exp(x * c)
+            f = (x * top + base) * e      # the integrand of M; that of M' is c f + 2c^5 e
+            m[sel], d[sel] = f.sum(axis=-1), (f * c + e * top).sum(axis=-1)
+    return np.stack((m, d)) / k
 
 
 def big_m_pair(z):
     """``(M(z), M'(z))`` for ``M = M_{1/2,-3/2} = 1F1(3/2, 1; z)``, vectorized.
 
-    The series sums terms up to ``e^{|z|}`` to a value near ``e^{Re z}``, so
-    only points with ``|z| - Re z <= 6`` use it; the others use
-    :func:`_m_pair_integral`. Both are within 1e-12 relative of a 40-digit
-    oracle for ``|Re z|, |Im z| <= 40`` and ``|z| <= 200``.
+    Each point takes a route by its own ``z``, so its values do not depend on the
+    other points of the call: past ``|z| = 60`` :func:`_large` (``M' = (3/2) 1F1(5/2;
+    2; z)``); below, where ``|z| - Re z <= 6``, the series (it sums terms up to ``e^{|z|}``
+    to a value near ``e^{Re z}``; at most 137 terms), and :func:`_m_pair_integral` (at
+    most 64 nodes) elsewhere. Within 1e-12 relative of a 40-digit oracle on ``|z| <= 1e5``.
 
-    The result keeps the kind of ``z``: a complex ``z`` gives complex values,
-    any other is evaluated in float64 and gives real ones (Python scalars for
-    a scalar ``z``). Both kinds run the same code. On the series path a real
-    value is bit for bit the real part of the complex route's value; on the
-    integral path the two differ by the rounding of a real against a complex
-    ``exp``, at most 3.4e-16 relative on ``[-40, 700]``. A non-finite
-    ``z`` raises :class:`DomainError`, and a ``z`` where ``M`` or ``M'`` leaves
-    the double range (``Re z`` near 709) raises :class:`InfiniteValueError`.
+    The result keeps the kind of ``z``: a complex ``z`` gives complex values, any
+    other float64 ones (Python scalars for a scalar ``z``), bit for bit the real parts
+    of the values at ``z + 0j``. A non-finite ``z`` raises :class:`DomainError`, and
+    one where ``M`` or ``M'`` leaves the double range (``Re z`` near 709)
+    :class:`InfiniteValueError`.
     """
     z = _finite(z)
-    m_val, d_val = _in_double_range("big_m_pair", z, lambda: _split(
-        np.abs(z) - z.real > 6.0, z, _m_pair_integral,
-        lambda x: _series(1.5, 1.0, 1.5, 1.0, x)))
+    r = np.abs(z)
+    m_val, d_val = _evaluate("big_m_pair", z, (r <= _R) * (1 + (r - z.real > 6.0)), (
+        lambda x: _large([(1.5, 1.0), (2.5, 2.0)], x) * [[1.0], [1.5]],
+        lambda x: _series(1.5, 1.0, 1.5, 1.0, x), _m_pair_integral), 2)
     return (m_val.item(), d_val.item()) if z.ndim == 0 else (m_val, d_val)
 
 

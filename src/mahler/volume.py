@@ -29,13 +29,14 @@ def skew_moment(n, m, s: float):
 
     ``(s/(s - 2m - 2)) / ((n + 1/2)(m - n + 1/2))``; the prefactor is 1 at
     ``s = inf``. Same-parity products vanish identically. Vectorized over
-    integer arrays ``n``, ``m``.
+    integer arrays ``n``, ``m``. A pair that diverges, ``s <= 2m + 2``, raises
+    :class:`IntegrabilityError` as :func:`real_moment` does.
     """
     n, m = np.asarray(n), np.asarray(m)
     if (n < 0).any() or (m < 0).any():
         raise DomainError("exponent indices must be nonnegative")
     if m.size and not (s > 2 * m.max() + 2):
-        raise DomainError(f"requires s > 2m+2 = {2 * m.max() + 2}, got s={s}")
+        raise IntegrabilityError(f"requires s > 2m+2 = {2 * m.max() + 2}, got s={s}")
     pref = 1.0 if math.isinf(s) else s / (s - 2 * m - 2)
     val = pref / ((n + 0.5) * (m - n + 0.5))
     return float(val) if val.ndim == 0 else val

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mahler
+from mahler import specfun
 from mahler.errors import DomainError, InfiniteValueError, PoleError
 from mahler.quadrature import adaptive
 from mahler.specfun import (big_m_pair, e_gamma, e_pair, gamma_ratio,
@@ -168,20 +169,46 @@ class TestConfluent:
                                                 2.0 + alpha + beta, z))
                 assert hyp1f1_M(alpha, beta, z) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.5, -1.5), (1.5, -1.5), (0.5, -0.5), (-0.3, 0.8),
+                                             (-0.5, 0.0), (0.0, 0.0), (0.4, 0.0), (1.7, 0.0),
+                                             (2.0, 0.0)])
+    def test_family_past_the_series_matches_mpmath(self, alpha, beta):
+        # the parameter sets of these tests and of e_gamma, past |z| = 60
+        z = np.multiply.outer([60.001, 100.0, 1000.0],
+                              np.exp(1j * np.linspace(-math.pi, math.pi, 49))).ravel()
+        z = z[z.real < 700.0]
+        val = hyp1f1_M(alpha, beta, z)
+        with mpmath.workdps(40):
+            ref = np.array([complex(mpmath.hyp1f1(1.0 + alpha, 2.0 + alpha + beta, zz))
+                            for zz in z])
+        assert np.max(np.abs(val - ref) / np.abs(ref)) <= 1e-12
+
+    def test_unserved_parameters_raise_past_the_series(self):
+        # the expansion's 40th term at |z| = 60 is above 1e-16 of its first
+        hyp1f1_M(5.0, -6.0, 59.0)
+        with pytest.raises(DomainError, match="expansion"):
+            hyp1f1_M(5.0, -6.0, [59.0, 61.0j])
+
     def test_series_stops_by_its_rule(self, rng):
-        # the loop bounds max|partial sum| by a running sum and takes the
-        # exact maximum only when a term could pass the test; it must stop
-        # where a loop taking it every term stops, here also where the
-        # terms cancel (20i, 25 + 30i), so the sums agree bit for bit
+        # each point stops by its own rule, here also where the terms cancel
+        # (20i, 25 + 30i): the term magnitudes at |z| rounded up to a multiple
+        # of 1/8 stay at most 1e-16 of their running sum 1 + sum m for three
+        # terms; then it has summed the naive one-point loop, bit for bit
         z = np.concatenate([rng.uniform(0.0, 30.0, 200) + 1j * rng.uniform(-8.0, 8.0, 200),
-                            [20j, 25.0 + 30.0j]])
-        term, val, quiet, n = np.ones_like(z), np.ones_like(z), 0, 0
-        while quiet < 3:
-            term = term * ((n + 1.5) / ((n + 1.0) * (n + 1.0))) * z
-            val = val + term
-            small = np.max(np.abs(term)) <= 1e-16 * max(np.max(np.abs(val)), 1e-300)
-            quiet, n = quiet + 1 if small else 0, n + 1
-        assert np.array_equal(hyp1f1_M(0.5, -1.5, z), val)
+                            [20j, 25.0 + 30.0j, 0.0, 59.9]])
+
+        def one_point(zz):
+            r, m, bound, quiet, n = math.ceil(8.0 * abs(zz)) / 8.0, 1.0, 1.0, 0, 0
+            while quiet < 3:
+                m *= abs((n + 1.5) / ((n + 1.0) * (n + 1.0))) * r
+                bound += m
+                quiet, n = quiet + 1 if m <= 1e-16 * bound else 0, n + 1
+            term, val, zz = np.ones(1, complex), np.ones(1, complex), np.array([zz])
+            for k in range(n):
+                term = term * ((k + 1.5) / ((k + 1.0) * (k + 1.0))) * zz
+                val = val + term
+            return val[0]
+        assert hyp1f1_M(0.5, -1.5, z).tolist() == [one_point(zz) for zz in z]
 
     def test_ode_residual(self, rng):
         # z M'' + (1 - z) M' - (3/2) M = 0 for the (1/2,-3/2) member
@@ -231,6 +258,44 @@ class TestBigMOracle:
     def test_large_modulus(self, r):
         self.check(r * np.exp(1j * np.linspace(-math.pi, math.pi, 73)))
 
+    @pytest.mark.parametrize("r", [1e3, 1e4, 1e5])
+    def test_rays_to_large_modulus(self, r):
+        # directions where the values stay in the double range; on the
+        # positive axis they leave it near 709 (test_past_double_range_raises)
+        theta = np.array([0.0, 0.25, 0.5, 0.75, 1.0, -0.5, -0.9]) * math.pi
+        for rr in r * np.array([0.1, 0.3, 1.0]):
+            z = rr * np.exp(1j * theta)
+            self.check(z[z.real < 700.0])
+
+    def test_expansion_meets_the_midpoint_rule(self):
+        # the two routes of 60 < |z| <= 120; the expansion is within 2e-15 of
+        # mpmath here, the midpoint rule's rounding reaches 2.3e-13 in M'
+        z = np.multiply.outer([60.001, 75.0, 90.0, 105.0, 120.0],
+                              np.exp(1j * np.linspace(-math.pi, math.pi, 145))).ravel()
+        expansion = specfun._large([(1.5, 1.0), (2.5, 2.0)], z) * [[1.0], [1.5]]
+        midpoint = specfun._m_pair_integral(z)
+        assert np.max(np.abs(expansion - midpoint)[0] / np.abs(expansion[0])) <= 1e-13
+        assert np.max(np.abs(expansion - midpoint)[1] / np.abs(expansion[1])) <= 3e-13
+
+    def test_cost_bounded_at_large_modulus(self, rng):
+        z = 1e5 * np.exp(1j * rng.uniform(0.5 * math.pi, 1.5 * math.pi, 1000))
+        start = time.perf_counter()
+        big_m_pair(z)
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(-3.0, 5.0), st.floats(-math.pi, math.pi)),
+                           min_size=1, max_size=24),
+           real=st.booleans())
+    def test_values_do_not_depend_on_the_batch(self, points, real):
+        # every route in one array, alone each point gives the same bits
+        z = np.array([10.0 ** e * complex(math.cos(t), math.sin(t)) for e, t in points])
+        z = z[z.real < 700.0]
+        if real:
+            z = z.real.copy()
+        m, d = big_m_pair(z)
+        assert [big_m_pair(zz) for zz in z] == list(zip(m.tolist(), d.tolist()))
+
     @pytest.mark.parametrize("call", [lambda: big_m_pair([1.0, math.nan]),
                                       lambda: big_m_pair(complex(0.0, math.inf)),
                                       lambda: hyp1f1_M(0.5, -1.5, math.nan)])
@@ -244,12 +309,10 @@ class TestBigMOracle:
     @pytest.mark.parametrize("call, z", [
         pytest.param(big_m_pair, z, id=str(z))
         for z in (720.0, 720.0 + 1.0j, 1000.0, 720.0 + 2000.0j)] + [
-        pytest.param(lambda z: hyp1f1_M(0.5, -1.5, z), z, id=f"hyp1f1_M-{z}")
-        for z in (720.0, -1000.0 + 1.0j)])
+        pytest.param(lambda z: hyp1f1_M(0.5, -1.5, z), 720.0, id="hyp1f1_M-720.0")])
     def test_past_double_range_raises(self, call, z):
-        # the series overflowed with a RuntimeWarning and carried on; at
-        # z = 1000 its NaN terms ran the loop to the term cap, and at
-        # -1000 + 1j Kummer's series overflowed before e^z damped it
+        # the series overflowed with a RuntimeWarning and carried on, and at
+        # z = 1000 its NaN terms ran the loop to the term cap
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -258,8 +321,18 @@ class TestBigMOracle:
         assert time.perf_counter() - start < 0.2
 
     def test_largest_real_argument_unchanged(self):
-        assert big_m_pair(700.0) == (3.028980774531315e+305 + 0j,
-                                     3.031142786828266e+305 + 0j)
+        pinned = (3.028980774531323e+305, 3.0311427868282705e+305)
+        assert big_m_pair(700.0) == pinned
+        rm, rd = _mpmath_pair([700.0])
+        assert abs(pinned[0] - rm[0]) <= 1e-14 * abs(rm[0])
+        assert abs(pinned[1] - rd[0]) <= 1e-14 * abs(rd[0])
+
+    def test_kummer_past_the_series_matches_mpmath(self):
+        # Kummer's series left the double range here before e^z damped it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = hyp1f1_M(0.5, -1.5, -1000.0 + 1.0j)
+        assert abs(val - _mpmath_pair([-1000.0 + 1.0j])[0][0]) <= 1e-12 * abs(val)
 
     def test_large_arguments_import_no_mpmath(self):
         src = os.path.dirname(os.path.dirname(mahler.__file__))
@@ -277,40 +350,49 @@ class TestConfluentDtype:
 
     def test_kind_follows_the_argument(self):
         for call in (big_m_pair, lambda z: (hyp1f1_M(0.5, -0.5, z),)):
-            for z in (0.7, -5.0, 3, [0.7, -5.0], np.array([1, 2])):
+            for z in (0.7, -5.0, 3, [0.7, -5.0], np.array([1, 2]), np.zeros(0)):
                 out = call(z)
                 assert all(np.asarray(v).dtype == np.float64 for v in out)
                 assert all(isinstance(v, float) for v in out) == (np.ndim(z) == 0)
-            for z in (0.7 + 0j, [0.7, -5.0 + 1j], np.array([0.7, -5.0], dtype=complex)):
+            for z in (0.7 + 0j, [0.7, -5.0 + 1j], np.array([0.7, -5.0], dtype=complex),
+                      np.zeros(0, dtype=complex)):
                 out = call(z)
                 assert all(np.asarray(v).dtype == np.complex128 for v in out)
 
     def test_complex_route_values_pinned(self):
-        # bit for bit the values before real arguments had a route of their own
+        # each point's bits alone and in the array; within 1e-14 of mpmath
         z = np.array([0.7 + 0j, -5.0 + 0j, 3.0 + 4.0j, -20.0 + 10.0j, 650.0 - 0.5j])
         m, d = big_m_pair(z)
-        assert m.tolist() == [
-            2.6633738669335476 + 0j, -0.047262518792478184 + 0j,
-            -14.850035302808697 - 50.04291727548339j,
-            -0.0021485050588216158 - 0.001999712592802056j,
-            4.939566497990123e+283 - 2.700962927993812e+283j]
-        assert d.tolist() == [
-            3.5208835153210005 + 0j, -0.015531622752010091 + 0j,
-            -19.334966501418474 - 52.147166439820175j,
-            -6.548817533592664e-05 - 0.00019982428020134265j,
-            4.943364835204956e+283 - 2.7030360740321237e+283j]
+        pinned_m = [2.6633738669335476 + 0j, -0.047262518792478184 + 0j,
+                    -14.850035302808697 - 50.04291727548339j,
+                    -0.002148505058821616 - 0.0019997125928020564j,
+                    4.939566497990122e+283 - 2.7009629279938116e+283j]
+        pinned_d = [3.5208835153210005 + 0j, -0.015531622752010097 + 0j,
+                    -19.334966501418474 - 52.147166439820175j,
+                    -6.548817533592667e-05 - 0.00019982428020134263j,
+                    4.94336483520495e+283 - 2.7030360740321245e+283j]
+        assert m.tolist() == pinned_m and d.tolist() == pinned_d
+        assert [big_m_pair(zz) for zz in z] == list(zip(pinned_m, pinned_d))
+        rm, rd = _mpmath_pair(z)
+        assert np.max(np.abs(m - rm) / np.abs(rm)) <= 1e-14
+        assert np.max(np.abs(d - rd) / np.abs(rd)) <= 1e-14
         assert hyp1f1_M(0.5, -0.5, -5.0 + 0j) == 0.06346179208093618 + 0j
         assert hyp1f1_M(0.5, -0.5, 2.0 + 1j) == 3.2380863258707526 + 3.667680716766038j
 
     def test_series_path_is_real_part_of_complex_route(self):
-        # |x| - x <= 6: every real point from -3 up takes the series
-        x = np.linspace(-3.0, 700.0, 20001)
+        # |x| - x <= 6 and |x| <= 60: every real point from -3 to 60 takes the
+        # series; past 60 the expansion's imaginary part is e^-x or less of it
+        x = np.linspace(-3.0, 60.0, 20001)
         for real, cplx in zip(big_m_pair(x), big_m_pair(x.astype(complex))):
             assert np.array_equal(real, cplx.real)
             assert not cplx.imag.any()
+        x = np.concatenate([np.linspace(-1000.0, -60.5, 400), np.linspace(60.5, 700.0, 400)])
+        for real, cplx in zip(big_m_pair(x), big_m_pair(x.astype(complex))):
+            assert np.array_equal(real, cplx.real)
+            assert np.all(np.abs(cplx.imag) <= 1e-20 * np.abs(cplx))
 
     def test_integral_path_within_rounding_of_complex_route(self):
-        x = np.linspace(-40.0, -3.0, 2001)
+        x = np.linspace(-60.0, -3.0, 2001)
         for real, cplx in zip(big_m_pair(x), big_m_pair(x.astype(complex))):
             assert np.max(np.abs(real - cplx.real) / np.abs(cplx)) <= 5e-16
 

@@ -48,6 +48,10 @@ class TestSkewMoments:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             skew_moment(0, 1, 4.0)
+        # a divergent pair raises what real_moment raises for it
+        for moment in (monomial_moment, real_moment):
+            with pytest.raises(IntegrabilityError):
+                moment(0, 7, 5.0)
 
 
 def _monic_pi_basis(N, s):
