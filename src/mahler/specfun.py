@@ -21,7 +21,6 @@ from .errors import DomainError, InfiniteValueError, PoleError
 
 _TRUNC = 1e-16
 _R, _R_TERMS = 60.0, 40       # past |z| = _R: DLMF 13.7.2 with this many terms per exponential
-_BLOCK = 16384                # largest (points x nodes) array of the midpoint rule: 256 KB
 _E_PAIR_TERMS, _E_PAIR_RADIUS = 48, 2.0   # e_pair: double-series terms, largest |t|
 
 
@@ -92,12 +91,12 @@ def _finite(z) -> np.ndarray:
 
 
 def _evaluate(name: str, z, route, fns, count: int):
-    """``fns[k]`` on the points where ``route == k`` in complex arithmetic, ``count`` rows
-    each, overflow quiet; a real ``z`` gets the real parts. :class:`InfiniteValueError` where
-    a value is not finite. A route multiplies complex arrays only as contiguous operands of one
-    shape into a separate output, so numpy takes one kernel at any size."""
+    """``fns[k]`` on the points where ``route == k``, in complex arithmetic (a real ``z`` gets the
+    real parts), ``count`` rows each, overflow quiet; :class:`InfiniteValueError` where not finite.
+    A route multiplies complex arrays only as contiguous operands of one shape into a separate
+    output, so numpy takes one kernel at any size."""
     flat, route = z.ravel(), route.ravel()
-    w, out = flat.astype(complex), np.empty((count, flat.size), dtype=complex)
+    w, out = flat.astype(complex, copy=False), np.empty((count, flat.size), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, fn in enumerate(fns):
             idx = np.flatnonzero(route == k)
@@ -109,15 +108,15 @@ def _evaluate(name: str, z, route, fns, count: int):
     bad = ~np.isfinite(out).all(axis=0)
     if bad.any():
         raise InfiniteValueError(f"{name} leaves the double range at z = {flat[bad][0]}")
-    out = out.reshape((count,) + z.shape)
-    return out if np.iscomplexobj(z) else out.real.copy()
+    return (out if np.iscomplexobj(z) else out.real.copy()).reshape((count,) + z.shape)
 
 
 @functools.lru_cache(maxsize=32)
-def _last_terms(b: float, top: float) -> np.ndarray:
-    """The last term the series sums at each radius ``r = j/8 <= 60``: the first ``n``
-    where, with ``m_{n+1} = m_n |(n+top)/((n+b)(n+1))| r`` and ``m_0 = 1``, three terms
-    in a row are at most ``1e-16`` of their running bound ``1 + sum m_n``."""
+def _series_table(a: float, b: float, top: float, step: float):
+    """The last term the series sums at ``|w|`` up to each radius ``r = j/8 <= 60``: the first
+    ``n`` where three terms in a row of ``m_{n+1} = m_n |(n+top)/((n+b)(n+1))| r``, ``m_0 = 1``,
+    are at most ``1e-16`` of their running bound ``1 + sum m_n``. Also the coefficients
+    ``(n*step+a)/(n+b)`` and ``(n+top)/((n+b)(n+1))`` as complex ``(2, 1)`` columns."""
     r = np.arange(8.0 * _R + 1.0) / 8.0
     m, bound, loud = np.ones_like(r), np.ones_like(r), np.full(r.shape, -1)
     last = np.full(r.shape, -1, dtype=np.int16)       # loud: the last term failing the test
@@ -127,23 +126,25 @@ def _last_terms(b: float, top: float) -> np.ndarray:
         np.putmask(loud, m > _TRUNC * bound, n)
         np.putmask(last, (loud == n - 3) & (last < 0), n)
         if last.min() >= 0:
-            last.flags.writeable = False
-            return last
+            n = np.arange(n + 1.0)
+            coefs = np.array([(n * step + a) / (n + b), (n + top) / ((n + b) * (n + 1.0))],
+                             dtype=complex).T[:, :, None]
+            last.flags.writeable = coefs.flags.writeable = False
+            return last, coefs
 
 
 def _series(a: float, b: float, top: float, step: float, w):
     """Sums of ``t_n`` and ``t_n (n*step+a)/(n+b)``, ``t_{n+1} = t_n (n+top)/((n+b)(n+1)) w``:
     ``1F1(a; b; w)`` and its derivative for ``top = a, step = 1``, and ``e^w`` times
     ``1F1(a; b; -w)`` and its derivative for ``top = b - a, step = 0`` (DLMF 13.2.39), each
-    point to the last term :func:`_last_terms` gives at ``|w| <= 60`` rounded up to 1/8ths."""
-    last = _last_terms(b, top)[np.ceil(8.0 * np.abs(w)).astype(int)]
+    point to the last term :func:`_series_table` gives at its ``|w| <= 60``."""
+    last, coefs = _series_table(a, b, top, step)
+    last = last[np.ceil(8.0 * np.abs(w)).astype(int)]
     order = np.argsort(-last, kind="stable")
-    n = np.arange(last.max(initial=-1) + 1.0)
-    sizes = np.searchsorted(-last[order], -n, side="right").tolist()
-    coefs = np.array([(n * step + a) / (n + b), (n + top) / ((n + b) * (n + 1.0))], dtype=w.dtype)
+    sizes = np.searchsorted(-last[order], -np.arange(last.max(initial=-1) + 1), side="right")
     x, buf, k = w[order], np.zeros((5,) + w.shape, dtype=w.dtype), -1  # 2 sums, t_n, t_n * coefs
     buf[0] = buf[2] = 1.0
-    for size, coef in zip(sizes, coefs.T[:, :, None]):
+    for size, coef in zip(sizes.tolist(), coefs):
         if size != k:
             k, x, part = size, x[:size], buf[:, :size]
             sums, inc, term, scaled, lead = part[:2], part[2:4], part[2], part[3:], part[4]
@@ -219,8 +220,8 @@ def _m_pair_integral(z):
         c = np.cos((np.arange(nodes) + 0.5) * (0.5 * math.pi / nodes)) ** 2
         base, top = c * (((8.0 * c - 1.0) * c - 1.0) * c - 1.0), 2.0 * c ** 5
         idx = np.flatnonzero(k == nodes)
-        for lo in range(0, idx.size, _BLOCK // nodes):
-            sel = idx[lo:lo + _BLOCK // nodes]
+        for lo in range(0, idx.size, 16384 // nodes):    # (points x nodes) arrays of 256 KB
+            sel = idx[lo:lo + 16384 // nodes]
             x = z[sel, None]
             e = np.exp(x * c)
             f = (x * top + base) * e      # the integrand of M; that of M' is c f + 2c^5 e
@@ -231,17 +232,16 @@ def _m_pair_integral(z):
 def big_m_pair(z):
     """``(M(z), M'(z))`` for ``M = M_{1/2,-3/2} = 1F1(3/2, 1; z)``, vectorized.
 
-    Each point takes a route by its own ``z``, so its values do not depend on the
-    other points of the call: past ``|z| = 60`` :func:`_large` (``M' = (3/2) 1F1(5/2;
-    2; z)``); below, where ``|z| - Re z <= 6``, the series (it sums terms up to ``e^{|z|}``
-    to a value near ``e^{Re z}``; at most 137 terms), and :func:`_m_pair_integral` (at
-    most 64 nodes) elsewhere. Within 1e-12 relative of a 40-digit oracle on ``|z| <= 1e5``.
+    Each point takes a route by its own ``z``, so its values do not depend on the other points
+    of the call: past ``|z| = 60`` :func:`_large` (``M' = (3/2) 1F1(5/2; 2; z)``); below, where
+    ``|z| - Re z <= 6``, the series (it sums terms up to ``e^{|z|}`` to a value near ``e^{Re z}``;
+    at most 137 terms), elsewhere :func:`_m_pair_integral` (at most 64 nodes). Within 1e-12
+    relative of a 40-digit oracle on ``|z| <= 1e5``.
 
-    The result keeps the kind of ``z``: a complex ``z`` gives complex values, any
-    other float64 ones (Python scalars for a scalar ``z``), bit for bit the real parts
-    of the values at ``z + 0j``. A non-finite ``z`` raises :class:`DomainError`, and
-    one where ``M`` or ``M'`` leaves the double range (``Re z`` near 709)
-    :class:`InfiniteValueError`.
+    A complex ``z`` gives complex values, any other float64 ones (Python scalars for a
+    scalar ``z``), bit for bit the real parts of the values at ``z + 0j``. A non-finite
+    ``z`` raises :class:`DomainError`, and one where ``M`` or ``M'`` leaves the double
+    range (``Re z`` near 709) :class:`InfiniteValueError`.
     """
     z = _finite(z)
     r = np.abs(z)
