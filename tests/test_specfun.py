@@ -190,10 +190,10 @@ class TestConfluent:
             hyp1f1_M(5.0, -6.0, [59.0, 61.0j])
 
     def test_series_stops_by_its_rule(self, rng):
-        # each point stops by its own rule, here also where the terms cancel
-        # (20i, 25 + 30i): the term magnitudes at |z| rounded up to a multiple
-        # of 1/8 stay at most 1e-16 of their running sum 1 + sum m for three
-        # terms; then it has summed the naive one-point loop, bit for bit
+        # each point stops by its own rule, also where the terms cancel
+        # (20i, 25 + 30i): three term magnitudes in a row at |z| rounded up to
+        # a multiple of 1/8 are at most 1e-16 of their running sum 1 + sum m;
+        # its sums are then those of the naive one-point loop, bit for bit
         z = np.concatenate([rng.uniform(0.0, 30.0, 200) + 1j * rng.uniform(-8.0, 8.0, 200),
                             [20j, 25.0 + 30.0j, 0.0, 59.9]])
 
@@ -381,7 +381,7 @@ class TestConfluentDtype:
 
     def test_series_path_is_real_part_of_complex_route(self):
         # |x| - x <= 6 and |x| <= 60: every real point from -3 to 60 takes the
-        # series; past 60 the expansion's imaginary part is e^-x or less of it
+        # series; past 60 the expansion's imaginary part is about e^-|x| x^2 of it
         x = np.linspace(-3.0, 60.0, 20001)
         for real, cplx in zip(big_m_pair(x), big_m_pair(x.astype(complex))):
             assert np.array_equal(real, cplx.real)
