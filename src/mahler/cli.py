@@ -82,11 +82,10 @@ def run_kernel_grid(args) -> int:
                          "e11_re", "e11_im", "e12_re", "e12_im",
                          "e21_re", "e21_im", "e22_re", "e22_im"])
         re, im = _grid(args)
-        for u in (complex(x, y) for y in im for x in re):
-            K = kernel.matrix_kernel(params, u, v)
-            row = [u.real, u.imag, v.real, v.imag]
-            for e in (K.e11, K.e12, K.e21, K.e22):
-                row += [e.real, e.imag]
+        u = np.array([complex(x, y) for y in im for x in re])
+        K = kernel.matrix_kernel(params, u, v)
+        for z, *entries in zip(u, K.e11, K.e12, K.e21, K.e22):
+            row = [z.real, z.imag, v.real, v.imag] + [p for e in entries for p in (e.real, e.imag)]
             writer.writerow([_fmt(x) for x in row])
     return 0
 

@@ -207,11 +207,24 @@ def kappa_n(P: EnsembleParams, u, v):
 
 
 def matrix_kernel(P: EnsembleParams, u, v) -> KernelValue2x2:
-    """The 2x2 matrix kernel at a pair of scalar arguments: :func:`block` of
-    their sides, built in one call."""
-    side = _side(_tables(P.N, P.s), np.array([u, v]))
-    K = block(skew_pair, side.at(0), side.at(1))
-    return KernelValue2x2(*K.astype(complex).ravel().tolist())
+    """The 2x2 matrix kernel at the pairs of ``u`` and ``v``, broadcast:
+    :func:`block` of the sides of all the points, built in one call."""
+    return _blocks(lambda pts: (_side(_tables(P.N, P.s), pts), skew_pair), u, v)
+
+
+def _blocks(handle, u, v) -> KernelValue2x2:
+    """The 2x2 blocks at the pairs of ``u`` and ``v``, broadcast, from one call
+    ``handle(pts) -> (side, pair)`` on the points ``(2, ...)``, a flat side
+    reshaped to them: Python complex at a scalar pair, else arrays."""
+    u, v = np.asarray(u), np.asarray(v)
+    pts = np.array([u, v] if u.shape == v.shape else np.broadcast_arrays(u, v))
+    side, pair = handle(pts)
+    if side.x.shape != pts.shape:
+        side = Side(*(f.reshape(f.shape[:-1] + pts.shape) for f in side))
+    rest = (slice(None),) * (pts.ndim - 1)
+    K = block(pair, side.at(0, *rest), side.at(1, *rest)).astype(complex)
+    K = K.reshape((4,) + pts.shape[1:])
+    return KernelValue2x2(*(K.tolist() if K.ndim == 1 else K))
 
 
 def intensity_real(P: EnsembleParams, x):
@@ -281,8 +294,8 @@ def pfaffian(A) -> complex:
     for k in range(0, n - 1, 2):
         kp = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
         if kp != k + 1:
-            A[[k + 1, kp], :] = A[[kp, k + 1], :]
-            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
+            A[[k + 1, kp], k:] = A[[kp, k + 1], k:]     # rows and columns before k
+            A[k:, [k + 1, kp]] = A[k:, [kp, k + 1]]     # are never read again
             pf = -pf
         if A[k + 1, k] == 0.0:
             return 0.0 + 0.0j

@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InfiniteValueError
-from .kernel import (EnsembleParams, KernelValue2x2, Side, _is_real_arg, _skew_sum,
-                     block, kappa_n, matrix_kernel, skew_pair, sum_k)
+from .kernel import (EnsembleParams, KernelValue2x2, Side, _blocks, _is_real_arg, _skew_sum,
+                     kappa_n, matrix_kernel, skew_pair, sum_k)
 from .quadrature import leg_nodes
 from .specfun import (_finite, _gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
                       gamma_ratio_table, iota, omega)
@@ -77,16 +77,16 @@ class LimitKernelSpec:
 # ---------------------------------------------------------------------------
 
 
-def k_zeta(lam: float, zeta: complex, z: complex, w: complex) -> complex:
-    """Scaled scalar kernel at a unit-circle anchor ``zeta``.
+def k_zeta(lam: float, zeta: complex, z, w):
+    """Scaled scalar kernel at a unit-circle anchor ``zeta``; vectorized.
 
     ``omega(z conj(zeta)) omega(conj(w) zeta) (1/pi) int_0^1 x(1-lam x)
     e^{(z conj(zeta)+conj(w) zeta)x} dx``.
     """
-    zz = z * np.conj(zeta)
+    zz = np.asarray(z) * np.conj(zeta)
     ww = np.conj(w) * zeta
     x, wt = _unit_nodes()
-    integral = np.sum(wt * x * (1.0 - lam * x) * np.exp((zz + ww) * x))
+    integral = (wt * x * (1.0 - lam * x) * np.exp(np.multiply.outer(zz + ww, x))).sum(axis=-1)
     return omega(lam, zz) * omega(lam, ww) * integral / math.pi
 
 
@@ -120,12 +120,6 @@ def kappa_xi(lam: float, xi: float, u, v):
     return val
 
 
-def _stack(sides) -> Side:
-    """One :class:`Side` of the points whose sides are ``sides``."""
-    fields = (np.array(f) for f in zip(*sides))
-    return Side(*(f.transpose(*range(1, f.ndim), 0) for f in fields))
-
-
 def xi_handle(lam: float, xi: float):
     """The regime at the real anchor ``xi = +-1`` as ``handle(pts) -> (side,
     pair)``.
@@ -138,12 +132,13 @@ def xi_handle(lam: float, xi: float):
     from the Taylor coefficients ``b_n = (n + 1) a_{n+1}`` and ``a_n`` of
     ``M'`` and ``M``: ``omega(c) sum_n (b_n, a_n) c^n tau^n`` and ``-x sum_n
     (b_n, a_n) c^n mu_n tau^n``, with ``mu_n = sum_j wt_j omega(c t_j)
-    t_j^n``. The second is the unit rule on ``[0, x]`` with its sums over
-    nodes and terms swapped; the term count depends on ``|c|`` alone. For
-    ``c < -3``, ``omega = 1`` on ``[0, x]`` and the integrals are exact,
-    ``(M(c tau) - 1)/(xi tau)`` and ``2x (M' - M)(c tau)``, from one real
-    :func:`big_m_pair` call. A non-real ``z`` has the rows ``z`` and
-    ``iota(z) conj(z)``, from one complex call.
+    t_j^n``, the unit rule on ``[0, x]`` with its sums swapped. The points
+    whose term count, set by ``|c|`` alone, rounds up to one multiple of 8 are
+    built together. For ``c < -3``, ``omega = 1`` on ``[0, x]`` and the
+    integrals are exact, ``(M(c tau) - 1)/(xi tau)`` and ``2x (M' - M)(c
+    tau)``, from one real :func:`big_m_pair` call for all such points. A
+    non-real ``z`` has the rows ``z`` and ``iota(z) conj(z)``, from one
+    complex call of its own.
     ``beta`` is the rows applied to the anchoring term ``omega (1/4) int_0^1
     (1 - lam t) M(u xi t) dt`` of the antiderivative kernel, and ``gamma =
     (0, -1)`` at a real point, ``0`` at a non-real one.
@@ -152,40 +147,51 @@ def xi_handle(lam: float, xi: float):
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"xi_handle requires lam in [0, 1], got {lam}")
     t, wt = _unit_nodes()
-    edge = wt * (1.0 - lam * t)
+    t1, edge = np.append(1.0, t), wt * (1.0 - lam * t)
     weight = (xi / 4.0) * edge * t
 
     def real_rows(x):
-        """The rows ``(P, Q)`` of ``delta_x``, then of ``[0, x]``, at a real ``x``."""
-        c = xi * float(_finite(x))
-        if c < -3.0:
-            M, Mp = big_m_pair(c * t)
-            return np.array([Mp, M, (1.0 - M) / (xi * t), 2.0 * x * (M - Mp)])
+        """The rows ``(P, Q)`` of ``delta_x``, then of ``[0, x]``, at the real
+        points ``x``: ``(points, 4, nodes)``."""
+        c, rows = xi * x, np.empty((x.size, 4, t.size))
+        far = c < -3.0
+        if far.any():
+            M, Mp = (f.reshape(-1, t.size) for f in big_m_pair(np.outer(c[far], t).ravel()))
+            rows[far] = np.stack([Mp, M, (1.0 - M) / (xi * t), 2.0 * x[far, None] * (M - Mp)], 1)
         # the first term left out is below 1e-19 of the largest one
-        n = np.arange(int(abs(c) + 9.0 * math.sqrt(abs(c)) + 25.0), dtype=float)
-        powers = np.vander(t, n.size, increasing=True)
-        mu = (wt * omega(lam, c * t)) @ powers
+        size = ((abs(c) + 9.0 * np.sqrt(abs(c)) + 25.0).astype(int) + 7) // 8 * 8
         with np.errstate(over="ignore", invalid="ignore"):
-            a = np.cumprod(np.append(1.0, c * (n[:-1] + 1.5) / (n[:-1] + 1.0) ** 2))
-            coef = np.array([a * (n + 1.5) / (n + 1.0), a])
-            rows = np.vstack([omega(lam, c) * coef, -x * mu * coef]) @ powers.T
-        if not np.isfinite(rows).all():
-            raise InfiniteValueError(f"xi_handle leaves the double range at x = {x}")
+            for m in sorted(set(size[~far].tolist())):
+                g, n = np.flatnonzero((size == m) & ~far), np.arange(m, dtype=float)
+                cg, powers = c[g, None], np.vander(t, m, increasing=True)
+                om = omega(lam, cg * t1)        # omega(c), then omega(c t) on the nodes
+                a = np.hstack([np.ones_like(cg), cg * (n[1:] + 0.5) / n[1:] ** 2])
+                a = np.cumprod(a, axis=1)[:, None]
+                coef = np.concatenate([a * (n + 1.5) / (n + 1.0), a], axis=1)
+                mu = (wt * om[:, 1:])[:, None] @ powers
+                rows[g] = np.concatenate([om[:, :1, None] * coef, -x[g, None, None] * mu * coef],
+                                         axis=1) @ powers.T
+        bad = ~np.isfinite(rows).all(axis=(1, 2))
+        if bad.any():
+            raise InfiniteValueError(f"xi_handle leaves the double range at x = {x[bad][0]}")
         return rows
 
-    def side(u):
-        z = complex(u)
-        if z.imag == 0.0:
-            rows = real_rows(z.real)
-            P, Q, gamma = rows[0::2], rows[1::2], (0.0, -1.0)
-        else:
-            w, M, Mp = _xi_side(lam, xi, [z, z.conjugate()])
-            phase = np.array([[1.0], [iota(z)]]) * w[:, None]
-            P, Q = phase * Mp, phase * M
-            gamma = (0.0, 0.0)
-        return P, weight * Q, Q @ edge / 4.0, np.array(gamma), z.real, z.imag == 0.0
-
-    return lambda pts: (_stack(side(u) for u in np.ravel(pts)), skew_pair)
+    def handle(pts):
+        z = np.ravel(pts)
+        real, x = np.imag(z) == 0.0, np.real(z)
+        dtype = float if real.all() else complex
+        rows, beta = np.empty((z.size, 4, t.size), dtype), np.empty((z.size, 2), dtype)
+        reals = real_rows(_finite(x[real]))
+        rows[real], beta[real] = reals, reals[:, 1::2] @ edge
+        for k in np.flatnonzero(~real).tolist():
+            w, M, Mp = _xi_side(lam, xi, [z[k], np.conj(z[k])])
+            phase = (np.array([1.0, iota(z[k])]) * w)[:, None]
+            rows[k, 0::2], rows[k, 1::2] = phase * Mp, phase * M
+            beta[k] = rows[k, 1::2] @ edge
+        P, Q = rows[:, 0::2].transpose(1, 2, 0), rows[:, 1::2].transpose(1, 2, 0)
+        return Side(P, weight[:, None] * Q, beta.T / 4.0,
+                    np.array([np.zeros(z.size), np.where(real, -1.0, 0.0)]), x, real), skew_pair
+    return handle
 
 
 def _real_entry(handle, name: str, u, v):
@@ -409,7 +415,8 @@ def outside_handle(c: float):
 
     def handle(pts):
         _check_disk(False, pts)
-        return _stack(side(u) for u in np.ravel(pts)), pair
+        fields = (np.array(f) for f in zip(*(side(u) for u in np.ravel(pts))))
+        return Side(*(f.transpose(*range(1, f.ndim), 0) for f in fields)), pair
     return handle
 
 
@@ -432,12 +439,11 @@ def dsn_limit(lam: float, c: float, u, v):
 
 
 def assemble_matrix(handle, u, v) -> KernelValue2x2:
-    """The 2x2 limit kernel at ``(u, v)``: :func:`~mahler.kernel.block` of the
-    two sides from one ``handle([u, v])`` call. As in the finite-N matrix
-    kernel, ``K(v, u) = -K(u, v)^T``."""
-    side, pair = handle([u, v])
-    K = block(pair, side.at(0), side.at(1))
-    return KernelValue2x2(*K.astype(complex).ravel().tolist())
+    """The 2x2 limit kernel at the pairs of ``u`` and ``v``, broadcast:
+    :func:`~mahler.kernel.block` of the sides from one ``handle`` call on
+    all the points, with fields as in :func:`~mahler.kernel.matrix_kernel`.
+    As in the finite-N matrix kernel, ``K(v, u) = -K(u, v)^T``."""
+    return _blocks(handle, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +485,7 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
         raise DomainError(f"N_list must be non-empty and strictly increasing, got {list(N_list)}")
     if spec.regime == "outside_disk" and max(N_list) > 64:
         raise DomainError(f"the outside_disk regime takes N <= 64, got {list(N_list)}")
+    z, w = np.array(grid).reshape(-1, 2).T
     rows = []
     for N in N_list:
         s = _schedule(spec, N)
@@ -486,30 +493,27 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
         lam_N = P.lam
         c_N = s - N
         errs = {}
-        A, at, d = None, (lambda z: z), (lambda z: (1.0, 1.0))
+        A, at, d = None, (lambda p: p), (lambda p: np.ones((2,) + p.shape))
         if spec.regime == "circle_complex":
             zeta = complex(spec.anchor)
-            e = np.zeros((len(grid), 2), dtype=complex)
-            for i, (z, w) in enumerate(grid):
-                K = matrix_kernel(P, zeta + z / N, zeta + w / N)
-                e[i] = K.e11 / N ** 2, K.e12 / N ** 2 - k_zeta(lam_N, zeta, z, w)
-            errs = dict(zip(("entry11_to_zero", "entry12_vs_limit"), np.abs(e).max(axis=0)))
+            K = matrix_kernel(P, zeta + z / N, zeta + w / N)
+            e = np.abs([K.e11 / N ** 2, K.e12 / N ** 2 - k_zeta(lam_N, zeta, z, w)])
+            errs = dict(zip(("entry11_to_zero", "entry12_vs_limit"), e.max(axis=1)))
         elif spec.regime == "circle_real":
             xi = float(complex(spec.anchor).real)
-            A, at, d = xi_handle(lam_N, xi), (lambda z: xi + z / N), \
-                (lambda z: (N, 1.0 if _is_real_arg(z) else N))
+            A, at, d = xi_handle(lam_N, xi), (lambda p: xi + p / N), \
+                (lambda p: np.array([np.full(p.shape, N), np.where(p.imag == 0.0, 1.0, N)]))
         elif spec.regime == "inside_disk":
             A = disk_handle()
         else:
-            A, d = outside_handle(c_N), (lambda z: ((z / abs(z)) ** N, (np.conj(z) / abs(z)) ** N))
-            errs["entry11_scaled"] = max(
-                abs(abs(x * y) ** s / (x * y) ** N * kappa_n(P, x, y) / (s - N)
-                    - dsn_limit(lam_N, c_N, x, y)) for x, y in grid)
+            A, d = outside_handle(c_N), (lambda p: (np.array([p, np.conj(p)]) / abs(p)) ** N)
+            scaled = abs(z * w) ** s / (z * w) ** N * kappa_n(P, z, w) / (s - N)
+            errs["entry11_scaled"] = np.max(np.abs(scaled - dsn_limit(lam_N, c_N, z, w)))
         if A is not None:
-            diff = [matrix_kernel(P, at(z), at(w)).as_array() / np.outer(d(z), d(w))
-                    - assemble_matrix(A, z, w).as_array() for z, w in grid]
+            diff = (matrix_kernel(P, at(z), at(w)).as_array() / (d(z)[:, None] * d(w))
+                    - assemble_matrix(A, z, w).as_array())
             errs.update(zip(("entry11", "entry12", "entry21", "entry22"),
-                            np.abs(diff).max(axis=0).ravel()))
+                            np.abs(diff).max(axis=-1).ravel()))
         row = {"regime": spec.regime, "N": N, "s": s,
                "grid_size": len(grid)}
         row.update({k: float(v) for k, v in errs.items()})

@@ -21,6 +21,7 @@ from .errors import DomainError, InfiniteValueError, PoleError
 
 _TRUNC = 1e-16
 _R, _R_TERMS = 60.0, 40       # past |z| = _R: DLMF 13.7.2 with this many terms per exponential
+_CANCEL = 6.0                 # a series summed to e^6 ulps of its terms' sum: 1e-13 relative
 _E_PAIR_TERMS, _E_PAIR_RADIUS = 48, 2.0   # e_pair: double-series terms, largest |t|
 
 
@@ -192,11 +193,16 @@ def hyp1f1_M(alpha: float, beta: float, z):
     ``1F1(1+alpha; 1+gamma; z)``; the value at 0 is 1. The special case ``(1/2, -3/2)``
     is the kernel of the circle scaling limits. Past ``|z| = 60`` :func:`_large`, below
     it the series, at ``Re z < 0`` of Kummer's ``e^z 1F1(b-a; b; -z)`` (DLMF 13.2.39).
+    Both cancel ``e^(|z| - |Re z|)`` ulps; where that exceeds ``e^6``, :class:`DomainError`.
     Keeps the dtype of ``z`` and raises as :func:`big_m_pair` and :func:`_large` do.
     """
     g = _gamma_param(alpha, beta)
     a, b, z = 1.0 + alpha, 1.0 + g, _finite(z)
-    val, = _evaluate("hyp1f1_M", z, (np.abs(z) <= _R) * (1 + (z.real < 0.0)), (
+    r = np.abs(z)
+    bad = (r <= _R) & (r - np.abs(z.real) > _CANCEL)
+    if bad.any():
+        raise DomainError(f"hyp1f1_M: its series cancel past e^{_CANCEL:g} ulps at {z[bad][0]}")
+    val, = _evaluate("hyp1f1_M", z, (r <= _R) * (1 + (z.real < 0.0)), (
         lambda x: _large([(a, b)], x), lambda x: _series(a, b, a, 1.0, x)[:1],
         lambda x: (np.exp(x) * _series(a, b, b - a, 0.0, -x)[0])[None]), 1)
     return val.item() if val.ndim == 0 else val
@@ -245,7 +251,7 @@ def big_m_pair(z):
     """
     z = _finite(z)
     r = np.abs(z)
-    m_val, d_val = _evaluate("big_m_pair", z, (r <= _R) * (1 + (r - z.real > 6.0)), (
+    m_val, d_val = _evaluate("big_m_pair", z, (r <= _R) * (1 + (r - z.real > _CANCEL)), (
         lambda x: _large([(1.5, 1.0), (2.5, 2.0)], x) * [[1.0], [1.5]],
         lambda x: _series(1.5, 1.0, 1.5, 1.0, x), _m_pair_integral), 2)
     return (m_val.item(), d_val.item()) if z.ndim == 0 else (m_val, d_val)

@@ -2,7 +2,8 @@
 implemented independently (scipy log-Gamma only), for randomized checking;
 the 2-D quadrature of the pair density, the second route of the
 closed-form non-real root count; the block matrix of a correlation
-assembled pair by pair, the second route of ``kernel.correlation``; and
+assembled pair by pair, the second route of ``kernel.correlation``, and
+the Pfaffian with whole-row pivot swaps, the oracle of ``kernel.pfaffian``; and
 the circle weight ``Lambda`` pointwise from Gauss hypergeometric functions
 (DLMF 15), the second route of its Fourier coefficients
 ``limits._lambda_fourier``; and the 2x2 kernels entry by entry, the second
@@ -304,6 +305,28 @@ def block_by_pairs(P: EnsembleParams, points) -> np.ndarray:
                 M[2 * i + 1, 2 * i + 1] = 0.0
                 M[2 * i + 1, 2 * i] = -M[2 * i, 2 * i + 1]
     return M
+
+
+def pfaffian_full_swap(A) -> complex:
+    """Parlett–Reid elimination as ``kernel.pfaffian`` does it, but a pivot
+    swap exchanges whole rows and columns, the eliminated part included: the
+    oracle of its trailing-block swap, which must agree bit for bit."""
+    A = np.array(A, dtype=complex if np.iscomplexobj(A) else float)
+    n, pf = A.shape[0], 1.0 + 0.0j
+    for k in range(0, n - 1, 2):
+        kp = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
+        if kp != k + 1:
+            A[[k + 1, kp], :] = A[[kp, k + 1], :]
+            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
+            pf = -pf
+        if A[k + 1, k] == 0.0:
+            return 0.0 + 0.0j
+        pf = pf * A[k, k + 1]
+        if k + 2 < n:
+            tau = A[k, k + 2:] * (1.0 / A[k, k + 1])
+            col = A[k + 2:, k + 1]
+            A[k + 2:, k + 2:] += tau[:, None] * col - col[:, None] * tau
+    return pf
 
 
 def hyp2f1(a: float, b: float, c: float, z) -> complex:

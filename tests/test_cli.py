@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mahler
+from mahler import kernel
 from mahler.cli import main
 from mahler.kernel import EnsembleParams, expected_in_exact, intensity_complex, intensity_real
 from mahler.limits import b_outside, kappa_xi
@@ -52,6 +53,24 @@ class TestGridCommands:
         header = a.read_text().split("\n")[0]
         assert header == ("re_u,im_u,re_v,im_v,e11_re,e11_im,e12_re,e12_im,"
                           "e21_re,e21_im,e22_re,e22_im")
+
+    def test_kernel_grid_is_one_call_matching_each_point(self, tmp_path, monkeypatch):
+        # the whole default 21 x 21 grid, its real row included, is one
+        # broadcast call; each row is within 1e-13 of the per-point kernel
+        calls = []
+        matrix_kernel = kernel.matrix_kernel
+        monkeypatch.setattr(kernel, "matrix_kernel",
+                            lambda P, u, v: calls.append(np.size(u)) or matrix_kernel(P, u, v))
+        out = tmp_path / "k.csv"
+        assert run(["kernel-grid", "--N", "9", "--s", "10.5", "--v-im", "0.3", "--out", str(out)]) == 0
+        assert calls == [441]
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (441, 12) and np.sum(rows[:, 1] == 0.0) == 21
+        P = EnsembleParams(9, 10.5)
+        for row in rows:
+            K = matrix_kernel(P, complex(row[0], row[1]), complex(row[2], row[3])).as_array()
+            ref = np.column_stack([K.real.ravel(), K.imag.ravel()]).ravel()
+            assert np.max(np.abs(row[4:] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_intensity_finite_ensemble(self, tmp_path):
         out = tmp_path / "i.csv"

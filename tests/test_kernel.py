@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, gammasgn
 
-from identities import adaptive_by_panels, block_by_pairs, complex_count_quadrature
+from identities import (adaptive_by_panels, block_by_pairs, complex_count_quadrature,
+                        pfaffian_full_swap)
 from mahler.errors import DomainError, NotAntisymmetricError, OddDimensionError
 from mahler.kernel import (EnsembleParams, PointConfig, _side, _tables, block,
                            correlation, expected_counts, expected_in_exact,
@@ -207,6 +208,18 @@ class TestPfaffian:
 
     def test_empty_is_one(self):
         assert pfaffian(np.zeros((0, 0))) == 1.0 + 0.0j
+
+    def test_trailing_swap_matches_full_swap(self, rng):
+        # a pivot swap moves only the trailing block, rows and columns k:, as
+        # the eliminated part is never read again: bit for bit the full swap
+        mats = [gram_matrix(N, s).entries for N, s in ((8, 9.0), (16, 32.0), (32, 33.0), (64, 128.0))]
+        for n in (2, 4, 6, 10, 16, 32, 64, 128):
+            for _ in range(6):
+                A = rng.standard_normal((n, n))
+                B = A + 1j * rng.standard_normal((n, n))
+                mats += [A - A.T, B - B.T]
+        for M in mats:
+            assert pfaffian(M) == pfaffian_full_swap(M)
 
 
 class TestCorrelation:

@@ -5,7 +5,10 @@ from functools import lru_cache, partial
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mahler.kernel as kernel_module
 import mahler.limits as limits
 from mahler.errors import DomainError, InfiniteValueError
 from mahler.kernel import EnsembleParams, expected_counts, matrix_kernel, sum_k
@@ -452,6 +455,38 @@ class TestBlockRule:
         assemble_matrix(xi_handle(1.0, 1.0), u, v)
         assert tuple(calls) == sizes
 
+    @pytest.mark.parametrize("new,reals,uppers,tol", [
+        pytest.param(*p.values[:1], *p.values[2:4], 1e-13 if p.id == "disk" else 1e-15, id=p.id)
+        for p in _rules()])
+    def test_broadcast_matches_scalar_pairs(self, new, reals, uppers, tol):
+        # every pair of the points, all four species in one call: each block
+        # within 1e-15 of the scale of the one from its own scalar call. The
+        # disk rule's panels end at the arguments of all the points of a
+        # call, so there two calls differ by the rule's own error, 1e-13
+        pts = list(reals) + list(uppers)
+        K = new(np.array(pts)[:, None], np.array(pts)[None, :])
+        assert all(np.shape(e) == (len(pts), len(pts)) for e in (K.e11, K.e12, K.e21, K.e22))
+        ref = np.array([[new(u, v).as_array() for v in pts] for u in pts]).transpose(2, 3, 0, 1)
+        scale = max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(K.as_array() - ref)) <= tol * scale
+        assert np.max(np.abs(new(np.array(pts), pts[0]).as_array() - ref[..., 0])) <= tol * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(lam=st.sampled_from([0.0, 0.5, 8.0 / 9.0, 1.0]), xi=st.sampled_from([1.0, -1.0]),
+           pts=st.lists(st.one_of(st.floats(-30.0, 30.0), st.sampled_from([-3.0, 3.0, 0.0]),
+                                  st.complex_numbers(max_magnitude=2.0).filter(lambda z: z.imag)),
+                        min_size=1, max_size=9))
+    def test_real_rows_do_not_depend_on_the_batch(self, lam, xi, pts):
+        # a real point's side in any batch, at xi x = -3 and on either side of
+        # it, is bit for bit the side it is built with alone
+        handle = xi_handle(lam, xi)
+        side = handle(np.array(pts))[0]
+        for k, x in enumerate(pts):
+            if isinstance(x, float):
+                alone = handle([x])[0].at(0)
+                for f in ("P", "Q", "beta", "gamma"):
+                    assert np.array_equal(getattr(alone, f), getattr(side.at(k), f)), (x, f)
+
 
 def _log_slope(region, s_of, n=512):
     """``pi (E(2n) - E(n)) / log 2`` for the exact count of a region at
@@ -617,6 +652,28 @@ class TestConvergenceHarness:
         errs = [row["sup_error"] for row in rows]
         rate = -np.polyfit(np.log(n_list), np.log(errs), 1)[0]
         assert 0.8 <= rate <= 1.2
+
+    @pytest.mark.parametrize("spec,grid", [
+        (LimitKernelSpec("circle_complex", lam=1.0, anchor=1j),
+         [(0.3 + 0.2j, -0.1 + 0.4j), (0.0, 0.5j)]),
+        (LimitKernelSpec("circle_real", lam=1.0, anchor=1.0), _REAL_ANCHOR_GRID),
+        (LimitKernelSpec("inside_disk", lam=0.0), [(0.3, -0.5), (0.1, 0.4), (0.2 + 0.3j, -0.4)]),
+        _OUTSIDE], ids=["circle_complex", "circle_real", "inside_disk", "outside_disk"])
+    def test_one_side_build_per_row(self, monkeypatch, spec, grid):
+        # each row makes one finite side build and one limit handle call (at a
+        # non-real circle anchor one k_zeta call), whatever the grid's size
+        calls = []
+
+        for name in ("xi_handle", "disk_handle", "outside_handle"):
+            make = getattr(limits, name)
+            monkeypatch.setattr(limits, name, lambda *a, make=make: (
+                lambda h: lambda pts: calls.append("handle") or h(pts))(make(*a)))
+        side, k_zeta_fn = kernel_module._side, limits.k_zeta
+        monkeypatch.setattr(kernel_module, "_side", lambda *a: calls.append("side") or side(*a))
+        monkeypatch.setattr(limits, "k_zeta", lambda *a: calls.append("k_zeta") or k_zeta_fn(*a))
+        convergence_report(spec, grid, (8, 16))
+        limit = "k_zeta" if spec.regime == "circle_complex" else "handle"
+        assert sorted(calls) == sorted(["side", limit] * 2)
 
     def test_ratio_sums_errors_decrease(self):
         rows = ratio_sums_report((8, 16))

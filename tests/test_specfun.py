@@ -193,7 +193,9 @@ class TestConfluent:
         # each point stops by its own rule, also where the terms cancel
         # (20i, 25 + 30i): three term magnitudes in a row at |z| rounded up to
         # a multiple of 1/8 are at most 1e-16 of their running sum 1 + sum m;
-        # its sums are then those of the naive one-point loop, bit for bit
+        # its sums are then those of the naive one-point loop, bit for bit.
+        # hyp1f1_M raises at the cancelling points, so the series is called
+        # directly, with the parameters hyp1f1_M(0.5, -1.5) gives it
         z = np.concatenate([rng.uniform(0.0, 30.0, 200) + 1j * rng.uniform(-8.0, 8.0, 200),
                             [20j, 25.0 + 30.0j, 0.0, 59.9]])
 
@@ -208,7 +210,38 @@ class TestConfluent:
                 term = term * ((k + 1.5) / ((k + 1.0) * (k + 1.0))) * zz
                 val = val + term
             return val[0]
-        assert hyp1f1_M(0.5, -1.5, z).tolist() == [one_point(zz) for zz in z]
+        assert specfun._series(1.5, 1.0, 1.5, 1.0, z)[0].tolist() == [one_point(zz) for zz in z]
+
+    def test_cancelling_series_raises(self):
+        # 60i was off by a factor of 1e9 (-9.32e9+7.42e9j for -4.034-7.754j)
+        # and 20i by 1e-9 relative; past |z| = 60 the expansion serves
+        for z in (20j, 60j, [0.5, -25.0 + 30.0j], 3.0 + 59.0j):
+            with pytest.raises(DomainError, match="cancel"):
+                hyp1f1_M(0.5, -1.5, z)
+        hyp1f1_M(0.5, -1.5, [60.001j, 54.0, -54.0 + 1.0j])
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, -1.5), (1.5, -1.5), (0.5, -0.5), (-0.3, 0.8),
+                                             (-0.5, 0.0), (0.0, 0.0), (0.4, 0.0), (1.7, 0.0),
+                                             (2.0, 0.0)])
+    def test_family_below_the_expansion_matches_mpmath(self, alpha, beta):
+        # the parameter sets of these tests and of e_gamma on |z| <= 60: each
+        # point either raises or is within 1e-12 of mpmath, the points just
+        # inside the bound |z| - |Re z| <= 6 included
+        z = np.multiply.outer([0.5, 3.0, 10.0, 25.0, 45.0, 59.99],
+                              np.exp(1j * np.linspace(-math.pi, math.pi, 25))).ravel()
+        r = np.array([6.5, 20.0, 40.0, 59.9])
+        edge = np.sqrt(r * r - (r - 5.99) ** 2)
+        z = np.concatenate([z] + [sx * (r - 5.99) + 1j * sy * edge for sx in (-1, 1)
+                                  for sy in (-1, 1)])
+        served = np.abs(z) - np.abs(z.real) <= 6.0
+        for zz in z[~served]:
+            with pytest.raises(DomainError, match="cancel"):
+                hyp1f1_M(alpha, beta, zz)
+        val = hyp1f1_M(alpha, beta, z[served])
+        with mpmath.workdps(40):
+            ref = np.array([complex(mpmath.hyp1f1(1.0 + alpha, 2.0 + alpha + beta, zz))
+                            for zz in z[served]])
+        assert np.max(np.abs(val - ref) / np.abs(ref)) <= 1e-12
 
     def test_ode_residual(self, rng):
         # z M'' + (1 - z) M' - (3/2) M = 0 for the (1/2,-3/2) member
