@@ -50,6 +50,8 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class KernelValue2x2:
+    """A 2x2 kernel block: Python complex entries, or arrays over pairs."""
+
     e11: complex
     e12: complex
     e21: complex
