@@ -83,7 +83,7 @@ def run_kernel_grid(args) -> int:
                          "e21_re", "e21_im", "e22_re", "e22_im"])
         re, im = _grid(args)
         u = np.array([complex(x, y) for y in im for x in re])
-        K = kernel.matrix_kernel(params, u, v)
+        K = limits.assemble_matrix(kernel._handle(params), u, v)
         for z, *entries in zip(u, K.e11, K.e12, K.e21, K.e22):
             row = [z.real, z.imag, v.real, v.imag] + [p for e in entries for p in (e.real, e.imag)]
             writer.writerow([_fmt(x) for x in row])

@@ -211,7 +211,13 @@ def kappa_n(P: EnsembleParams, u, v):
 def matrix_kernel(P: EnsembleParams, u, v) -> KernelValue2x2:
     """The 2x2 matrix kernel at the pairs of ``u`` and ``v``, broadcast:
     :func:`block` of the sides of all the points, built in one call."""
-    return _blocks(lambda pts: (_side(_tables(P.N, P.s), pts), skew_pair), u, v)
+    return _blocks(_handle(P), u, v)
+
+
+def _handle(P: EnsembleParams):
+    """The finite kernel as ``handle(pts) -> (side, pair)``, as a limit regime
+    is: callers inside the package build arrays of blocks from it."""
+    return lambda pts: (_side(_tables(P.N, P.s), pts), skew_pair)
 
 
 def _blocks(handle, u, v) -> KernelValue2x2:

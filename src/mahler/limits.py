@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InfiniteValueError
-from .kernel import (EnsembleParams, KernelValue2x2, Side, _blocks, _is_real_arg, _skew_sum,
-                     kappa_n, matrix_kernel, skew_pair, sum_k)
+from .kernel import (EnsembleParams, KernelValue2x2, Side, _blocks, _handle, _is_real_arg,
+                     _skew_sum, kappa_n, skew_pair, sum_k)
 from .quadrature import leg_nodes
 from .specfun import (_finite, _gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
                       gamma_ratio_table, iota, omega)
@@ -439,10 +439,10 @@ def dsn_limit(lam: float, c: float, u, v):
 
 
 def assemble_matrix(handle, u, v) -> KernelValue2x2:
-    """The 2x2 limit kernel at the pairs of ``u`` and ``v``, broadcast:
-    :func:`~mahler.kernel.block` of the sides from one ``handle`` call on
-    all the points, with fields as in :func:`~mahler.kernel.matrix_kernel`.
-    As in the finite-N matrix kernel, ``K(v, u) = -K(u, v)^T``."""
+    """The 2x2 kernel of a regime's handle (a limit's, or the finite kernel's)
+    at the pairs of ``u`` and ``v``, broadcast: :func:`~mahler.kernel.block`
+    of the sides from one ``handle`` call on all the points, with fields as
+    in :func:`~mahler.kernel.matrix_kernel`. ``K(v, u) = -K(u, v)^T``."""
     return _blocks(handle, u, v)
 
 
@@ -485,7 +485,7 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
         raise DomainError(f"N_list must be non-empty and strictly increasing, got {list(N_list)}")
     if spec.regime == "outside_disk" and max(N_list) > 64:
         raise DomainError(f"the outside_disk regime takes N <= 64, got {list(N_list)}")
-    z, w = np.array(grid).reshape(-1, 2).T
+    z, w = np.array(grid).T
     rows = []
     for N in N_list:
         s = _schedule(spec, N)
@@ -496,7 +496,7 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
         A, at, d = None, (lambda p: p), (lambda p: np.ones((2,) + p.shape))
         if spec.regime == "circle_complex":
             zeta = complex(spec.anchor)
-            K = matrix_kernel(P, zeta + z / N, zeta + w / N)
+            K = assemble_matrix(_handle(P), zeta + z / N, zeta + w / N)
             e = np.abs([K.e11 / N ** 2, K.e12 / N ** 2 - k_zeta(lam_N, zeta, z, w)])
             errs = dict(zip(("entry11_to_zero", "entry12_vs_limit"), e.max(axis=1)))
         elif spec.regime == "circle_real":
@@ -510,7 +510,7 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
             scaled = abs(z * w) ** s / (z * w) ** N * kappa_n(P, z, w) / (s - N)
             errs["entry11_scaled"] = np.max(np.abs(scaled - dsn_limit(lam_N, c_N, z, w)))
         if A is not None:
-            diff = (matrix_kernel(P, at(z), at(w)).as_array() / (d(z)[:, None] * d(w))
+            diff = (assemble_matrix(_handle(P), at(z), at(w)).as_array() / (d(z)[:, None] * d(w))
                     - assemble_matrix(A, z, w).as_array())
             errs.update(zip(("entry11", "entry12", "entry21", "entry22"),
                             np.abs(diff).max(axis=-1).ravel()))

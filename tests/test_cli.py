@@ -54,21 +54,23 @@ class TestGridCommands:
         assert header == ("re_u,im_u,re_v,im_v,e11_re,e11_im,e12_re,e12_im,"
                           "e21_re,e21_im,e22_re,e22_im")
 
-    def test_kernel_grid_is_one_call_matching_each_point(self, tmp_path, monkeypatch):
-        # the whole default 21 x 21 grid, its real row included, is one
-        # broadcast call; each row is within 1e-13 of the per-point kernel
-        calls = []
-        matrix_kernel = kernel.matrix_kernel
-        monkeypatch.setattr(kernel, "matrix_kernel",
-                            lambda P, u, v: calls.append(np.size(u)) or matrix_kernel(P, u, v))
+    def test_kernel_grid_is_one_side_build(self, tmp_path, monkeypatch):
+        # the whole default 21 x 21 grid, its real row included, is one side
+        # build of its points and v; each row is within 1e-13 of the kernel
+        # of its own point
+        calls, side = [], kernel._side
+        monkeypatch.setattr(kernel, "_side", lambda tab, u: calls.append(u.size) or side(tab, u))
         out = tmp_path / "k.csv"
-        assert run(["kernel-grid", "--N", "9", "--s", "10.5", "--v-im", "0.3", "--out", str(out)]) == 0
-        assert calls == [441]
+        args = ["kernel-grid", "--N", "9", "--s", "10.5", "--v-im", "0.3", "--out", str(out)]
+        assert run(args) == 0
+        assert calls == [2 * 441]
+        monkeypatch.undo()
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert rows.shape == (441, 12) and np.sum(rows[:, 1] == 0.0) == 21
         P = EnsembleParams(9, 10.5)
         for row in rows:
-            K = matrix_kernel(P, complex(row[0], row[1]), complex(row[2], row[3])).as_array()
+            u, v = complex(row[0], row[1]), complex(row[2], row[3])
+            K = kernel.matrix_kernel(P, u, v).as_array()
             ref = np.column_stack([K.real.ravel(), K.imag.ravel()]).ravel()
             assert np.max(np.abs(row[4:] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
