@@ -215,23 +215,20 @@ def matrix_kernel(P: EnsembleParams, u, v) -> KernelValue2x2:
 
 
 def _handle(P: EnsembleParams):
-    """The finite kernel as ``handle(pts) -> (side, pair)``, as a limit regime
-    is: callers inside the package build arrays of blocks from it."""
+    """The finite kernel as ``handle(pts) -> (side, pair)``, as a limit is."""
     return lambda pts: (_side(_tables(P.N, P.s), pts), skew_pair)
 
 
 def _blocks(handle, u, v) -> KernelValue2x2:
     """The 2x2 blocks at the pairs of ``u`` and ``v``, broadcast, from one call
-    ``handle(pts) -> (side, pair)`` on the points ``(2, ...)``, a flat side
-    reshaped to them: Python complex at a scalar pair, else arrays."""
+    ``handle(pts) -> (side, pair)`` on the points ``(2, ...)`` (a flat side is reshaped)."""
     u, v = np.asarray(u), np.asarray(v)
     pts = np.array([u, v] if u.shape == v.shape else np.broadcast_arrays(u, v))
     side, pair = handle(pts)
     if side.x.shape != pts.shape:
         side = Side(*(f.reshape(f.shape[:-1] + pts.shape) for f in side))
-    rest = (slice(None),) * (pts.ndim - 1)
-    K = block(pair, side.at(0, *rest), side.at(1, *rest)).astype(complex)
-    K = K.reshape((4,) + pts.shape[1:])
+    ax = (slice(None),) * (pts.ndim - 1)
+    K = block(pair, side.at(0, *ax), side.at(1, *ax)).astype(complex).reshape(4, *pts.shape[1:])
     return KernelValue2x2(*(K.tolist() if K.ndim == 1 else K))
 
 

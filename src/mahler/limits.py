@@ -132,13 +132,12 @@ def xi_handle(lam: float, xi: float):
     from the Taylor coefficients ``b_n = (n + 1) a_{n+1}`` and ``a_n`` of
     ``M'`` and ``M``: ``omega(c) sum_n (b_n, a_n) c^n tau^n`` and ``-x sum_n
     (b_n, a_n) c^n mu_n tau^n``, with ``mu_n = sum_j wt_j omega(c t_j)
-    t_j^n``, the unit rule on ``[0, x]`` with its sums swapped. The points
-    whose term count, set by ``|c|`` alone, rounds up to one multiple of 8 are
-    built together. For ``c < -3``, ``omega = 1`` on ``[0, x]`` and the
-    integrals are exact, ``(M(c tau) - 1)/(xi tau)`` and ``2x (M' - M)(c
-    tau)``, from one real :func:`big_m_pair` call for all such points. A
-    non-real ``z`` has the rows ``z`` and ``iota(z) conj(z)``, from one
-    complex call of its own.
+    t_j^n``, the unit rule on ``[0, x]`` with its sums swapped; the points whose
+    term count, set by ``|c|`` alone, rounds up to one multiple of 8 are built
+    together. For ``c < -3``, ``omega = 1`` on ``[0, x]`` and the integrals are
+    exact, ``(M(c tau) - 1)/(xi tau)`` and ``2x (M' - M)(c tau)``, from one real
+    :func:`big_m_pair` call for all such points. A non-real ``z`` has the rows
+    ``z`` and ``iota(z) conj(z)``, from one complex call of its own.
     ``beta`` is the rows applied to the anchoring term ``omega (1/4) int_0^1
     (1 - lam t) M(u xi t) dt`` of the antiderivative kernel, and ``gamma =
     (0, -1)`` at a real point, ``0`` at a non-real one.

@@ -198,11 +198,10 @@ def hyp1f1_M(alpha: float, beta: float, z):
     """
     g = _gamma_param(alpha, beta)
     a, b, z = 1.0 + alpha, 1.0 + g, _finite(z)
-    r = np.abs(z)
-    bad = (r <= _R) & (r - np.abs(z.real) > _CANCEL)
-    if bad.any():
-        raise DomainError(f"hyp1f1_M: its series cancel past e^{_CANCEL:g} ulps at {z[bad][0]}")
-    val, = _evaluate("hyp1f1_M", z, (r <= _R) * (1 + (z.real < 0.0)), (
+    bad = z[(np.abs(z) <= _R) & (np.abs(z) - np.abs(z.real) > _CANCEL)]
+    if bad.size:
+        raise DomainError(f"hyp1f1_M: its series cancel past e^{_CANCEL:g} ulps at {bad[0]}")
+    val, = _evaluate("hyp1f1_M", z, (np.abs(z) <= _R) * (1 + (z.real < 0.0)), (
         lambda x: _large([(a, b)], x), lambda x: _series(a, b, a, 1.0, x)[:1],
         lambda x: (np.exp(x) * _series(a, b, b - a, 0.0, -x)[0])[None]), 1)
     return val.item() if val.ndim == 0 else val
