@@ -119,10 +119,6 @@ def _family(tab: _Tables, u):
     return pe, po
 
 
-def _is_real_arg(u) -> bool:
-    return abs(complex(u).imag) == 0.0
-
-
 class Side(NamedTuple):
     """The sides of a set of points, the points' axes trailing in every field
     so that :meth:`at` selects or reshapes them: the two rows over ``n``
@@ -221,15 +217,18 @@ def _handle(P: EnsembleParams):
 
 def _blocks(handle, u, v) -> KernelValue2x2:
     """The 2x2 blocks at the pairs of ``u`` and ``v``, broadcast, from one call
-    ``handle(pts) -> (side, pair)`` on the points ``(2, ...)`` (a flat side is reshaped)."""
-    u, v = np.asarray(u), np.asarray(v)
-    pts = np.array([u, v] if u.shape == v.shape else np.broadcast_arrays(u, v))
+    ``handle(pts) -> (side, pair)`` on the points ``(..., 2)`` (a flat side is reshaped)."""
+    try:
+        pts = np.array([u, v])
+    except ValueError:          # u and v differ in shape
+        pts = np.array(np.broadcast_arrays(u, v))
+    if pts.ndim > 1:
+        pts = np.moveaxis(pts, 0, -1)
     side, pair = handle(pts)
     if side.x.shape != pts.shape:
         side = Side(*(f.reshape(f.shape[:-1] + pts.shape) for f in side))
-    ax = (slice(None),) * (pts.ndim - 1)
-    K = block(pair, side.at(0, *ax), side.at(1, *ax)).astype(complex).reshape(4, *pts.shape[1:])
-    return KernelValue2x2(*(K.tolist() if K.ndim == 1 else K))
+    K = block(pair, side.at(0), side.at(1)).astype(complex)
+    return KernelValue2x2(*(K.ravel().tolist() if K.ndim == 2 else K.reshape(4, *K.shape[2:])))
 
 
 def intensity_real(P: EnsembleParams, x):

@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InfiniteValueError
-from .kernel import (EnsembleParams, KernelValue2x2, Side, _blocks, _handle, _is_real_arg,
-                     _skew_sum, kappa_n, skew_pair, sum_k)
+from .kernel import (EnsembleParams, KernelValue2x2, Side, _blocks, _handle, _skew_sum,
+                     kappa_n, skew_pair, sum_k)
 from .quadrature import leg_nodes
 from .specfun import (_finite, _gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
                       gamma_ratio_table, iota, omega)
@@ -198,7 +198,7 @@ def _real_entry(handle, name: str, u, v):
     of the block less its ``(1/2) sgn(u - v)``; ``name`` integrates along the
     real line up to each point, so a non-real one raises :class:`DomainError`."""
     for z in (u, v):
-        if not _is_real_arg(z):
+        if np.imag(z) != 0.0:
             raise DomainError(f"{name} needs real arguments, got {z}")
     return assemble_matrix(handle, u, v).e22 - 0.5 * np.sign(complex(u).real - complex(v).real)
 

@@ -29,13 +29,17 @@ from scipy.integrate import quad
 from scipy.special import gamma, gammaln, rgamma
 
 from mahler.errors import DomainError, InfiniteValueError, PoleError, QuadratureError
-from mahler.kernel import (EnsembleParams, KernelValue2x2, _family, _is_real_arg, _tables,
+from mahler.kernel import (EnsembleParams, KernelValue2x2, _family, _tables,
                            intensity_complex, matrix_kernel)
 from mahler.limits import (_check_disk, _core, _edge, _jacobi_rule, _unit_nodes, _xi_side,
                            sqrt_minus_tau)
 from mahler.polys import PolyCoeffs, eps_monomials, eps_poly, weight
 from mahler.quadrature import adaptive, fixed_panel, leg_nodes
 from mahler.specfun import _gamma_quotient, _is_nonpositive_integer, iota
+
+
+def _is_real_arg(u) -> bool:
+    return abs(complex(u).imag) == 0.0
 
 
 class DivergenceError(ArithmeticError):

@@ -663,7 +663,6 @@ class TestConvergenceHarness:
         # each row makes one finite side build and one limit handle call (at a
         # non-real circle anchor one k_zeta call), whatever the grid's size
         calls = []
-
         for name in ("xi_handle", "disk_handle", "outside_handle"):
             make = getattr(limits, name)
             monkeypatch.setattr(limits, name, lambda *a, make=make: (
