@@ -24,6 +24,7 @@ from .kernel import (
     EnsembleParams,
     KernelValue2x2,
     PointConfig,
+    assemble_matrix,
     correlation,
     expected_counts,
     expected_in_exact,
@@ -37,7 +38,6 @@ from .kernel import (
 )
 from .limits import (
     LimitKernelSpec,
-    assemble_matrix,
     a_disk,
     a_outside,
     a_xi,

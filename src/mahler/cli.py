@@ -83,7 +83,7 @@ def run_kernel_grid(args) -> int:
                          "e21_re", "e21_im", "e22_re", "e22_im"])
         re, im = _grid(args)
         u = np.array([complex(x, y) for y in im for x in re])
-        K = limits.assemble_matrix(kernel._handle(params), u, v)
+        K = kernel.assemble_matrix(kernel._handle(params), u, v)
         for z, *entries in zip(u, K.e11, K.e12, K.e21, K.e22):
             row = [z.real, z.imag, v.real, v.imag] + [p for e in entries for p in (e.real, e.imag)]
             writer.writerow([_fmt(x) for x in row])
@@ -150,7 +150,7 @@ def run_convergence(args) -> int:
                           f"{args.N_list!r}") from None
     report = limits.full_report(n_list)
     with _output(args.out) as fh:
-        fh.write(limits.report_to_json(report))
+        fh.write(json.dumps(report, indent=2, sort_keys=True))
         fh.write("\n")
     return 0
 

@@ -26,7 +26,7 @@ from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
                      ResidualError)
 from .polys import (_p_table, _pi_odd_table, eps_monomials, p_eval_sequence,
                     region_moments, s_norm, weight)
-from .specfun import gammaln_signed, iota
+from .specfun import _finite, gammaln_signed, iota
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,9 @@ def _tables(N: int, s: float) -> _Tables:
 
 def _family(tab: _Tables, u):
     """``(w pi_{2j}(u), w pi_{2j+1}(u))`` for every ``j``, stacked on a leading
-    axis: the coefficient matrices times the powers of ``u^2``. Vectorized."""
-    u = np.asarray(u)
+    axis: the coefficient matrices times the powers of ``u^2``. Vectorized;
+    a non-finite ``u`` raises :class:`DomainError`."""
+    u = _finite(u)
     powers = np.vander((u * u).ravel(), tab.even.shape[1], increasing=True).T
     w = weight(tab.s, u)
     pe = (tab.even @ powers).reshape(tab.even.shape[:1] + u.shape) * w
@@ -205,9 +206,8 @@ def kappa_n(P: EnsembleParams, u, v):
 
 
 def matrix_kernel(P: EnsembleParams, u, v) -> KernelValue2x2:
-    """The 2x2 matrix kernel at the pairs of ``u`` and ``v``, broadcast:
-    :func:`block` of the sides of all the points, built in one call."""
-    return _blocks(_handle(P), u, v)
+    """The 2x2 matrix kernel at the pairs of ``u`` and ``v``, broadcast."""
+    return assemble_matrix(_handle(P), u, v)
 
 
 def _handle(P: EnsembleParams):
@@ -215,9 +215,12 @@ def _handle(P: EnsembleParams):
     return lambda pts: (_side(_tables(P.N, P.s), pts), skew_pair)
 
 
-def _blocks(handle, u, v) -> KernelValue2x2:
-    """The 2x2 blocks at the pairs of ``u`` and ``v``, broadcast, from one call
-    ``handle(pts) -> (side, pair)`` on the points ``(..., 2)`` (a flat side is reshaped)."""
+def assemble_matrix(handle, u, v) -> KernelValue2x2:
+    """The 2x2 kernel of a handle (a limit's, or the finite kernel's) at the
+    pairs of ``u`` and ``v``, broadcast: :func:`block` of the sides from one
+    call ``handle(pts) -> (side, pair)`` on the points ``(..., 2)`` (a flat
+    side is reshaped). The fields are Python complex at a scalar pair, else
+    arrays of the pairs' shape. ``K(v, u) = -K(u, v)^T``."""
     try:
         pts = np.array([u, v])
     except ValueError:          # u and v differ in shape

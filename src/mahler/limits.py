@@ -5,18 +5,17 @@ Four regimes: scaled limits at a non-real unit-circle anchor (a scalar
 determinantal kernel), scaled limits at the real anchors +-1 (a genuinely
 Pfaffian family built from a confluent hypergeometric function), and the two
 unscaled regimes inside and outside the closed unit disk. Each Pfaffian
-regime has one handle ``handle(pts) -> (side, pair)``: the sides of a
-block's points, each built once, and the regime's pairing, which
-:func:`mahler.kernel.block` turns into 2x2 blocks. Each regime has one node
-set: the 96-node Gauss–Legendre rule on [0, 1] at the circle, on panels of
-the angle inside the disk, and outside a 48-node Gauss–Jacobi rule per real
-point. At +-1 a real point's side runs in real arithmetic, from Taylor
-coefficients on the nodes or from exact antiderivatives.
+regime has one handle ``handle(pts) -> (side, pair)``: the sides of all the
+points of a call, built together, and the regime's pairing, which
+:func:`mahler.kernel.assemble_matrix` turns into 2x2 blocks. Each regime has
+one node set: the 96-node Gauss–Legendre rule on [0, 1] at the circle, on
+panels of the angle inside the disk, and outside one 48-node Gauss–Jacobi tail
+rule per ``c``, mapped to each real point. At +-1 a real point's side runs in
+real arithmetic, from Taylor coefficients on the nodes or from exact antiderivatives.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,8 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InfiniteValueError
-from .kernel import (EnsembleParams, KernelValue2x2, Side, _blocks, _handle, _skew_sum,
-                     kappa_n, skew_pair, sum_k)
+from .kernel import EnsembleParams, Side, _handle, _skew_sum, assemble_matrix, skew_pair, sum_k
 from .quadrature import leg_nodes
 from .specfun import (_finite, _gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
                       gamma_ratio_table, iota, omega)
@@ -83,8 +81,8 @@ def k_zeta(lam: float, zeta: complex, z, w):
     ``omega(z conj(zeta)) omega(conj(w) zeta) (1/pi) int_0^1 x(1-lam x)
     e^{(z conj(zeta)+conj(w) zeta)x} dx``.
     """
-    zz = np.asarray(z) * np.conj(zeta)
-    ww = np.conj(w) * zeta
+    zz = _finite(z) * np.conj(zeta)
+    ww = np.conj(_finite(w)) * zeta
     x, wt = _unit_nodes()
     integral = (wt * x * (1.0 - lam * x) * np.exp(np.multiply.outer(zz + ww, x))).sum(axis=-1)
     return omega(lam, zz) * omega(lam, ww) * integral / math.pi
@@ -101,7 +99,7 @@ def _xi_side(lam: float, xi: float, u):
     array. :func:`kappa_xi` and the non-real points of :func:`xi_handle`
     take this side."""
     _check_xi(xi)
-    u = np.asarray(u, dtype=complex)
+    u = _finite(np.asarray(u, dtype=complex))
     tau, _ = _unit_nodes()
     M, Mp = big_m_pair(np.multiply.outer(u, xi * tau))
     return omega(lam, xi * u), M, Mp
@@ -241,10 +239,10 @@ def sqrt_minus_tau(tau):
 
 
 def _check_disk(inside: bool, *pts):
-    """Raise :class:`DomainError` unless all points lie in the open unit disk
-    (``inside``) or all lie outside the closed one; scalars or arrays."""
+    """Raise :class:`DomainError` unless all points are finite and lie in the
+    open unit disk (``inside``) or all outside the closed one; scalars or arrays."""
     for z in pts:
-        r = np.abs(z)
+        r = np.abs(_finite(z))
         if np.any(r >= 1.0 if inside else r <= 1.0):
             where = "inside the open" if inside else "outside the closed"
             raise DomainError(f"argument {z} not {where} unit disk")
@@ -382,6 +380,8 @@ def outside_handle(c: float):
     absorbs without underflow as ``x -> 0``. Its ``beta = (0, C sgn y)`` and
     ``gamma = (e(y), sum W_k)``, ``C = Gamma((c+1)/2) / (sqrt(pi)
     Gamma(c/2))``, are the half-line masses of the antiderivative kernel.
+    The sides of all the points of a call are built in array operations,
+    with ``e^a = |y| + sqrt(y^2 - 1)``.
     """
     if math.isinf(c):   # c |uv|^{-c} -> 0 for |uv| > 1: zero rows
         def zero(pts):
@@ -393,29 +393,30 @@ def outside_handle(c: float):
     x, w = _jacobi_rule(c)
     C = _gamma_quotient(((c + 1.0) / 2.0,), (c / 2.0,)) / math.sqrt(math.pi)
 
-    def side(u):
-        z = complex(u)
-        W = np.zeros((2, _TAIL_ORDER + 1), dtype=float if z.imag == 0.0 else complex)
-        if z.imag == 0.0:
-            y, e = z.real, math.exp(math.acosh(abs(z.real)))
-            xu = 0.5 * (e + x * x / e)
-            nodes = np.append(y, math.copysign(1.0, y) * xu / x)
-            W[0, 0], W[1, 1:] = _edge(c, y).real, w * xu ** -c
-            beta, gamma = (0.0, math.copysign(C, y)), (W[0, 0], W[1].sum())
-        else:
-            nodes = np.append(z, np.full(_TAIL_ORDER, z.conjugate()))
-            W[0, 0], W[1, 1] = _edge(c, z), iota(z) * _edge(c, z.conjugate())
-            beta, gamma = (0.0, 0.0), (W[0, 0], W[1, 1])
-        return W, nodes, np.array(beta), np.array(gamma), z.real, z.imag == 0.0
-
     def pair(su, sv):
         R = c * _core(1.0 / c, su.Q[:, None], sv.Q[None])
         return np.einsum("al...,bl...->ab...", np.einsum("ak...,kl...->al...", su.P, R), sv.P)
 
     def handle(pts):
-        _check_disk(False, pts)
-        fields = (np.array(f) for f in zip(*(side(u) for u in np.ravel(pts))))
-        return Side(*(f.transpose(*range(1, f.ndim), 0) for f in fields)), pair
+        z = np.ravel(pts)
+        _check_disk(False, z)
+        real = np.imag(z) == 0.0
+        if real.all():
+            z = z.real          # real points pair in real arithmetic
+        y = z[real].real
+        t = np.abs(y)
+        e = t + np.sqrt((t - 1.0) * (t + 1.0))     # e^a, a = arccosh|y|
+        xu = 0.5 * (e + x[:, None] ** 2 / e)
+        W = np.zeros((2, _TAIL_ORDER + 1, z.size), z.dtype)
+        Q = np.empty((_TAIL_ORDER + 1, z.size), z.dtype)
+        edge = _edge(c, z)
+        W[0, 0], Q[0] = edge if z.dtype.kind == "c" else edge.real, z
+        W[1][1:, real], Q[1:, real] = w[:, None] * xu ** -c, np.sign(y) * xu / x[:, None]
+        if not real.all():
+            zn = z[~real]
+            W[1][1, ~real], Q[1:, ~real] = iota(zn) * _edge(c, zn.conj()), zn.conj()
+        beta = np.array([np.zeros(z.size), np.where(real, C * np.sign(z.real), 0.0)])
+        return Side(W, Q, beta, np.array([W[0, 0], W[1].sum(axis=0)]), z.real, real), pair
     return handle
 
 
@@ -430,19 +431,6 @@ def dsn_limit(lam: float, c: float, u, v):
     ``1/c = 0`` when ``c`` is infinite."""
     return lam * _core(0.0 if math.isinf(c) else 1.0 / c, u, v) \
         / (sqrt_z2m1(u) * sqrt_z2m1(v))
-
-
-# ---------------------------------------------------------------------------
-# 2x2 assembly from a regime handle
-# ---------------------------------------------------------------------------
-
-
-def assemble_matrix(handle, u, v) -> KernelValue2x2:
-    """The 2x2 kernel of a regime's handle (a limit's, or the finite kernel's)
-    at the pairs of ``u`` and ``v``, broadcast: :func:`~mahler.kernel.block`
-    of the sides from one ``handle`` call on all the points, with fields as
-    in :func:`~mahler.kernel.matrix_kernel`. ``K(v, u) = -K(u, v)^T``."""
-    return _blocks(handle, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +472,15 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
         raise DomainError(f"N_list must be non-empty and strictly increasing, got {list(N_list)}")
     if spec.regime == "outside_disk" and max(N_list) > 64:
         raise DomainError(f"the outside_disk regime takes N <= 64, got {list(N_list)}")
-    z, w = np.array(grid).T
+    try:
+        z, w = np.array(grid).T if np.ndim(grid) == 2 and len(grid) else ()
+    except ValueError:
+        raise DomainError(f"grid must be a non-empty list of pairs, got {grid!r}") from None
     rows = []
     for N in N_list:
         s = _schedule(spec, N)
         P = EnsembleParams(N, s)
-        lam_N = P.lam
-        c_N = s - N
+        lam_N, c_N = P.lam, s - N
         errs = {}
         A, at, d = None, (lambda p: p), (lambda p: np.ones((2,) + p.shape))
         if spec.regime == "circle_complex":
@@ -506,11 +496,12 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
             A = disk_handle()
         else:
             A, d = outside_handle(c_N), (lambda p: (np.array([p, np.conj(p)]) / abs(p)) ** N)
-            scaled = abs(z * w) ** s / (z * w) ** N * kappa_n(P, z, w) / (s - N)
-            errs["entry11_scaled"] = np.max(np.abs(scaled - dsn_limit(lam_N, c_N, z, w)))
         if A is not None:
-            diff = (assemble_matrix(_handle(P), at(z), at(w)).as_array() / (d(z)[:, None] * d(w))
-                    - assemble_matrix(A, z, w).as_array())
+            K = assemble_matrix(_handle(P), at(z), at(w))
+            if spec.regime == "outside_disk":
+                scaled = abs(z * w) ** s / (z * w) ** N * K.e11 / (s - N)
+                errs["entry11_scaled"] = np.max(np.abs(scaled - dsn_limit(lam_N, c_N, z, w)))
+            diff = K.as_array() / (d(z)[:, None] * d(w)) - assemble_matrix(A, z, w).as_array()
             errs.update(zip(("entry11", "entry12", "entry21", "entry22"),
                             np.abs(diff).max(axis=-1).ravel()))
         row = {"regime": spec.regime, "N": N, "s": s,
@@ -649,7 +640,3 @@ def full_report(N_list=(8, 16, 32)) -> dict:
     groups["ratio_sums"] = ratio_sums_report(list(N_list))
     groups["compare"] = compare_report()
     return groups
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

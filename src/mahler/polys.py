@@ -41,7 +41,7 @@ class PolyCoeffs:
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
-            raise ValueError("empty coefficient list")
+            raise DomainError("empty coefficient list")
 
     @property
     def degree(self) -> int:

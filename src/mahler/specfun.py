@@ -87,7 +87,7 @@ def _finite(z) -> np.ndarray:
     z = np.asarray(z)
     z = z.astype(complex if np.iscomplexobj(z) else float, copy=False)
     if not np.isfinite(z).all():
-        raise DomainError("confluent functions need finite arguments")
+        raise DomainError(f"arguments must be finite, got {z[~np.isfinite(z)][0]}")
     return z
 
 
@@ -291,23 +291,17 @@ def e_pair(a1: float, b1: float, a2: float, b2: float, t1, t2) -> complex:
 
 
 def omega(lam: float, tau) -> float:
-    """Exponential damping factor ``min(1, e^{-Re(tau)/lam})``.
+    """Exponential damping factor ``min(1, e^{-Re(tau)/lam})``, a numpy
+    scalar for a scalar ``tau``.
 
     At ``lam = 0`` this degenerates to the characteristic function of the
     closed half-plane ``Re(tau) <= 0`` (closed unit disk after the change of
     variables that produces it).
     """
-    if lam < 0.0 or lam > 1.0:
+    if not 0.0 <= lam <= 1.0:
         raise DomainError(f"omega requires lam in [0, 1], got {lam}")
-    if np.ndim(tau) == 0:
-        re = complex(tau).real
-        if lam == 0.0:
-            return 1.0 if re <= 0.0 else 0.0
-        return 1.0 if re <= 0.0 else math.exp(-re / lam)
-    re = np.real(np.asarray(tau))
-    if lam == 0.0:
-        return (re <= 0.0).astype(float)
-    return np.where(re <= 0.0, 1.0, np.exp(-np.maximum(re, 0.0) / lam))
+    re = np.real(tau)
+    return np.where(re <= 0.0, 1.0, np.exp(-np.maximum(re, 0.0) / lam) if lam else 0.0)[()]
 
 
 def iota(z):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,7 +8,8 @@ from scipy.special import gammaln, gammasgn
 
 from identities import (adaptive_by_panels, block_by_pairs, complex_count_quadrature,
                         pfaffian_full_swap)
-from mahler.errors import DomainError, NotAntisymmetricError, OddDimensionError
+import mahler.kernel as kernel_module
+from mahler.errors import DomainError, NotAntisymmetricError, OddDimensionError, ResidualError
 from mahler.kernel import (EnsembleParams, PointConfig, _side, _tables, block,
                            correlation, expected_counts, expected_in_exact,
                            expected_out_exact, intensity_complex,
@@ -43,6 +45,46 @@ class TestSumK:
         errs = [abs(sum_k(N, 0.5, b1, 0.5, b2, 0.0, 0.0) - target)
                 for N in (8, 32, 128)]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_arrays_match_scalars(self):
+        z = np.array([0.3, -0.5 + 0.2j, 1.1j])
+        w = np.array([0.7, 0.2, -0.4 - 0.1j])
+        got = sum_k(12, 0.5, -0.5, 1.5, -1.5, z, w)
+        assert got.shape == (3,)
+        assert got == pytest.approx([sum_k(12, 0.5, -0.5, 1.5, -1.5, a, b)
+                                     for a, b in zip(z, w)], rel=1e-14)
+
+
+class TestGuards:
+    def test_domain_exits(self):
+        calls = [lambda: EnsembleParams(0, 5.0), lambda: EnsembleParams(4, 4.0),
+                 lambda: PointConfig((0.5,), (0.3 - 0.2j,)), lambda: PointConfig((), (0.3,)),
+                 lambda: pfaffian(np.zeros((2, 4))),
+                 lambda: expected_counts(EnsembleParams(4, 8.0), "everywhere"),
+                 lambda: expected_in_exact(5, 8.0)]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_raise_quietly(self, bad):
+        # matrix_kernel(P, nan, 0.5) returned NaN, and at inf numpy warned first
+        P = EnsembleParams(7, 9.5)
+        calls = [lambda: matrix_kernel(P, bad, 0.5), lambda: matrix_kernel(P, 0.3, complex(0.2, bad)),
+                 lambda: matrix_kernel(P, np.array([0.1, bad]), 0.5j),
+                 lambda: intensity_real(P, [0.2, bad]),
+                 lambda: intensity_complex(P, complex(bad, 1.0)),
+                 lambda: kappa_n(P, 0.2, bad), lambda: correlation(P, PointConfig((bad,), ()))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DomainError, match="finite"):
+                    call()
+
+    def test_imaginary_residual_raises(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "pfaffian", lambda A: 1.0 + 1e-3j)
+        with pytest.raises(ResidualError):
+            correlation(EnsembleParams(4, 8.0), PointConfig((0.3,), (0.2 + 0.5j,)))
 
 
 def _ratio(k, a):

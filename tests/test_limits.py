@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mahler
 import mahler.kernel as kernel_module
 import mahler.limits as limits
 from mahler.errors import DomainError, InfiniteValueError
@@ -86,6 +87,9 @@ class TestCircleRealKernel:
         for xi, a, b in ((1.0, -0.7, -0.2), (-1.0, 0.7, 0.2)):
             assert a_xi(0.5, xi, a, b) == pytest.approx(
                 a_xi_iform(0.5, xi, a, b), abs=1e-8)
+        for xi, a, b in ((1.0, 0.3, -0.2), (-1.0, 0.7, -0.2), (1.0, -0.7, 0.0)):
+            with pytest.raises(DomainError):
+                a_xi_iform(0.5, xi, a, b)
 
     def test_slot_derivatives_match_finite_differences(self):
         # a*xi > 0 puts the damped side omega < 1 into play when lam > 0
@@ -347,6 +351,8 @@ class TestOutsideKernel:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             b_outside(1.0, 0.5, 1.5)
+        with pytest.raises(DomainError, match="c > 0"):
+            outside_handle(-1.0)
 
     def test_non_real_argument_raises(self):
         # a bare AttributeError came from the handle's None slot here
@@ -431,7 +437,62 @@ def _rules():
                            (1.5 + 0.5j, -1.1 - 0.7j), 1e-14, id=f"outside_c{c}")
 
 
+def _raise_quietly(*calls):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+class TestNonFiniteArguments:
+    """A NaN or infinite point or lam raises DomainError, before any numpy
+    warning, in every regime."""
+
+    def test_circle_complex(self, bad):
+        # k_zeta(1, 1j, nan, 0.5) returned NaN, and so did a NaN lam
+        _raise_quietly(lambda: k_zeta(1.0, 1j, bad, 0.5),
+                       lambda: k_zeta(1.0, 1j, 0.2, np.array([0.1, complex(0.1, bad)])),
+                       lambda: k_zeta(bad, 1j, 0.2, 0.5))
+
+    def test_circle_real(self, bad):
+        _raise_quietly(lambda: kappa_xi(bad, 1.0, 0.5, 0.2), lambda: kappa_xi(0.5, -1.0, bad, 0.2),
+                       lambda: a_xi(0.5, 1.0, 0.3, bad),
+                       lambda: assemble_matrix(xi_handle(0.5, 1.0), [0.2, complex(0.1, bad)], 0.3))
+
+    def test_inside_disk(self, bad):
+        _raise_quietly(lambda: a_disk(bad, 0.5), lambda: dad_disk(0.2, complex(0.1, bad)),
+                       lambda: assemble_matrix(disk_handle(), [0.2, 0.1 + 0.3j], [0.3, bad]))
+
+    def test_outside_disk(self, bad):
+        # |nan| <= 1 is False, so a NaN point passed the disk check: a_outside
+        # warned and b_outside returned NaN
+        _raise_quietly(lambda: a_outside(1.0, bad, 2.0), lambda: b_outside(2.5, 1.5, bad),
+                       lambda: b_outside(2.5, complex(1.5, bad), 2.0),
+                       *(lambda c=c: assemble_matrix(outside_handle(c), [1.5, bad], 2.0 + 1.0j)
+                         for c in (1.0, 2.5, math.inf)))
+
+
 class TestBlockRule:
+    def test_one_block_builder(self):
+        assert limits.assemble_matrix is kernel_module.assemble_matrix is mahler.assemble_matrix
+
+    @pytest.mark.parametrize("handle", [
+        outside_handle(1.0), outside_handle(2.5), outside_handle(math.inf), xi_handle(0.5, 1.0),
+        disk_handle(), kernel_module._handle(EnsembleParams(7, 9.5))],
+        ids=["outside_c1", "outside_c2.5", "outside_cinf", "xi", "disk", "finite"])
+    def test_empty_call_gives_empty_blocks(self, handle):
+        # the outside handle raised a bare TypeError from its zip of no sides
+        K = assemble_matrix(handle, [], [])
+        assert all(np.shape(e) == (0,) for e in (K.e11, K.e12, K.e21, K.e22))
+
+    def test_real_outside_call_runs_in_real_arithmetic(self):
+        side, _ = outside_handle(2.5)(np.array([1.5, -2.0]))
+        assert all(np.asarray(f).dtype.kind == "f" for f in side[:5])
+        side, _ = outside_handle(2.5)(np.array([1.5, -2.0 + 0.5j]))
+        assert side.P.dtype.kind == side.Q.dtype.kind == "c"
+
     @pytest.mark.parametrize("species", ["rr", "rc", "cr", "cc"])
     @pytest.mark.parametrize("new,old,reals,uppers,tol", list(_rules()))
     def test_matches_per_entry_rule(self, new, old, reals, uppers, tol, species):
@@ -595,6 +656,11 @@ class TestCircleWeightCoefficients:
         for d in (1e-9, -1e-9):
             assert abs(val - sum_inside_limit(*args, -2.0 + d, 0.3, 0.2)) < 1e-7
 
+    def test_inside_limit_guards(self):
+        for b1, b2, z, w in ((0.5, -1.5, 0.3, 0.2), (0.5, -2.3, 1.0, 0.2), (0.5, -2.3, 0.3, -1.2j)):
+            with pytest.raises(DomainError):
+                sum_inside_limit(0.5, b1, 1.5, b2, z, w)
+
     @pytest.mark.parametrize("b1,b2", [(0.5, -2.0), (0.5, -3.0), (-3.0, 0.5)])
     def test_integer_b2_coefficients_match_mpmath(self, b1, b2):
         m = np.arange(-8, 9)
@@ -629,6 +695,18 @@ class TestConvergenceHarness:
             LimitKernelSpec("circle_complex", lam=1.0, anchor=1.0)  # +-1
         with pytest.raises(DomainError):
             LimitKernelSpec("circle_real", lam=1.0, anchor=0.5)
+        for regime, lam in (("outside", 0.0), ("inside_disk", -0.1), ("inside_disk", 1.5),
+                            ("inside_disk", math.nan)):
+            with pytest.raises(DomainError):
+                LimitKernelSpec(regime, lam=lam)
+
+    def test_grid_guard(self):
+        # an empty grid raised numpy's bare ValueError, and so did a grid of
+        # triples; a flat grid of two numbers ran as one pair
+        spec = LimitKernelSpec("circle_real", lam=1.0, anchor=1.0)
+        for grid in ([], [(0.5, -0.3, 0.2)], [0.5, -0.3], [(0.5, -0.3), (0.2,)]):
+            with pytest.raises(DomainError, match="pairs"):
+                convergence_report(spec, grid, [8])
 
     def test_report_errors_decrease(self):
         spec = LimitKernelSpec("circle_real", lam=1.0, anchor=1.0)

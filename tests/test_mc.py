@@ -209,6 +209,36 @@ class TestSampler:
                 SamplerConfig(N=2, s=5.0, step_length=step)
         with pytest.raises(DomainError):
             SamplerConfig(N=2, s=5.0, steps=10, burn_in=20)
+        for kwargs in ({"N": 0, "s": 5.0}, {"N": 2, "s": 5.0, "thin": 0}):
+            with pytest.raises(DomainError):
+                SamplerConfig(**kwargs)
+
+    def test_zero_constant_coefficient_takes_np_roots(self, monkeypatch):
+        # a proposal with an exact zero constant term is solved by np.roots,
+        # which splits the root at 0 off first; the emitted roots are its roots
+        default_rng = np.random.default_rng
+
+        class FirstDirectionOnAxis:
+            def __init__(self, seed):
+                self.rng, self.first = default_rng(seed), True
+
+            def standard_normal(self, n):
+                d = self.rng.standard_normal(n)
+                d[0], self.first = (0.0 if self.first else d[0]), False
+                return d
+
+            def random(self):
+                return self.rng.random()
+
+        def eigvals(a, signature):
+            raise AssertionError("the companion route solved a zero constant term")
+
+        monkeypatch.setattr(mc.np.random, "default_rng", FirstDirectionOnAxis)
+        monkeypatch.setattr(mc, "_eigvals", eigvals)
+        p = next(sample(SamplerConfig(N=3, s=math.inf, steps=1, burn_in=0, seed=5)))
+        assert p.coeffs[0] == 0.0 and p.coeffs[-1] == 1.0
+        assert np.array_equal(p.roots, np.roots(np.array(p.coeffs)[::-1]))
+        assert np.count_nonzero(p.roots == 0.0) == 1
 
     def test_non_finite_measure_raises(self, monkeypatch):
         # LAPACK leaves NaN where dgeev does not converge

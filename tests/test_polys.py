@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from identities import halfline
-from mahler.errors import DomainError, IntegrabilityError
+from mahler.errors import ConditioningError, DomainError, IntegrabilityError
 from mahler.polys import (PolyCoeffs, eps_pi, eps_poly, p_eval, p_poly,
                           pi_even_core, pi_pair, s_norm, weight, zero_check)
 from mahler.quadrature import adaptive
@@ -262,3 +262,31 @@ class TestZeroBehavior:
     def test_degree_guard(self):
         with pytest.raises(DomainError):
             zero_check(65, 0.5, 0.5)
+
+    def test_unclassified_case(self):
+        # alpha < beta with no forced root at 1: neither location theorem applies
+        rep = zero_check(6, -0.3, 0.4)
+        assert rep.location_class == "unclassified"
+        assert rep.location_ok
+        assert rep.order_at_1 == rep.expected_order_at_1 == 0
+
+    def test_large_root_residual_raises(self, monkeypatch):
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda c: roots(c) + 1e-3)
+        with pytest.raises(ConditioningError):
+            zero_check(5, 1.5, -1.5)
+
+
+class TestGuards:
+    def test_domain_exits(self):
+        # PolyCoeffs(()) raised a bare ValueError; DomainError is one too
+        for call in (lambda: PolyCoeffs(()), lambda: pi_pair(2, 0.0), lambda: pi_pair(2, -3.0),
+                     lambda: eps_pi("both", 2, 9.0, 0.5)):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_call_on_a_scalar(self):
+        p = PolyCoeffs((1.0, -2.0, 0.5))
+        assert p(3.0) == 1.0 - 6.0 + 4.5
+        assert np.ndim(p(3.0)) == 0
+        assert p(1j) == 1.0 - 2.0j - 0.5

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from identities import adaptive_by_panels
+from mahler import quadrature
 from mahler.errors import DomainError, QuadratureError
 from mahler.kernel import EnsembleParams, intensity_real
 from mahler.quadrature import DEFAULT_ORDER, adaptive, fixed_panel, leg_nodes
@@ -81,6 +82,12 @@ class TestAdaptive:
         with pytest.raises(DomainError, match="tol"):
             adaptive(lambda x: intensity_real(P, x), -1.0, 1.0, tol=tol)
         assert time.perf_counter() - start < 0.5
+
+    def test_panel_cap_raises(self, monkeypatch):
+        # a kink needs many bisections at 1e-14; the cap stops them
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
+        with pytest.raises(QuadratureError, match="4 panels"):
+            adaptive(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, tol=1e-14)
 
     def test_smooth_integrand_converges(self):
         val, err = adaptive(np.cos, 0.0, 1.0)

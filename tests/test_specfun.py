@@ -472,6 +472,12 @@ class TestEPair:
         assert e_pair(0.5, -0.5, 0.5, -1.5, 0.0, 0.0) == pytest.approx(
             1.0, rel=1e-12)
 
+    def test_divergent_weight_raises(self):
+        # g = 2 + a1 + b1 + a2 + b2 <= -1: x^g is not integrable at 0
+        for b2 in (-3.5, -4.2):
+            with pytest.raises(DomainError, match="2\\+a1"):
+                e_pair(0.5, -0.5, 0.5, b2, 0.1, 0.2)
+
     def test_swap_symmetry(self):
         v1 = e_pair(0.5, -0.5, 1.5, -1.5, 0.7 + 0.2j, -0.4)
         v2 = e_pair(1.5, -1.5, 0.5, -0.5, -0.4, 0.7 + 0.2j)
@@ -617,6 +623,19 @@ class TestOmega:
         assert omega(0.0, -1e-12) == 1.0
         assert omega(0.0, 0.0) == 1.0
         assert omega(0.0, 1e-12) == 0.0
+
+    def test_lam_guard(self):
+        # lam < 0 or lam > 1 let a NaN lam through, and omega returned NaN
+        for lam in (-0.1, 1.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="lam"):
+                omega(lam, 0.5)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_scalars_are_the_array_entries(self, lam):
+        tau = np.array([-2.0, 0.0, 1e-12, 0.4 + 3.0j, 5.0, 800.0])
+        got = omega(lam, tau)
+        assert [omega(lam, t) for t in tau] == got.tolist()
+        assert np.ndim(omega(lam, 0.4)) == 0
 
     @given(lam=st.floats(0.01, 1.0),
            re=st.floats(-10, 10), im=st.floats(-10, 10))

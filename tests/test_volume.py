@@ -48,6 +48,9 @@ class TestSkewMoments:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             skew_moment(0, 1, 4.0)
+        for n, m in ((-1, 0), (0, np.array([0, -2]))):
+            with pytest.raises(DomainError, match="nonnegative"):
+                skew_moment(n, m, 9.0)
         # a divergent pair raises what real_moment raises for it
         for moment in (monomial_moment, real_moment):
             with pytest.raises(IntegrabilityError):
@@ -114,6 +117,14 @@ class TestGram:
         with pytest.raises(DomainError):
             gram_matrix(3, 9.0)
 
+    def test_domain_guards(self):
+        monic = (PolyCoeffs((1.0,)), PolyCoeffs((0.3, 1.0)))
+        for N, s, basis in ((4, 4.0, None), (2, 5.0, monic[:1]), (2, 5.0, monic * 2),
+                            (2, 5.0, (monic[0], PolyCoeffs((0.3, 2.0)))),
+                            (2, 5.0, (monic[0], PolyCoeffs((0.3, 0.0, 1.0))))):
+            with pytest.raises(DomainError):
+                gram_matrix(N, s, basis)
+
     @pytest.mark.parametrize("N", [2, 8, 64])
     @pytest.mark.parametrize("kind", ["half", "double", "inf"])
     def test_table_matches_per_entry_moments(self, N, kind):
@@ -155,6 +166,11 @@ class TestVolumeIdentity:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             chern_vaaler_f(4, 4.0)
+        with pytest.raises(DomainError):
+            chern_vaaler_f(0, 4.0)
+        for lam in (0.0, -0.5):
+            with pytest.raises(DomainError):
+                volume_ball(4, lam)
 
 
 class TestSkewOrthonormality:
