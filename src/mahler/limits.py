@@ -33,6 +33,7 @@ _TAIL_ORDER = 48     # Gauss–Jacobi nodes of each outside tail integral
 _INSIDE_TERMS = 200  # terms of each binomial series in sum_inside_limit
 
 
+@lru_cache(maxsize=1)
 def _unit_nodes():
     x, w = leg_nodes(_ORDER)
     return 0.5 * (x + 1.0), 0.5 * w

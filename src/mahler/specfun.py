@@ -83,10 +83,10 @@ def gamma_ratio_table(n: int, alpha: float) -> np.ndarray:
 
 
 def _finite(z) -> np.ndarray:
-    """``z`` as a complex128 array if it is complex, else as a float64 one."""
+    """``z`` as a complex128 or float64 array; :class:`DomainError` unless finite."""
     z = np.asarray(z)
-    z = z.astype(complex if np.iscomplexobj(z) else float, copy=False)
-    if not np.isfinite(z).all():
+    z = z.astype(complex if z.dtype.kind == "c" else float, copy=False)
+    if np.count_nonzero(np.isfinite(z)) < z.size:
         raise DomainError(f"arguments must be finite, got {z[~np.isfinite(z)][0]}")
     return z
 
@@ -301,7 +301,7 @@ def omega(lam: float, tau) -> float:
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"omega requires lam in [0, 1], got {lam}")
     re = np.real(tau)
-    return np.where(re <= 0.0, 1.0, np.exp(-np.maximum(re, 0.0) / lam) if lam else 0.0)[()]
+    return (np.exp(np.maximum(re, 0.0) / -lam) if lam else np.where(re <= 0.0, 1.0, 0.0))[()]
 
 
 def iota(z):

@@ -87,6 +87,8 @@ class TestCircleRealKernel:
         for xi, a, b in ((1.0, -0.7, -0.2), (-1.0, 0.7, 0.2)):
             assert a_xi(0.5, xi, a, b) == pytest.approx(
                 a_xi_iform(0.5, xi, a, b), abs=1e-8)
+
+    def test_integral_form_guard(self):
         for xi, a, b in ((1.0, 0.3, -0.2), (-1.0, 0.7, -0.2), (1.0, -0.7, 0.0)):
             with pytest.raises(DomainError):
                 a_xi_iform(0.5, xi, a, b)
@@ -351,6 +353,8 @@ class TestOutsideKernel:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             b_outside(1.0, 0.5, 1.5)
+
+    def test_tail_rule_guard(self):
         with pytest.raises(DomainError, match="c > 0"):
             outside_handle(-1.0)
 
@@ -695,6 +699,8 @@ class TestConvergenceHarness:
             LimitKernelSpec("circle_complex", lam=1.0, anchor=1.0)  # +-1
         with pytest.raises(DomainError):
             LimitKernelSpec("circle_real", lam=1.0, anchor=0.5)
+
+    def test_spec_regime_and_lam_guards(self):
         for regime, lam in (("outside", 0.0), ("inside_disk", -0.1), ("inside_disk", 1.5),
                             ("inside_disk", math.nan)):
             with pytest.raises(DomainError):

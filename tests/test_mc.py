@@ -209,6 +209,8 @@ class TestSampler:
                 SamplerConfig(N=2, s=5.0, step_length=step)
         with pytest.raises(DomainError):
             SamplerConfig(N=2, s=5.0, steps=10, burn_in=20)
+
+    def test_degree_and_thinning_guards(self):
         for kwargs in ({"N": 0, "s": 5.0}, {"N": 2, "s": 5.0, "thin": 0}):
             with pytest.raises(DomainError):
                 SamplerConfig(**kwargs)

@@ -48,13 +48,15 @@ class TestSkewMoments:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             skew_moment(0, 1, 4.0)
-        for n, m in ((-1, 0), (0, np.array([0, -2]))):
-            with pytest.raises(DomainError, match="nonnegative"):
-                skew_moment(n, m, 9.0)
         # a divergent pair raises what real_moment raises for it
         for moment in (monomial_moment, real_moment):
             with pytest.raises(IntegrabilityError):
                 moment(0, 7, 5.0)
+
+    def test_negative_index_guard(self):
+        for n, m in ((-1, 0), (0, np.array([0, -2]))):
+            with pytest.raises(DomainError, match="nonnegative"):
+                skew_moment(n, m, 9.0)
 
 
 def _monic_pi_basis(N, s):
@@ -166,6 +168,8 @@ class TestVolumeIdentity:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             chern_vaaler_f(4, 4.0)
+
+    def test_degree_and_radius_guards(self):
         with pytest.raises(DomainError):
             chern_vaaler_f(0, 4.0)
         for lam in (0.0, -0.5):
