@@ -61,7 +61,7 @@ class TestGuards:
                  lambda: PointConfig((0.5,), (0.3 - 0.2j,)), lambda: PointConfig((), (0.3,)),
                  lambda: pfaffian(np.zeros((2, 4))),
                  lambda: expected_counts(EnsembleParams(4, 8.0), "everywhere"),
-                 lambda: expected_in_exact(5, 8.0)]
+                 lambda: expected_in_exact(5, 8.0), lambda: expected_out_exact(5, 8.0)]
         for call in calls:
             with pytest.raises(DomainError):
                 call()
@@ -80,6 +80,13 @@ class TestGuards:
             for call in calls:
                 with pytest.raises(DomainError, match="finite"):
                     call()
+
+    def test_integer_points_are_real_points(self):
+        # integer points made integer powers, which wrapped silently at N = 64:
+        # the (1,1) entry at (3, 2) read 3.3e-14 for -2.5e-3
+        P = EnsembleParams(64, 65.0)
+        assert matrix_kernel(P, 3, 2) == matrix_kernel(P, 3.0, 2.0)
+        assert kappa_n(P, 3, np.array([2, -4])).tolist() == kappa_n(P, 3.0, [2.0, -4.0]).tolist()
 
     def test_imaginary_residual_raises(self, monkeypatch):
         monkeypatch.setattr(kernel_module, "pfaffian", lambda A: 1.0 + 1e-3j)
