@@ -215,14 +215,10 @@ def a_xi_iform(lam: float, xi: float, a: float, b: float) -> complex:
     if not (a * xi < 0 and b * xi < 0):
         raise DomainError("the single-integral form requires a*xi, b*xi < 0")
     tau, wt = _unit_nodes()
-
-    def I_and_M(x):
-        M, Mp = big_m_pair(x)
-        return 2.0 * x * (Mp - M), M
-
-    Ia, Ma = I_and_M(a * xi * tau)
-    Ib, Mb = I_and_M(b * xi * tau)
-    integrand = (1.0 - lam * tau) / tau * (Ma * Ib - Ia * Mb)
+    x = np.outer([a, b], xi * tau)
+    M, Mp = big_m_pair(x)
+    Ix = 2.0 * x * (Mp - M)
+    integrand = (1.0 - lam * tau) / tau * (M[0] * Ix[1] - Ix[0] * M[1])
     return complex((xi / 4.0) * np.sum(wt * integrand))
 
 
@@ -399,7 +395,7 @@ def outside_handle(c: float):
         return np.einsum("al...,bl...->ab...", np.einsum("ak...,kl...->al...", su.P, R), sv.P)
 
     def handle(pts):
-        z = np.ravel(pts)
+        z = _finite(np.ravel(pts))     # float64 or complex128, so integers are not rounded
         _check_disk(False, z)
         real = np.imag(z) == 0.0
         if real.all():
@@ -473,15 +469,15 @@ def convergence_report(spec: LimitKernelSpec, grid, N_list) -> list[dict]:
         raise DomainError(f"N_list must be non-empty and strictly increasing, got {list(N_list)}")
     if spec.regime == "outside_disk" and max(N_list) > 64:
         raise DomainError(f"the outside_disk regime takes N <= 64, got {list(N_list)}")
-    try:
-        z, w = np.array(grid).T if np.ndim(grid) == 2 and len(grid) else ()
-    except ValueError:
-        raise DomainError(f"grid must be a non-empty list of pairs, got {grid!r}") from None
+    if not len(grid) or any(np.shape(p) != (2,) for p in grid):
+        raise DomainError(f"grid must be a non-empty list of pairs, got {grid!r}")
+    z, w = np.array(grid).T
     rows = []
     for N in N_list:
         s = _schedule(spec, N)
         P = EnsembleParams(N, s)
-        lam_N, c_N = P.lam, s - N
+        lam_N = P.lam
+        c_N = s - N
         errs = {}
         A, at, d = None, (lambda p: p), (lambda p: np.ones((2,) + p.shape))
         if spec.regime == "circle_complex":

@@ -301,7 +301,9 @@ def omega(lam: float, tau) -> float:
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"omega requires lam in [0, 1], got {lam}")
     re = np.real(tau)
-    return (np.exp(np.maximum(re, 0.0) / -lam) if lam else np.where(re <= 0.0, 1.0, 0.0))[()]
+    if lam == 0.0:
+        return np.where(re <= 0.0, 1.0, 0.0)[()]
+    return np.exp(np.maximum(re, 0.0) / -lam)[()]
 
 
 def iota(z):

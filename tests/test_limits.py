@@ -497,6 +497,18 @@ class TestBlockRule:
         side, _ = outside_handle(2.5)(np.array([1.5, -2.0 + 0.5j]))
         assert side.P.dtype.kind == side.Q.dtype.kind == "c"
 
+    @pytest.mark.parametrize("c", [1.0, 2.5, 7.0])
+    def test_integer_outside_points_are_real_points(self, c):
+        # an integer array of points gave integer weights and nodes, so every
+        # weight was rounded down: a_outside(2.5, 2, 3) read 0.0 for 0.0288
+        assert a_outside(c, 2, 3) == a_outside(c, 2.0, 3.0) != 0.0
+        K, ref = (assemble_matrix(outside_handle(c), u, v).as_array()
+                  for u, v in (([2, -3], [3, 4]), ([2.0, -3.0], [3.0, 4.0])))
+        assert np.array_equal(K, ref)
+        spec = LimitKernelSpec("outside_disk", lam=1.0, c=c)
+        assert (convergence_report(spec, [(2, 3), (-2, 4)], [8])
+                == convergence_report(spec, [(2.0, 3.0), (-2.0, 4.0)], [8]))
+
     @pytest.mark.parametrize("species", ["rr", "rc", "cr", "cc"])
     @pytest.mark.parametrize("new,old,reals,uppers,tol", list(_rules()))
     def test_matches_per_entry_rule(self, new, old, reals, uppers, tol, species):
