@@ -77,7 +77,6 @@ from .volume import (
     gram_matrix,
     gram_pf,
     monomial_moment,
-    skew_moment,
     volume_ball,
 )
 

@@ -73,21 +73,27 @@ def _grid(args):
             np.linspace(args.im_min, args.im_max, args.im_steps))
 
 
+def _write_csv(path, header, rows) -> int:
+    """``header`` and then ``rows`` of numbers to ``path`` as CSV; the caller
+    computes every row first, so that an error leaves no output."""
+    with _output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
+    return 0
+
+
 def run_kernel_grid(args) -> int:
     params = kernel.EnsembleParams(args.N, _parse_s(args.s))
     v = complex(args.v_re, args.v_im)
-    with _output(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["re_u", "im_u", "re_v", "im_v",
-                         "e11_re", "e11_im", "e12_re", "e12_im",
-                         "e21_re", "e21_im", "e22_re", "e22_im"])
-        re, im = _grid(args)
-        u = np.array([complex(x, y) for y in im for x in re])
-        K = kernel.assemble_matrix(kernel._handle(params), u, v)
-        for z, *entries in zip(u, K.e11, K.e12, K.e21, K.e22):
-            row = [z.real, z.imag, v.real, v.imag] + [p for e in entries for p in (e.real, e.imag)]
-            writer.writerow([_fmt(x) for x in row])
-    return 0
+    re, im = _grid(args)
+    u = np.array([complex(x, y) for y in im for x in re])
+    K = kernel.assemble_matrix(kernel._handle(params), u, v)
+    rows = [[z.real, z.imag, v.real, v.imag] + [p for e in entries for p in (e.real, e.imag)]
+            for z, *entries in zip(u, K.e11, K.e12, K.e21, K.e22)]
+    return _write_csv(args.out, ["re_u", "im_u", "re_v", "im_v",
+                                 "e11_re", "e11_im", "e12_re", "e12_im",
+                                 "e21_re", "e21_im", "e22_re", "e22_im"], rows)
 
 
 # the options each intensity field reads, by --regime (None: finite N)
@@ -133,13 +139,8 @@ def _intensity_fn(args):
 def run_intensity(args) -> int:
     field = _intensity_fn(args)
     re, im = _grid(args)
-    # every value before the first line, so that an error leaves no output
-    rows = [[_fmt(x), _fmt(y), _fmt(v)] for y in im for x, v in zip(re, field(re, y))]
-    with _output(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["re_z", "im_z", "intensity"])
-        writer.writerows(rows)
-    return 0
+    rows = [[x, y, v] for y in im for x, v in zip(re, field(re, y))]
+    return _write_csv(args.out, ["re_z", "im_z", "intensity"], rows)
 
 
 def run_convergence(args) -> int:

@@ -91,13 +91,10 @@ def sample(cfg: SamplerConfig):
         norm = math.sqrt(direction @ direction)
         radius = rng.random() ** (1.0 / N)
         prop = b + cfg.step_length * radius * direction / norm
-        if prop[0] == 0.0:      # np.roots splits the zero roots off first
-            r_prop = np.roots(np.append(prop, 1.0)[::-1])
-        else:
-            np.negative(prop[::-1], out=companion[0])
-            r_prop = _eigvals(companion, signature="d->D")
-            if not np.count_nonzero(r_prop.imag):  # np.linalg.eigvals' real cast
-                r_prop = r_prop.real
+        np.negative(prop[::-1], out=companion[0])
+        r_prop = _eigvals(companion, signature="d->D")
+        if not np.count_nonzero(r_prop.imag):  # np.linalg.eigvals' real cast
+            r_prop = r_prop.real
         m_prop = _root_product(r_prop)
         if not math.isfinite(m_prop):
             raise ConditioningError(f"step {step}: Mahler measure {m_prop}")

@@ -59,15 +59,8 @@ class PolyCoeffs:
         return roots
 
     def __call__(self, z):
-        """Horner evaluation; accepts scalars or numpy arrays."""
-        z = np.asarray(z)
-        acc = np.zeros_like(z, dtype=complex) if np.iscomplexobj(z) \
-            else np.zeros_like(z, dtype=float)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        if np.ndim(z) == 0:
-            return acc[()]
-        return acc
+        """Horner evaluation by numpy's ``polyval``; accepts scalars or arrays."""
+        return np.polynomial.polynomial.polyval(np.asarray(z), self.coeffs)[()]
 
 
 def _p_table(n: int, alpha: float, beta: float) -> np.ndarray:
@@ -192,8 +185,9 @@ def eps_monomials(degrees, s: float, y) -> np.ndarray:
 def region_moments(e, o, s: float, region):
     """Twice a part of the skew form of ``x^e`` (even ``e``) against ``x^o``
     (odd ``o``), broadcast over integer arrays ``e``, ``o``: the real-line
-    part over [-1, 1] (``region = 'inside'``) or beyond (``'outside'``), or
-    the non-real part within ``|z| < r`` (``region = r``, ``inf`` allowed).
+    part over [-1, 1] (``region = 'inside'``) or beyond (``'outside'``), the
+    non-real part within ``|z| < r`` (``region = r``, ``inf`` allowed), or
+    the whole form in closed form (``region = 'all'``).
 
     Write ``a = e+1``, ``b = o+1``, ``n = a+b`` and ``t = 1/(s-b)`` (0 at
     ``s = inf``). The real part of the form is the integral over the line of
@@ -204,11 +198,15 @@ def region_moments(e, o, s: float, region):
     Im(conj(z^e) z^o) w^2 dA``. With ``z = r e^{i theta}`` and ``int_0^pi
     sin(m theta) d theta = 2/m`` for odd ``m``, twice its part within
     ``|z| < r`` is ``-16 mu_n/(a-b)`` with ``mu_n = int_0^r w(r)^2 r^{n-1}
-    dr``. The real parts need ``s > b`` and ``2s > n``, the complex part
-    ``2s > n`` when ``r > 1``; ``s > N`` gives both for the degree-N counts,
-    and :mod:`mahler.volume` checks them for the skew form.
+    dr``. The two real parts and the complex part at ``r = inf`` add up to
+    ``8 (s/(s-b))/(a (b-a))``, with ``s/(s-b)`` read as 1 at ``s = inf``. The
+    real parts and the whole form need ``s > b`` and ``2s > n``, the complex
+    part ``2s > n`` when ``r > 1``; ``s > N`` gives both for the degree-N
+    counts, and :mod:`mahler.volume` checks them for the skew form.
     """
     a, b = e + 1.0, o + 1.0
+    if region == "all":
+        return 8.0 * (1.0 if math.isinf(s) else s / (s - b)) / (a * (b - a))
     n, t = a + b, 1.0 / (s - b)
     if region == "inside":
         return 4.0 * (2.0 / n + t) / a
@@ -225,15 +223,12 @@ def eps_pi(kind: str, n: int, s: float, y):
 
     ``kind='even'`` gives ``eps(pi_{2n} w)(y)`` (equal to
     ``-y P_n^{-1/2,-1/2}(y^2)`` inside [-1, 1]); ``kind='odd'`` gives
-    ``eps(pi_{2n+1} w)(y)``. Vectorized over real ``y``.
+    ``eps(pi_{2n+1} w)(y)``. Vectorized over real ``y``; the :func:`eps_poly`
+    of the member of :func:`pi_pair`.
     """
-    if kind == "even":
-        core, degrees = pi_even_core(n), 2 * np.arange(n + 1)
-    elif kind == "odd":
-        core, degrees = pi_odd_core(n, s), 2 * np.arange(n + 1) + 1
-    else:
+    if kind not in ("even", "odd"):
         raise DomainError(f"kind must be 'even' or 'odd', got {kind!r}")
-    return np.tensordot(core, eps_monomials(degrees, s, y), axes=1)[()]
+    return eps_poly(pi_pair(n, s)[kind == "odd"].coeffs, s, y)
 
 
 def eps_poly(coeffs, s: float, y):

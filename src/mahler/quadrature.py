@@ -12,7 +12,7 @@ bisection until the panel-sum error estimate meets the target.
 
 Integrands must be vectorized over numpy arrays (real or complex output);
 ``adaptive`` calls one once per step, on the stacked nodes of that step's
-panels. The panel order is ``DEFAULT_ORDER`` (64) unless a call passes ``order``.
+panels. Every panel has ``DEFAULT_ORDER`` (64) nodes.
 """
 
 from __future__ import annotations
@@ -30,21 +30,20 @@ _MAX_PANELS = 4096
 @lru_cache(maxsize=32)
 def leg_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss–Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
-def fixed_panel(f, a, b, order: int | None = None):
+def fixed_panel(f, a, b):
     """One Gauss–Legendre panel for ``f`` over ``[a, b]``; for arrays of bounds, one
     sum per panel from one call of ``f``, bit-identical to the scalar calls."""
-    x, w = leg_nodes(order or DEFAULT_ORDER)
+    x, w = leg_nodes(DEFAULT_ORDER)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     vals = f((mid[..., None] + half[..., None] * x).ravel())
     return half * np.sum(w * np.reshape(vals, mid.shape + x.shape), axis=-1)
 
 
-def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None):
+def adaptive(f, a: float, b: float, tol: float = 1e-12):
     """Adaptive Gauss–Legendre integral of ``f`` over ``[a, b]``.
 
     Bisects the panel with the largest error estimate (difference between the
@@ -59,7 +58,6 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None
     """
     if not tol > 0.0:
         raise DomainError(f"adaptive quadrature needs tol > 0, got {tol}")
-    order = order or DEFAULT_ORDER
 
     def panel(lo, hi, whole, left, right):
         halves = left + right
@@ -70,7 +68,7 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None
         return abs(whole - halves), lo, hi, halves, left, right
 
     mid = 0.5 * (a + b)
-    panels = [panel(a, b, *fixed_panel(f, [a, a, mid], [b, mid, b], order))]
+    panels = [panel(a, b, *fixed_panel(f, [a, a, mid], [b, mid, b]))]
     while True:
         total = sum(p[3] for p in panels)
         total_err = sum(p[0] for p in panels)
@@ -84,5 +82,5 @@ def adaptive(f, a: float, b: float, tol: float = 1e-12, order: int | None = None
         _, lo, hi, _, left, right = panels.pop()
         mid = 0.5 * (lo + hi)
         q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        quarters = fixed_panel(f, [lo, q1, mid, q3], [q1, mid, q3, hi], order)
+        quarters = fixed_panel(f, [lo, q1, mid, q3], [q1, mid, q3, hi])
         panels += [panel(lo, mid, left, *quarters[:2]), panel(mid, hi, right, *quarters[2:])]

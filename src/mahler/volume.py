@@ -3,13 +3,12 @@
 The form splits into a real part (a double integral against ``sgn(y - x)``,
 reduced to one dimension through the eps antiderivative) and a complex part
 (an area integral of ``Im(conj(f) g)`` against the squared weight over the
-upper half-plane). Both parts of a monomial pair are closed forms, read from
-the region moment tables of :func:`mahler.polys.region_moments` that the
-expected root counts also read; their sum is the closed total
-:func:`skew_moment`, the Gram matrix's route. Polynomials and monic bases
-are handled by bilinearity. The Pfaffian of the Gram matrix equals a finite
-rational product in ``s`` — the star-body volume, up to the factor
-``2/(N+1)``.
+upper half-plane). Each part of a monomial pair, and their sum (the region
+``"all"``, which the Gram matrix and :func:`bilinear` read), is a closed form
+from :func:`mahler.polys.region_moments`, the tables that the expected root
+counts also read. Polynomials and monic bases are handled by bilinearity.
+The Pfaffian of the Gram matrix equals a finite rational product in ``s`` —
+the star-body volume, up to the factor ``2/(N+1)``.
 """
 
 from __future__ import annotations
@@ -24,41 +23,11 @@ from .kernel import pfaffian
 from .polys import PolyCoeffs, region_moments
 
 
-def skew_moment(n, m, s: float):
-    """Skew product of ``z^{2n}`` against ``z^{2m+1}`` (both parts combined).
-
-    ``(s/(s - 2m - 2)) / ((n + 1/2)(m - n + 1/2))``; the prefactor is 1 at
-    ``s = inf``. Same-parity products vanish identically. Vectorized over
-    integer arrays ``n``, ``m``. A pair that diverges, ``s <= 2m + 2``, raises
-    :class:`IntegrabilityError` as :func:`real_moment` does.
-    """
-    n, m = np.asarray(n), np.asarray(m)
-    if (n < 0).any() or (m < 0).any():
-        raise DomainError("exponent indices must be nonnegative")
-    if m.size and not (s > 2 * m.max() + 2):
-        raise IntegrabilityError(f"requires s > 2m+2 = {2 * m.max() + 2}, got s={s}")
-    pref = 1.0 if math.isinf(s) else s / (s - 2 * m - 2)
-    val = pref / ((n + 0.5) * (m - n + 0.5))
-    return float(val) if val.ndim == 0 else val
-
-
-def _by_parity(part, a, b):
-    """``part(e, o)`` at the pairs of ``z^a``, ``z^b`` with odd ``a - b``, ``e``
-    the even exponent and ``o`` the odd one; swapping a pair flips the sign,
-    and same-parity pairs are 0. Vectorized over integer arrays ``a``, ``b``."""
-    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-    if (a < 0).any() or (b < 0).any():
-        raise DomainError("exponent indices must be nonnegative")
-    odd, swap = (a - b) % 2 == 1, a % 2 == 1
-    val = np.zeros(a.shape)
-    val[odd] = part(np.where(swap, b, a)[odd], np.where(swap, a, b)[odd])
-    val[odd & swap] *= -1.0
-    return float(val) if val.ndim == 0 else val
-
-
 def monomial_moment(a, b, s: float):
-    """Skew product of ``z^a`` against ``z^b`` for arbitrary parities."""
-    return _by_parity(lambda e, o: skew_moment(e // 2, o // 2, s), a, b)
+    """Skew product of ``z^a`` against ``z^b``, any parities: for even ``e``
+    and odd ``o``, ``4 (s/(s-o-1)) / ((e+1)(o-e))``, the prefactor 1 at ``s =
+    inf``. Same-parity products vanish identically."""
+    return _region_part(a, b, s, ("all",))
 
 
 @dataclass(frozen=True)
@@ -145,15 +114,25 @@ def volume_ball(N: int, lam: float) -> float:
 
 def _region_part(a, b, s: float, regions):
     """Half the sum of the ``regions`` tables of
-    :func:`mahler.polys.region_moments` at the pairs of ``z^a``, ``z^b``. An
-    odd pair with ``2s <= a+b+2``, or for the real parts with ``s <= o+1``
-    (``o`` the odd exponent), diverges and raises :class:`IntegrabilityError`."""
-    def part(e, o):
-        bad = (2.0 * s <= e + o + 2) | (("inside" in regions) & (s <= o + 1))
-        if bad.any():
-            raise IntegrabilityError(f"z^{e[bad][0]} against z^{o[bad][0]} diverges at s={s}")
-        return 0.5 * sum(region_moments(e, o, s, region) for region in regions)
-    return _by_parity(part, a, b)
+    :func:`mahler.polys.region_moments` at the pairs of ``z^a``, ``z^b`` with
+    odd ``a - b``, read with ``e`` the even exponent and ``o`` the odd one;
+    swapping a pair flips the sign, and same-parity pairs are 0. Vectorized
+    over integer arrays ``a``, ``b``. An odd pair with ``2s <= e+o+2``, or for
+    the real parts and the total with ``s <= o+1``, diverges and raises
+    :class:`IntegrabilityError`."""
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    if (a < 0).any() or (b < 0).any():
+        raise DomainError("exponent indices must be nonnegative")
+    odd, swap = (a - b) % 2 == 1, a % 2 == 1
+    e, o = np.where(swap, b, a)[odd], np.where(swap, a, b)[odd]
+    # only the complex part alone converges for s <= o + 1
+    bad = ~(2.0 * s > e + o + 2) | ((math.inf not in regions) & ~(s > o + 1))
+    if bad.any():
+        raise IntegrabilityError(f"z^{e[bad][0]} against z^{o[bad][0]} diverges at s={s}")
+    val = np.zeros(a.shape)
+    val[odd] = 0.5 * sum(region_moments(e, o, s, region) for region in regions)
+    val[odd & swap] *= -1.0
+    return float(val) if val.ndim == 0 else val
 
 
 def real_moment(a, b, s: float):
@@ -184,5 +163,6 @@ def bilinear_c(f: PolyCoeffs, g: PolyCoeffs, s: float) -> float:
 
 
 def bilinear(f: PolyCoeffs, g: PolyCoeffs, s: float) -> float:
-    """Full skew form of two polynomials, both parts exact."""
-    return bilinear_r(f, g, s) + bilinear_c(f, g, s)
+    """Full skew form of two polynomials: one contraction of the closed total,
+    so a pair of monomials gives their :func:`gram_matrix` entry."""
+    return _form(monomial_moment, f, g, s)

@@ -168,7 +168,7 @@ def _check_quad(val, err):
         raise QuadratureError(f"quadrature error {err:.3e} too large for value {val:.3e}")
 
 
-def halfline(f, a: float, tol: float = 1e-12, order: int | None = None):
+def halfline(f, a: float, tol: float = 1e-12):
     """Integral of ``f`` over ``[a, inf)`` for ``a > 0`` via ``x = 1/t``.
 
     The integrand must decay fast enough that ``f(1/t)/t^2`` is integrable
@@ -177,12 +177,11 @@ def halfline(f, a: float, tol: float = 1e-12, order: int | None = None):
     """
     if a <= 0:
         raise ValueError("halfline requires a > 0")
-    return adaptive(lambda t: f(1.0 / t) / t**2, 0.0, 1.0 / a, tol=tol, order=order)
+    return adaptive(lambda t: f(1.0 / t) / t**2, 0.0, 1.0 / a, tol=tol)
 
 
 def complex_count_quadrature(P: EnsembleParams, r_max: float | None,
-                             tol: float = 1e-9, n_theta: int = 96,
-                             order: int = 96) -> float:
+                             tol: float = 1e-9, n_theta: int = 96) -> float:
     """Integral of the pair density over the upper half-plane (times two for
     the conjugate extension, times two again because each pair is 2 roots)...
 
@@ -201,14 +200,14 @@ def complex_count_quadrature(P: EnsembleParams, r_max: float | None,
         return (vals * wtheta).sum(axis=-1) * r
 
     upper_lim = 1.0 if r_max is None else min(1.0, r_max)
-    val, err = adaptive(radial, 0.0, upper_lim, tol=tol, order=order)
+    val, err = adaptive(radial, 0.0, upper_lim, tol=tol)
     total, toterr = val, err
     if (r_max is None or r_max > 1.0) and not math.isinf(P.s):
         hi = math.inf if r_max is None else r_max
         if math.isinf(hi):
-            v2, e2 = halfline(radial, 1.0, tol=tol, order=order)
+            v2, e2 = halfline(radial, 1.0, tol=tol)
         else:
-            v2, e2 = adaptive(radial, 1.0, hi, tol=tol, order=order)
+            v2, e2 = adaptive(radial, 1.0, hi, tol=tol)
         total, toterr = total + v2, toterr + e2
     _check_quad(total, toterr)
     return 2.0 * total

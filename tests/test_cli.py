@@ -108,6 +108,14 @@ class TestGridCommands:
         assert "xi" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_kernel_grid_error_leaves_no_file(self, tmp_path, capsys):
+        # a non-finite v used to leave a file holding only the header
+        out = tmp_path / "kg.csv"
+        assert run(["kernel-grid", "--N", "4", "--s", "9", "--v-re", "nan", "--re-steps", "3",
+                    "--im-steps", "3", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [
         ["--regime", "circle_real", "--xi", "0.5", "--im-min", "0", "--im-max", "0",
          "--im-steps", "1"],

@@ -215,9 +215,10 @@ class TestSampler:
             with pytest.raises(DomainError):
                 SamplerConfig(**kwargs)
 
-    def test_zero_constant_coefficient_takes_np_roots(self, monkeypatch):
-        # a proposal with an exact zero constant term is solved by np.roots,
-        # which splits the root at 0 off first; the emitted roots are its roots
+    def test_zero_constant_coefficient_takes_the_companion_route(self, monkeypatch):
+        # a proposal with an exact zero constant term is solved as every other
+        # proposal is, by dgeev on its companion matrix, which has a zero
+        # column and so an exact root at 0
         default_rng = np.random.default_rng
 
         class FirstDirectionOnAxis:
@@ -232,15 +233,20 @@ class TestSampler:
             def random(self):
                 return self.rng.random()
 
+        solve, solved = mc._eigvals, []
+
         def eigvals(a, signature):
-            raise AssertionError("the companion route solved a zero constant term")
+            solved.append(solve(a, signature=signature))
+            return solved[-1]
 
         monkeypatch.setattr(mc.np.random, "default_rng", FirstDirectionOnAxis)
         monkeypatch.setattr(mc, "_eigvals", eigvals)
         p = next(sample(SamplerConfig(N=3, s=math.inf, steps=1, burn_in=0, seed=5)))
         assert p.coeffs[0] == 0.0 and p.coeffs[-1] == 1.0
-        assert np.array_equal(p.roots, np.roots(np.array(p.coeffs)[::-1]))
+        assert len(solved) == 1 and np.array_equal(p.roots, solved[0])
         assert np.count_nonzero(p.roots == 0.0) == 1
+        ref = np.roots(np.array(p.coeffs)[::-1])
+        assert np.allclose(np.sort_complex(p.roots), np.sort_complex(ref), rtol=0, atol=1e-12)
 
     def test_non_finite_measure_raises(self, monkeypatch):
         # LAPACK leaves NaN where dgeev does not converge

@@ -178,6 +178,16 @@ class TestEpsTransforms:
         with pytest.raises(IntegrabilityError):
             eps_pi("odd", 2, 5.0, 0.3)
 
+    def test_vanishing_top_coefficient(self):
+        # at s = 2n + 2 the factor (s - 2k - 2) clears the top coefficient of
+        # pi_{2n+1}, whose eps is then that of the lower-degree polynomial
+        n, s, y = 2, 6.0, np.array([-2.5, -0.4, 0.7, 1.0, 3.0])
+        odd = pi_pair(n, s)[1].coeffs
+        assert odd[-1] == 0.0 and odd[-3] != 0.0
+        val = eps_pi("odd", n, s, y)
+        assert np.all(np.isfinite(val))
+        assert np.array_equal(val, eps_poly(odd[:-1], s, y))
+
     def test_quadrature_oracle(self):
         # eps f(y) = (1/2) int sgn(x - y) f(x) w(x) dx, done numerically
         s = 9.0
@@ -284,6 +294,13 @@ class TestGuards:
                      lambda: eps_pi("both", 2, 9.0, 0.5)):
             with pytest.raises(DomainError):
                 call()
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    @pytest.mark.parametrize("s", [0.0, -3.0])
+    def test_eps_pi_needs_positive_s(self, kind, s):
+        # both members come from pi_pair, which refuses s <= 0
+        with pytest.raises(DomainError, match="pi_pair requires s > 0"):
+            eps_pi(kind, 2, s, 0.5)
 
     def test_call_on_a_scalar(self):
         p = PolyCoeffs((1.0, -2.0, 0.5))

@@ -33,7 +33,6 @@ class TestFixedPanel:
         assert stacked.dtype == np.asarray(scalar).dtype
         assert stacked.tolist() == scalar
         assert [fixed_panel(f, a, b) for a, b in zip(lo.tolist(), hi.tolist())] == scalar
-        assert fixed_panel(f, [0.5], [0.75], 12).tolist() == [fixed_panel(f, 0.5, 0.75, 12)]
 
 
 class TestAdaptive:

@@ -11,7 +11,7 @@ from mahler.errors import DomainError, IntegrabilityError, QuadratureError
 from mahler.polys import PolyCoeffs, pi_pair
 from mahler.volume import (GramMatrix, bilinear, bilinear_c, bilinear_r,
                            chern_vaaler_f, complex_moment, gram_matrix, gram_pf,
-                           monomial_moment, real_moment, skew_moment, volume_ball)
+                           monomial_moment, real_moment, volume_ball)
 
 
 class TestSkewMoments:
@@ -21,8 +21,8 @@ class TestSkewMoments:
 
     def test_lowest_moment(self):
         s = 5.0
-        assert skew_moment(0, 0, s) == pytest.approx(4 * s / (s - 2),
-                                                     rel=1e-13)
+        assert monomial_moment(0, 1, s) == pytest.approx(4 * s / (s - 2),
+                                                         rel=1e-13)
 
     def test_antisymmetry(self):
         assert monomial_moment(1, 2, 9.0) == -monomial_moment(2, 1, 9.0)
@@ -47,16 +47,22 @@ class TestSkewMoments:
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
-            skew_moment(0, 1, 4.0)
-        # a divergent pair raises what real_moment raises for it
+            monomial_moment(0, 3, 4.0)
+        # a divergent pair raises what real_moment raises for it: s <= o + 1,
+        # or 2s <= e + o + 2 (o the odd exponent, e the even one)
         for moment in (monomial_moment, real_moment):
             with pytest.raises(IntegrabilityError):
                 moment(0, 7, 5.0)
+            with pytest.raises(IntegrabilityError):
+                moment(8, 1, 5.5)
+        for moment in (monomial_moment, real_moment, complex_moment):
+            with pytest.raises(IntegrabilityError):
+                moment(0, 1, math.nan)
 
     def test_negative_index_guard(self):
-        for n, m in ((-1, 0), (0, np.array([0, -2]))):
+        for e, o in ((-2, 1), (0, np.array([1, -3]))):
             with pytest.raises(DomainError, match="nonnegative"):
-                skew_moment(n, m, 9.0)
+                monomial_moment(e, o, 9.0)
 
 
 def _monic_pi_basis(N, s):
@@ -133,6 +139,14 @@ class TestGram:
         s = {"half": N + 0.5, "double": 2.0 * N, "inf": math.inf}[kind]
         table = np.array([[monomial_moment(a, b, s) for b in range(N)] for a in range(N)])
         assert np.array_equal(gram_matrix(N, s).entries, table)
+
+    @pytest.mark.parametrize("s", [13.5, 20.0, math.inf])
+    def test_entries_are_the_form_of_monomials(self, s):
+        # the Gram matrix and bilinear read one table, so they agree bit for bit
+        N = 12
+        z = [PolyCoeffs((0.0,) * n + (1.0,)) for n in range(N)]
+        form = np.array([[bilinear(z[a], z[b], s) for b in range(N)] for a in range(N)])
+        assert np.array_equal(gram_matrix(N, s).entries, form)
 
 
 class TestVolumeIdentity:
@@ -229,14 +243,18 @@ class TestComplexPart:
             ref = bilinear_c_quadrature(f, g, s)
             assert abs(bilinear_c(f, g, s) - ref) <= 1e-10 * max(1.0, abs(ref))
 
-    @pytest.mark.parametrize("s", [9.5, 20.0, math.inf])
-    def test_parts_add_up_to_moments(self, s):
+    @pytest.mark.parametrize(
+        "N,s", [(8, 9.5), (8, 20.0), (8, math.inf),
+                (256, 257.0), (256, 257.5), (256, 512.0), (256, math.inf)],
+        ids=["9.5", "20.0", "inf", "256-257.0", "256-257.5", "256-512.0", "256-inf"])
+    def test_parts_add_up_to_moments(self, N, s):
         # real part + complex part, both from the region tables, = the closed
-        # total; the real part also against its quadrature
-        a, b = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
+        # total; the real part of the leading 8 x 8 block also against its
+        # quadrature
+        a, b = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
         R, C, M = real_moment(a, b, s), complex_moment(a, b, s), monomial_moment(a, b, s)
         assert np.all(np.abs(R + C - M) <= 1e-14 * np.abs(M))
-        for i, j in zip(a.ravel(), b.ravel()):
+        for i, j in zip(a[:8, :8].ravel(), b[:8, :8].ravel()):
             zi = PolyCoeffs((0.0,) * i + (1.0,))
             zj = PolyCoeffs((0.0,) * j + (1.0,))
             assert R[i, j] == pytest.approx(bilinear_r_quadrature(zi, zj, s, tol=1e-12),
