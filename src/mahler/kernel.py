@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
                      ResidualError)
-from .polys import (_p_table, _pi_odd_table, eps_monomials, p_eval_sequence,
-                    region_moments, s_norm, weight)
+from .polys import (_degree, _eps_at, _eps_consts, _p_table, _pi_odd_table,
+                    p_eval_sequence, region_moments, s_norm, weight)
 from .specfun import _finite, gammaln_signed, iota
 
 
@@ -37,7 +37,7 @@ class EnsembleParams:
     s: float
 
     def __post_init__(self):
-        if self.N < 1:
+        if _degree(self.N, "N") < 1:
             raise DomainError("N must be positive")
         if not (self.s > self.N):
             raise DomainError(f"requires s > N, got s={self.s}, N={self.N}")
@@ -70,7 +70,7 @@ class PointConfig:
 
     def __post_init__(self):
         for z in self.uppers:
-            if complex(z).imag <= 0:
+            if not (complex(z).imag > 0):
                 raise DomainError(f"upper point {z} not in the open upper half-plane")
 
 
@@ -95,7 +95,8 @@ class _Tables:
         self.J = N // 2
         self.odd_N = N % 2 == 1
         K = N - self.J          # even members pi_{2j}, j < K
-        self.even = _p_table(K - 1, 0.5, -0.5)
+        self.even = _p_table(K - 1, 0.5, -0.5).copy()      # odd N subtracts in place
+        self.eps = _eps_consts(np.arange(N), s)     # the eps rows' point-free part
         self.odd = _pi_odd_table(self.J - 1, s) if self.J else np.zeros((0, 0))
         if self.odd_N:
             s2 = np.array([s_norm(j, s) for j in range(self.J + 1)])
@@ -192,7 +193,7 @@ def _side(tab: _Tables, u) -> Side:
 
 def _eps_rows(tab: _Tables, x):
     """The eps-transforms of the family at the real points ``x``."""
-    eps = eps_monomials(np.arange(tab.N), tab.s, x.ravel())
+    eps = _eps_at(tab.eps, x.ravel())
     return ((tab.even @ eps[0::2]).reshape(tab.even.shape[:1] + x.shape),
             (tab.odd @ eps[1::2]).reshape((tab.J,) + x.shape))
 
@@ -237,6 +238,8 @@ def assemble_matrix(handle, u, v) -> KernelValue2x2:
 def intensity_real(P: EnsembleParams, x):
     """Density of real roots ``R_{1,0}(x)``, the (1,2) entry of the block at
     ``(x, x)``, formed alone from the side; vectorized over real ``x``."""
+    if np.iscomplexobj(x):
+        raise DomainError("intensity_real takes real points; see intensity_complex")
     p, q, beta, gamma = _side(_tables(P.N, P.s), np.asarray(x, dtype=float))[:4]
     return (_skew_sum(p[0], q[0], p[1], q[1]) + gamma[0] * beta[1] - beta[0] * gamma[1])[()]
 
@@ -286,8 +289,9 @@ def pfaffian(A) -> complex:
     arithmetic for a real matrix): each step pivots the largest below-diagonal
     entry of the working column into place (a swap flips the sign), multiplies
     the result by the (k, k+1) entry and updates the trailing block by rank two.
+    A non-finite entry raises :class:`DomainError`.
     """
-    A = np.array(A, dtype=complex if np.iscomplexobj(A) else float)
+    A = np.array(_finite(A))        # a copy: the elimination works in place
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("pfaffian requires a square matrix")
     n = A.shape[0]

@@ -9,9 +9,9 @@ attached to the weight ``max(1,|x|)^{-s}`` is
 * ``pi_{2n+1}(z) = (1/4s) sum_k (s-2k-2) c_k(1/2) c_{n-k}(-3/2) z^{2k+1}``
   (odd, degree 2n+1), where ``(s-2k-2)/s`` is read as 1 when s is infinite.
 
-One builder, :func:`_p_table`, makes every coefficient: row ``j`` of its
-matrix is ``P_j``. ``p_poly`` and the ``pi`` cores read one row, and the
-kernel's matrices per ``(N, s)`` are whole tables.
+One builder, :func:`_p_table`, makes every coefficient: row ``j`` of its one
+table per parameter pair is ``P_j``. ``p_poly`` and the ``pi`` cores read one
+row, and the kernel's matrices per ``(N, s)`` are leading blocks.
 
 The eps-transform ``eps f(y) = (1/2) int f(t) sgn(t-y) dt`` of a weighted
 monomial has elementary closed forms on both sides of ``|y| = 1``; all
@@ -22,13 +22,14 @@ moment tables, :func:`region_moments`, read by the counts and the form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConditioningError, DomainError, IntegrabilityError
-from .specfun import _gamma_quotient, gamma_ratio_table
+from .specfun import _finite, _gamma_quotient, gamma_ratio_table
 
 _CLUSTER_TOL = 1e-6  # zero_check: closer roots are not simple; 10x it from 1 is at 1
 
@@ -63,16 +64,32 @@ class PolyCoeffs:
         return np.polynomial.polynomial.polyval(np.asarray(z), self.coeffs)[()]
 
 
+def _degree(n, name: str = "n") -> int:
+    """``n`` as an int; :class:`DomainError` unless a nonnegative integer, not bool."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {n!r}")
+    return int(n)
+
+
+@lru_cache(maxsize=8)
+def _grown(alpha: float, beta: float) -> list:
+    """The one table of a parameter pair, as a list :func:`_p_table` refills."""
+    return [np.zeros((0, 0))]
+
+
 def _p_table(n: int, alpha: float, beta: float) -> np.ndarray:
     """Coefficients of ``P_j^{alpha,beta}`` for ``j = 0..n``: row ``j`` holds
-    ``c_k(alpha) c_{j-k}(beta)`` in column ``k <= j``, zeros above."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    ca = gamma_ratio_table(n, alpha)
-    cb = gamma_ratio_table(n, beta)
-    d = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))      # j - k
-    # clipping j - k at 0 above the diagonal keeps the dropped products finite
-    return np.where(d >= 0, ca * cb[np.maximum(d, 0)], 0.0)
+    ``c_k(alpha) c_{j-k}(beta)`` in column ``k <= j``, zeros above. No entry
+    depends on ``n``: a read-only view of the largest table built."""
+    held = _grown(alpha, beta)
+    if len(held[0]) <= _degree(n):
+        ca = gamma_ratio_table(n, alpha)
+        cb = gamma_ratio_table(n, beta)
+        d = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))      # j - k
+        # clipping j - k at 0 above the diagonal keeps the dropped products finite
+        held[0] = np.where(d >= 0, ca * cb[np.maximum(d, 0)], 0.0)
+        held[0].flags.writeable = False
+    return held[0][:n + 1, :n + 1]
 
 
 def p_poly(n: int, alpha: float, beta: float) -> PolyCoeffs:
@@ -82,7 +99,7 @@ def p_poly(n: int, alpha: float, beta: float) -> PolyCoeffs:
 
 def p_eval(n: int, alpha: float, beta: float, z):
     """Evaluate ``P_n^{alpha,beta}(z)`` by the recurrence of :func:`p_eval_sequence`."""
-    return p_eval_sequence(n + 1, alpha, beta, z)[n]
+    return p_eval_sequence(_degree(n) + 1, alpha, beta, z)[n]
 
 
 def p_eval_sequence(count: int, alpha: float, beta: float, z) -> np.ndarray:
@@ -92,9 +109,9 @@ def p_eval_sequence(count: int, alpha: float, beta: float, z) -> np.ndarray:
     for ``n >= 2``
     ``P_n = [((n+alpha)/n) z + (n+beta)/n] P_{n-1} - ((n+alpha+beta)/n) z P_{n-2}``.
     """
-    if count < 1:
+    if _degree(count, "count") < 1:
         raise DomainError(f"count must be positive, got {count}")
-    z = np.asarray(z, dtype=complex)
+    z = _finite(np.asarray(z, dtype=complex))
     out = np.empty((count,) + z.shape, dtype=complex)
     p_prev = np.ones_like(z)
     out[0] = p_prev
@@ -115,7 +132,7 @@ def p_eval_sequence(count: int, alpha: float, beta: float, z) -> np.ndarray:
 
 
 def pi_even_core(n: int) -> np.ndarray:
-    """Coefficients of ``pi_{2n}`` in the variable ``t = z^2`` (length n+1)."""
+    """Coefficients of ``pi_{2n}`` in ``t = z^2`` (length n+1), read-only."""
     return _p_table(n, 0.5, -0.5)[n]
 
 
@@ -164,22 +181,33 @@ def eps_monomials(degrees, s: float, y) -> np.ndarray:
     Stacked along a new leading axis; requires ``s > m + 1`` for every ``m``.
     With ``G_m(t) = int_0^t x^m max(1,x)^{-s} dx`` the transform is
     ``-sgn(y) G_m(|y|)`` for even ``m`` (the half-line masses cancel) and
-    ``G_m(inf) - G_m(|y|)`` for odd ``m``.
+    ``G_m(inf) - G_m(|y|)`` for odd ``m``. A non-finite ``y`` raises
+    :class:`DomainError`.
     """
     m = np.asarray(degrees, dtype=int)
     if not math.isinf(s) and m.size and s <= m.max() + 1:
         bad = int(m[m + 1 >= s][0])
         raise IntegrabilityError(f"eps of x^{bad} requires s > {bad + 1}, got {s}")
-    y = np.asarray(y, dtype=float)
+    y = _finite(np.asarray(y, dtype=float))
+    return _eps_at(_eps_consts(m.ravel(), s), y.ravel()).reshape(m.shape + y.shape)
+
+
+def _eps_consts(m, s: float):
+    """The point-free columns of :func:`eps_monomials` at the 1-D degrees
+    ``m``: ``e = m+1``, ``e - s`` (None at ``s = inf``), ``G_m(inf)``, odd ``e``."""
+    e = (m + 1).astype(float)[:, None]
+    es = None if math.isinf(s) else e - s
+    return e, es, 1.0 / e if es is None else 1.0 / e + 1.0 / (s - e), e % 2 == 1
+
+
+def _eps_at(consts, y) -> np.ndarray:
+    """:func:`eps_monomials` at the 1-D real points ``y``, not checked."""
+    e, es, g_inf, odd = consts
     t = np.abs(y)
-    e = (m + 1).astype(float).reshape(m.shape + (1,) * y.ndim)
     g = np.minimum(t, 1.0) ** e / e
-    if math.isinf(s):
-        g_inf = 1.0 / e
-    else:
-        g = g + (np.maximum(t, 1.0) ** (e - s) - 1.0) / (e - s)
-        g_inf = 1.0 / e + 1.0 / (s - e)
-    return np.where(e % 2 == 1, -np.sign(y) * g, g_inf - g)
+    if es is not None:
+        g = g + (np.maximum(t, 1.0) ** es - 1.0) / es
+    return np.where(odd, -np.sign(y) * g, g_inf - g)
 
 
 def region_moments(e, o, s: float, region):
@@ -240,9 +268,10 @@ def eps_poly(coeffs, s: float, y):
 
 def s_norm(n: int, s: float) -> float:
     """Skew norm ``s_{2n}`` of the even family member (2 when s is infinite)."""
+    n = _degree(n)
     if math.isinf(s):
         return 2.0
-    if s <= 2 * n + 1:
+    if not (s > 2 * n + 1):
         raise DomainError(f"s_norm requires s > {2*n+1}, got {s}")
     return 2.0 * _gamma_quotient(((s + 2.0) / 2.0, (s - 2.0 * n - 1.0) / 2.0),
                                  ((s + 1.0) / 2.0, (s - 2.0 * n) / 2.0))

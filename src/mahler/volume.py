@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrabilityError
 from .kernel import pfaffian
-from .polys import PolyCoeffs, region_moments
+from .polys import PolyCoeffs, _degree, region_moments
 
 
 def monomial_moment(a, b, s: float):
@@ -35,33 +35,28 @@ class GramMatrix:
     N: int
     s: float
     entries: np.ndarray
-    basis: tuple[PolyCoeffs, ...]
-
-
-def _monomial_basis(N: int) -> tuple[PolyCoeffs, ...]:
-    return tuple(PolyCoeffs((0.0,) * n + (1.0,)) for n in range(N))
+    basis: tuple[PolyCoeffs, ...] | None
 
 
 def gram_matrix(N: int, s: float, basis=None) -> GramMatrix:
-    """Gram matrix of a monic family under the skew form, by bilinearity."""
-    if N % 2 != 0 or N < 2:
+    """Gram matrix of a monic family under the skew form, by bilinearity; with
+    no basis, of the monomials: the moment table itself, and ``basis`` None."""
+    if _degree(N, "N") % 2 != 0 or N < 2:
         raise DomainError("Gram matrix requires even positive N")
     if not s > N:
         raise DomainError(f"requires s > N, got s={s}")
-    if basis is None:
-        basis = _monomial_basis(N)
-    basis = tuple(basis)
-    if len(basis) != N:
-        raise DomainError("basis must contain N polynomials")
-    for n, p in enumerate(basis):
-        if p.degree != n or abs(p.coeffs[-1] - 1.0) > 1e-12:
-            raise DomainError(f"basis element {n} is not monic of degree {n}")
     # moment table <z^a | z^b> for a, b < N
-    M = monomial_moment(np.arange(N)[:, None], np.arange(N), s)
-    C = np.zeros((N, N))
-    for n, p in enumerate(basis):
-        C[n, :len(p.coeffs)] = p.coeffs
-    U = C @ M @ C.T
+    U = monomial_moment(np.arange(N)[:, None], np.arange(N), s)
+    if basis is not None:
+        basis = tuple(basis)
+        if len(basis) != N:
+            raise DomainError("basis must contain N polynomials")
+        C = np.zeros((N, N))
+        for n, p in enumerate(basis):
+            if p.degree != n or abs(p.coeffs[-1] - 1.0) > 1e-12:
+                raise DomainError(f"basis element {n} is not monic of degree {n}")
+            C[n, :len(p.coeffs)] = p.coeffs
+        U = C @ U @ C.T
     U = 0.5 * (U - U.T)       # exact antisymmetry
     return GramMatrix(N, s, U, basis)
 
@@ -80,7 +75,7 @@ def chern_vaaler_f(N: int, s: float) -> float:
     Gram matrix of any monic family; ``(2/(N+1)) F((N+1)/lambda)`` is the
     volume of the degree-N star body at inverse radius ``lambda``.
     """
-    if N < 1:
+    if _degree(N, "N") < 1:
         raise DomainError("N must be positive")
     if not s > N:
         raise DomainError(f"requires s > N, got s={s}")
@@ -101,8 +96,8 @@ def chern_vaaler_f(N: int, s: float) -> float:
 def volume_ball(N: int, lam: float) -> float:
     """Volume of the star body of degree-N polynomials at inverse radius
     ``lam``: ``(2/(N+1)) F((N+1)/lam)``."""
-    if lam <= 0:
-        raise DomainError("lam must be positive")
+    if not (0 < lam < math.inf):
+        raise DomainError(f"lam must be positive and finite, got {lam}")
     s = (N + 1) / lam
     return 2.0 * chern_vaaler_f(N, s) / (N + 1)
 

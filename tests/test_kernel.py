@@ -59,6 +59,8 @@ class TestGuards:
     def test_domain_exits(self):
         calls = [lambda: EnsembleParams(0, 5.0), lambda: EnsembleParams(4, 4.0),
                  lambda: PointConfig((0.5,), (0.3 - 0.2j,)), lambda: PointConfig((), (0.3,)),
+                 lambda: PointConfig((), (complex(0.1, math.nan),)),
+                 lambda: intensity_real(EnsembleParams(4, 8.0), 1 + 1j),
                  lambda: pfaffian(np.zeros((2, 4))),
                  lambda: expected_counts(EnsembleParams(4, 8.0), "everywhere"),
                  lambda: expected_in_exact(5, 8.0), lambda: expected_out_exact(5, 8.0)]
@@ -74,7 +76,9 @@ class TestGuards:
                  lambda: matrix_kernel(P, np.array([0.1, bad]), 0.5j),
                  lambda: intensity_real(P, [0.2, bad]),
                  lambda: intensity_complex(P, complex(bad, 1.0)),
-                 lambda: kappa_n(P, 0.2, bad), lambda: correlation(P, PointConfig((bad,), ()))]
+                 lambda: kappa_n(P, 0.2, bad), lambda: correlation(P, PointConfig((bad,), ())),
+                 lambda: pfaffian([[0.0, bad], [-bad, 0.0]]),
+                 lambda: sum_k(4, 0.5, -0.5, 0.5, -0.5, bad, 0.3)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in calls:

@@ -8,8 +8,9 @@ from scipy.special import gammaln
 
 from identities import halfline
 from mahler.errors import ConditioningError, DomainError, IntegrabilityError
-from mahler.polys import (PolyCoeffs, eps_pi, eps_poly, p_eval, p_poly,
-                          pi_even_core, pi_pair, s_norm, weight, zero_check)
+from mahler import kernel, polys
+from mahler.polys import (PolyCoeffs, _p_table, eps_monomials, eps_pi, eps_poly, p_eval,
+                          p_poly, pi_even_core, pi_pair, s_norm, weight, zero_check)
 from mahler.quadrature import adaptive
 from mahler.specfun import gamma_ratio, hyp1f1_M
 
@@ -249,6 +250,8 @@ class TestSNorm:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             s_norm(2, 5.0)
+        with pytest.raises(DomainError):     # returned NaN
+            s_norm(2, math.nan)
 
 
 class TestZeroBehavior:
@@ -294,6 +297,12 @@ class TestGuards:
                      lambda: eps_pi("both", 2, 9.0, 0.5)):
             with pytest.raises(DomainError):
                 call()
+        # these returned NaN at a NaN point
+        for call in (lambda: p_eval(3, 0.5, -0.5, math.nan),
+                     lambda: eps_poly([1.0, 0.0, 2.0], 9.0, [0.5, math.nan]),
+                     lambda: eps_monomials([0, 1], 9.0, math.inf)):
+            with pytest.raises(DomainError):
+                call()
 
     @pytest.mark.parametrize("kind", ["even", "odd"])
     @pytest.mark.parametrize("s", [0.0, -3.0])
@@ -307,3 +316,34 @@ class TestGuards:
         assert p(3.0) == 1.0 - 6.0 + 4.5
         assert np.ndim(p(3.0)) == 0
         assert p(1j) == 1.0 - 2.0j - 0.5
+
+
+class TestCoefficientTables:
+    """One read-only table per parameter pair, grown in place of rebuilt."""
+
+    def test_tables_are_read_only(self):
+        before = pi_pair(5, 13.0)
+        row = pi_even_core(5)
+        with pytest.raises(ValueError):
+            row[0] = 7.0
+        assert not _p_table(5, 0.5, -1.5).flags.writeable
+        assert pi_pair(5, 13.0) == before
+
+    @pytest.mark.parametrize("N", [1, 15, 63])
+    def test_odd_N_tables_leave_the_coefficients_alone(self, N):
+        # odd N subtracts the top member from the even rows of its own copy
+        before = [pi_pair(n, 70.5) for n in range(N // 2 + 1)]
+        kernel._Tables(N, 70.5)
+        assert [pi_pair(n, 70.5) for n in range(N // 2 + 1)] == before
+
+    def test_one_table_per_pair(self):
+        polys._grown.cache_clear()
+        small = pi_pair(40, 700.0)
+        for n in range(301):
+            pi_pair(n, 700.0)
+        assert polys._grown.cache_info().currsize == 2
+        for alpha_beta in ((0.5, -0.5), (0.5, -1.5)):
+            (table,) = polys._grown(*alpha_beta)
+            assert table.shape == (301, 301) and not table.flags.writeable
+        # rows do not depend on the size of the table they are read from
+        assert pi_pair(40, 700.0) == small

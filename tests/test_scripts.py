@@ -34,6 +34,17 @@ def test_scripts_run_at_small_arguments():
                       "kasymp_sums", "ratio_sums", "compare"]
     assert all("sup error" in line for line in lines if line.startswith(" "))
 
+    lines = run("scalar_budget.py", "--src", src, "--src", src, "--rounds", "2",
+                "--repeats", "2", "--calls", "1")
+    assert lines[:3] == [f"[0] {src}", f"[1] {src}",
+                         "us per call, 10th percentile of 4 runs per tree"]
+    assert lines[3].split() == ["case", "[0]", "[1]"]
+    rows = [line.rsplit(None, 2) for line in lines[4:]]
+    assert [r[0] for r in rows] == [f"matrix_kernel {k} N={N}" for N in (8, 64)
+                                    for k in ("rr", "rc", "cc")] + [
+        "gram_matrix(64, 65)", "pi_pair(1, 9)", "k_zeta", "b_outside"]
+    assert all(float(t) > 0 for r in rows for t in r[1:])
+
     lines = run("sampler_vs_kernel.py", "--samples", "200")
     assert lines[0].startswith("N=4 s=8  samples=200  mean real-root count")
     assert lines[1].split() == ["bin", "observed", "expected", "stderr"]

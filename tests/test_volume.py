@@ -140,6 +140,16 @@ class TestGram:
         table = np.array([[monomial_moment(a, b, s) for b in range(N)] for a in range(N)])
         assert np.array_equal(gram_matrix(N, s).entries, table)
 
+    @pytest.mark.parametrize("N", [2, 8, 64])
+    @pytest.mark.parametrize("kind", ["plus", "inf"])
+    def test_default_basis_is_the_monomials(self, N, kind):
+        # no basis skips the identity change of basis, bit for bit
+        s = N + 1.5 if kind == "plus" else math.inf
+        monomials = [PolyCoeffs((0.0,) * n + (1.0,)) for n in range(N)]
+        G, explicit = gram_matrix(N, s), gram_matrix(N, s, monomials)
+        assert G.basis is None and explicit.basis == tuple(monomials)
+        assert G.entries.tobytes() == explicit.entries.tobytes()
+
     @pytest.mark.parametrize("s", [13.5, 20.0, math.inf])
     def test_entries_are_the_form_of_monomials(self, s):
         # the Gram matrix and bilinear read one table, so they agree bit for bit
@@ -186,8 +196,8 @@ class TestVolumeIdentity:
     def test_degree_and_radius_guards(self):
         with pytest.raises(DomainError):
             chern_vaaler_f(0, 4.0)
-        for lam in (0.0, -0.5):
-            with pytest.raises(DomainError):
+        for lam in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(DomainError, match="positive and finite"):
                 volume_ball(4, lam)
 
 
