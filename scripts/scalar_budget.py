@@ -27,7 +27,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def cases():
     """``(name, call)`` for every timed case, imported from the tree in use."""
     from mahler import limits, polys, volume
-    from mahler.kernel import EnsembleParams, matrix_kernel
+    from mahler.kernel import EnsembleParams, assemble_matrix, matrix_kernel
 
     out = []
     for N in (8, 64):
@@ -39,6 +39,9 @@ def cases():
     zeta = complex(np.exp(0.7j))
     out += [("gram_matrix(64, 65)", lambda: volume.gram_matrix(64, 65.0)),
             ("pi_pair(1, 9)", lambda: polys.pi_pair(1, 9.0)),
+            ("pi_pair(1024, 2049) held", lambda: polys.pi_pair(1024, 2049.0)),
+            ("xi_handle mixed block", lambda: assemble_matrix(
+                limits.xi_handle(1.0, 1.0), [0.5, -0.3 + 0.4j], [0.2 + 0.3j, -0.4])),
             ("k_zeta", lambda: limits.k_zeta(1.0, zeta, 0.3 - 0.2j, -0.4 + 0.5j)),
             ("b_outside", lambda: limits.b_outside(2.5, 1.7, -2.2))]
     return out

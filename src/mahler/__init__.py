@@ -71,7 +71,6 @@ from .polys import (
     zero_check,
 )
 from .volume import (
-    GramMatrix,
     bilinear,
     chern_vaaler_f,
     gram_matrix,

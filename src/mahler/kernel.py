@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
                      ResidualError)
-from .polys import (_degree, _eps_at, _eps_consts, _p_table, _pi_odd_table,
+from .polys import (_degree, _eps_at, _eps_consts, _odd_factor, _p_table,
                     p_eval_sequence, region_moments, s_norm, weight)
 from .specfun import _finite, gammaln_signed, iota
 
@@ -39,7 +39,7 @@ class EnsembleParams:
     def __post_init__(self):
         if _degree(self.N, "N") < 1:
             raise DomainError("N must be positive")
-        if not (self.s > self.N):
+        if not (isinstance(self.s, numbers.Real) and self.s > self.N):
             raise DomainError(f"requires s > N, got s={self.s}, N={self.N}")
 
     @property
@@ -97,7 +97,9 @@ class _Tables:
         K = N - self.J          # even members pi_{2j}, j < K
         self.even = _p_table(K - 1, 0.5, -0.5).copy()      # odd N subtracts in place
         self.eps = _eps_consts(np.arange(N), s)     # the eps rows' point-free part
-        self.odd = _pi_odd_table(self.J - 1, s) if self.J else np.zeros((0, 0))
+        # every factor is positive, as s > N >= 2k + 2
+        self.odd = (_odd_factor(self.J - 1, s) * _p_table(self.J - 1, 0.5, -1.5)
+                    if self.J else np.zeros((0, 0)))
         if self.odd_N:
             s2 = np.array([s_norm(j, s) for j in range(self.J + 1)])
             self.s2J = s2[self.J]
@@ -225,7 +227,11 @@ def assemble_matrix(handle, u, v) -> KernelValue2x2:
     try:
         pts = np.array([u, v])
     except ValueError:          # u and v differ in shape
-        pts = np.array(np.broadcast_arrays(u, v))
+        try:
+            pts = np.array(np.broadcast_arrays(u, v))
+        except ValueError:
+            raise DomainError(f"points of shapes {np.shape(u)} and {np.shape(v)} "
+                              "do not broadcast") from None
     if pts.ndim > 1:
         pts = np.moveaxis(pts, 0, -1)
     side, pair = handle(pts)
@@ -392,10 +398,8 @@ def expected_in_exact(N: int, s: float) -> float:
     only: the second route of ``expected_counts(P, 'inside')``, a double
     Gamma-ratio sum in log space, valid to N of order thousands.
     """
-    if N % 2 != 0:
+    if EnsembleParams(N, s).N % 2 != 0:
         raise DomainError("exact count sums require even N")
-    if not s > N:
-        raise DomainError("requires s > N")
     J = N // 2
     # every argument is k + 1/2 (H) or k + 1 (G) for an integer 0 <= k <= N
     H, G = (gammaln_signed(np.arange(N + 1) + a)[0] for a in (0.5, 1.0))
@@ -416,12 +420,10 @@ def expected_in_exact(N: int, s: float) -> float:
 def expected_out_exact(N: int, s: float) -> float:
     """Exact expected number of real roots outside [-1, 1] for even ``N``
     only: the second route of ``expected_counts(P, 'outside')``."""
-    if N % 2 != 0:
+    if EnsembleParams(N, s).N % 2 != 0:
         raise DomainError("exact count sums require even N")
     if math.isinf(s):
         return 0.0
-    if not s > N:
-        raise DomainError("requires s > N")
     J = N // 2
     # the arguments are k + 1/2, k + 1, s - k and s - 1/2 - k, 0 <= k < N
     k = np.arange(N)

@@ -62,7 +62,7 @@ class LimitKernelSpec:
             raise DomainError("lam must lie in [0, 1]")
         a = complex(self.anchor)
         if self.regime == "circle_complex":
-            if abs(abs(a) - 1.0) > 1e-12 or abs(a.imag) < 1e-12:
+            if not (abs(abs(a) - 1.0) <= 1e-12 and abs(a.imag) >= 1e-12):
                 raise DomainError("circle_complex anchor must be on the "
                                   "circle, off the real axis")
         if self.regime == "circle_real" and a not in (1.0 + 0j, -1.0 + 0j):
@@ -82,6 +82,8 @@ def k_zeta(lam: float, zeta: complex, z, w):
     ``omega(z conj(zeta)) omega(conj(w) zeta) (1/pi) int_0^1 x(1-lam x)
     e^{(z conj(zeta)+conj(w) zeta)x} dx``.
     """
+    if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
+        raise DomainError(f"the anchor zeta must be finite, got {zeta}")
     zz = _finite(z) * np.conj(zeta)
     ww = np.conj(_finite(w)) * zeta
     x, wt = _unit_nodes()
@@ -136,7 +138,9 @@ def xi_handle(lam: float, xi: float):
     together. For ``c < -3``, ``omega = 1`` on ``[0, x]`` and the integrals are
     exact, ``(M(c tau) - 1)/(xi tau)`` and ``2x (M' - M)(c tau)``, from one real
     :func:`big_m_pair` call for all such points. A non-real ``z`` has the rows
-    ``z`` and ``iota(z) conj(z)``, from one complex call of its own.
+    ``z`` and ``iota(z) conj(z)``: one complex call on the non-real points
+    gives the first, and the second is its conjugate, as ``M`` has real
+    Taylor coefficients and ``omega`` reads ``Re`` only.
     ``beta`` is the rows applied to the anchoring term ``omega (1/4) int_0^1
     (1 - lam t) M(u xi t) dt`` of the antiderivative kernel, and ``gamma =
     (0, -1)`` at a real point, ``0`` at a non-real one.
@@ -181,11 +185,12 @@ def xi_handle(lam: float, xi: float):
         rows, beta = np.empty((z.size, 4, t.size), dtype), np.empty((z.size, 2), dtype)
         reals = real_rows(_finite(x[real]))
         rows[real], beta[real] = reals, reals[:, 1::2] @ edge
-        for k in np.flatnonzero(~real).tolist():
-            w, M, Mp = _xi_side(lam, xi, [z[k], np.conj(z[k])])
-            phase = (np.array([1.0, iota(z[k])]) * w)[:, None]
-            rows[k, 0::2], rows[k, 1::2] = phase * Mp, phase * M
-            beta[k] = rows[k, 1::2] @ edge
+        if not real.all():
+            w, M, Mp = _xi_side(lam, xi, z[~real])
+            phase = (np.array([np.ones(w.size), iota(z[~real])]) * w).T[:, :, None]
+            rows[~real, 0::2] = phase * np.stack([Mp, np.conj(Mp)], axis=1)
+            rows[~real, 1::2] = phase * np.stack([M, np.conj(M)], axis=1)
+            beta[~real] = rows[~real, 1::2] @ edge
         P, Q = rows[:, 0::2].transpose(1, 2, 0), rows[:, 1::2].transpose(1, 2, 0)
         return Side(P, weight[:, None] * Q, beta.T / 4.0,
                     np.array([np.zeros(z.size), np.where(real, -1.0, 0.0)]), x, real), skew_pair
@@ -335,6 +340,8 @@ def _edge(c: float, z):
 
 def b_outside(c: float, u, v):
     """Unscaled outside limit of the (phase-corrected) scalar kernel."""
+    if not (c > 0):
+        raise DomainError(f"b_outside requires c > 0, got {c}")
     _check_disk(False, u, v)
     if math.isinf(c):
         # c |uv|^{-c} -> 0 for |uv| > 1
@@ -426,6 +433,7 @@ def a_outside(c: float, x: float, y: float) -> float:
 def dsn_limit(lam: float, c: float, u, v):
     """Limit of ``|uv|^s (uv)^{-N} kappa_N(u,v)/(s-N)`` outside the disk;
     ``1/c = 0`` when ``c`` is infinite."""
+    _check_disk(False, u, v)
     return lam * _core(0.0 if math.isinf(c) else 1.0 / c, u, v) \
         / (sqrt_z2m1(u) * sqrt_z2m1(v))
 
@@ -521,11 +529,11 @@ def ratio_sums_report(N_list) -> list[dict]:
     lim_ratio = e_gamma(a1 + a2, aa1 * np.conj(zeta) + np.conj(aa2) * zeta)
     lim_one = e_pair(a1, b1, a2, b2, t1, t2)
     for N in N_list:
-        r1 = sum_k(N, a1, b1, a2, b2, zeta + aa1 / N,
-                   np.conj(zeta) + np.conj(aa2) / N) \
-            / sum_k(N, a1, b1, a2, b2, zeta, np.conj(zeta))
-        r2 = sum_k(N, a1, b1, a2, b2, 1.0 + t1 / N, 1.0 + t2 / N) \
-            / sum_k(N, a1, b1, a2, b2, 1.0, 1.0)
+        # the anchors first: sum_k raises DomainError at N < 1, before 1/N
+        at_zeta = sum_k(N, a1, b1, a2, b2, zeta, np.conj(zeta))
+        at_one = sum_k(N, a1, b1, a2, b2, 1.0, 1.0)
+        r1 = sum_k(N, a1, b1, a2, b2, zeta + aa1 / N, np.conj(zeta) + np.conj(aa2) / N) / at_zeta
+        r2 = sum_k(N, a1, b1, a2, b2, 1.0 + t1 / N, 1.0 + t2 / N) / at_one
         rows.append({
             "regime": "ratio_sums", "N": N,
             "ratio_anchor": abs(r1 - lim_ratio),
@@ -610,8 +618,8 @@ def compare_report(im_list=(5.0, 10.0, 20.0), re_list=(0.0, 0.5)) -> list[dict]:
         errs = []
         for x in re_list:
             z = complex(x, h)
-            (M, Mc), (Mp, Mpc) = big_m_pair([z, np.conj(z)])
-            val = iota(z) / 4.0 * (Mp * Mc - M * Mpc)
+            M, Mp = big_m_pair(z)      # at conj z, the conjugates
+            val = iota(z) / 4.0 * (Mp * M.conjugate() - M * Mp.conjugate())
             errs.append(abs(val - math.exp(2.0 * x) / math.pi))
         rows.append({"regime": "compare", "im": h,
                      "sup_error": float(max(errs))})

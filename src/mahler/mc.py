@@ -23,7 +23,8 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _eigvals  # unchecked dgeev
 
 from .errors import ConditioningError, DomainError, PairingError
-from .polys import PolyCoeffs
+from .kernel import EnsembleParams
+from .polys import PolyCoeffs, _degree
 
 _REAL_TOL = 1e-9  # roots_classify: a root with |Im r| <= this (1 + |r|) is real
 # A proposal moves each coefficient by step_length * radius * d_i / |d| with
@@ -47,15 +48,12 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.N < 1:
-            raise DomainError("N must be positive")
-        if not (math.isinf(self.s) or self.s > self.N):
-            raise DomainError("requires s > N (or s = inf)")
+        EnsembleParams(self.N, self.s)      # DomainError unless (N, s) is admissible
         if not 0 < self.step_length <= _MAX_STEP:
             raise DomainError(f"step_length must lie in (0, {_MAX_STEP:g}]")
-        if self.steps < self.burn_in or self.burn_in < 0:
+        if _degree(self.steps, "steps") < _degree(self.burn_in, "burn_in"):
             raise DomainError("need steps >= burn_in >= 0")
-        if self.thin < 1:
+        if _degree(self.thin, "thin") < 1:
             raise DomainError("thin must be >= 1")
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConditioningError, DomainError, IntegrabilityError
 from .specfun import _finite, _gamma_quotient, gamma_ratio_table
@@ -52,7 +53,7 @@ class PolyCoeffs:
     def roots(self) -> np.ndarray:
         """Read-only roots, as ``np.roots`` of the trimmed coefficients; a
         caller that has solved the polynomial may fill it in (``mc.sample``)."""
-        c = np.trim_zeros(np.asarray(self.coeffs, dtype=float), trim="b")
+        c = np.trim_zeros(_finite(np.asarray(self.coeffs, dtype=float)), trim="b")
         if c.size == 0:
             raise DomainError("roots of the zero polynomial")
         roots = np.roots(c[::-1])
@@ -85,9 +86,9 @@ def _p_table(n: int, alpha: float, beta: float) -> np.ndarray:
     if len(held[0]) <= _degree(n):
         ca = gamma_ratio_table(n, alpha)
         cb = gamma_ratio_table(n, beta)
-        d = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))      # j - k
-        # clipping j - k at 0 above the diagonal keeps the dropped products finite
-        held[0] = np.where(d >= 0, ca * cb[np.maximum(d, 0)], 0.0)
+        # row j of the lower-triangular Toeplitz view is c_{j-k}(beta), k <= j
+        toeplitz = sliding_window_view(np.concatenate([cb[::-1], np.zeros(n)]), n + 1)[::-1]
+        held[0] = toeplitz * ca
         held[0].flags.writeable = False
     return held[0][:n + 1, :n + 1]
 
@@ -136,20 +137,19 @@ def pi_even_core(n: int) -> np.ndarray:
     return _p_table(n, 0.5, -0.5)[n]
 
 
-def _pi_odd_table(n: int, s: float) -> np.ndarray:
-    """Rows ``j = 0..n``: the cores of ``pi_{2j+1}/z`` in ``t = z^2``, that is
-    the ``P^{1/2,-3/2}`` table with column ``k`` times ``(s-2k-2)/(4s)``."""
+def _odd_factor(n: int, s: float):
+    """The column factors ``(s-2k-2)/(4s)``, ``k = 0..n`` (``1/4`` at ``s =
+    inf``), that turn the ``P^{1/2,-3/2}`` table into the cores of
+    ``pi_{2j+1}/z`` in ``t = z^2``."""
     if not (s > 0):
         raise DomainError("pi_pair requires s > 0")
     k = np.arange(n + 1, dtype=float)
-    factor = 0.25 if math.isinf(s) else (s - 2.0 * k - 2.0) / (4.0 * s)
-    # tril keeps the zero padding +0.0 where the factor is negative
-    return np.tril(factor * _p_table(n, 0.5, -1.5))
+    return 0.25 if math.isinf(s) else (s - 2.0 * k - 2.0) / (4.0 * s)
 
 
 def pi_odd_core(n: int, s: float) -> np.ndarray:
     """Coefficients of ``pi_{2n+1}/z`` in ``t = z^2`` (length n+1)."""
-    return _pi_odd_table(n, s)[n]
+    return _p_table(n, 0.5, -1.5)[n] * _odd_factor(n, s)
 
 
 def pi_pair(n: int, s: float) -> tuple[PolyCoeffs, PolyCoeffs]:
@@ -184,6 +184,8 @@ def eps_monomials(degrees, s: float, y) -> np.ndarray:
     ``G_m(inf) - G_m(|y|)`` for odd ``m``. A non-finite ``y`` raises
     :class:`DomainError`.
     """
+    if np.iscomplexobj(y):
+        raise DomainError("eps transforms take real points")
     m = np.asarray(degrees, dtype=int)
     if not math.isinf(s) and m.size and s <= m.max() + 1:
         bad = int(m[m + 1 >= s][0])
@@ -315,7 +317,7 @@ def zero_check(n: int, alpha: float, beta: float) -> ZeroReport:
         raise DomainError("zero_check limited to n <= 64 in double precision")
     poly = p_poly(n, alpha, beta)
     coeffs = np.asarray(poly.coeffs)
-    roots = np.roots(coeffs[::-1])
+    roots = poly.roots
     scale = np.max(np.abs(coeffs))
     residuals = np.abs(poly(roots)) / (scale * np.maximum(1.0, np.abs(roots)) ** n)
     max_res = float(np.max(residuals)) if len(roots) else 0.0

@@ -6,7 +6,7 @@ reduced to one dimension through the eps antiderivative) and a complex part
 upper half-plane). Each part of a monomial pair, and their sum (the region
 ``"all"``, which the Gram matrix and :func:`bilinear` read), is a closed form
 from :func:`mahler.polys.region_moments`, the tables that the expected root
-counts also read. Polynomials and monic bases are handled by bilinearity.
+counts also read. Polynomials are handled by bilinearity.
 The Pfaffian of the Gram matrix equals a finite rational product in ``s`` —
 the star-body volume, up to the factor ``2/(N+1)``.
 """
@@ -14,13 +14,12 @@ the star-body volume, up to the factor ``2/(N+1)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IntegrabilityError
-from .kernel import pfaffian
-from .polys import PolyCoeffs, _degree, region_moments
+from .kernel import EnsembleParams, pfaffian
+from .polys import PolyCoeffs, region_moments
 
 
 def monomial_moment(a, b, s: float):
@@ -30,41 +29,21 @@ def monomial_moment(a, b, s: float):
     return _region_part(a, b, s, ("all",))
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    N: int
-    s: float
-    entries: np.ndarray
-    basis: tuple[PolyCoeffs, ...] | None
-
-
-def gram_matrix(N: int, s: float, basis=None) -> GramMatrix:
-    """Gram matrix of a monic family under the skew form, by bilinearity; with
-    no basis, of the monomials: the moment table itself, and ``basis`` None."""
-    if _degree(N, "N") % 2 != 0 or N < 2:
+def gram_matrix(N: int, s: float) -> np.ndarray:
+    """Gram matrix of the monomials ``z^0 .. z^{N-1}`` under the skew form,
+    even ``N`` only: the antisymmetrised moment table. A monic family ``p_n =
+    sum_k C_nk z^k`` has the Gram matrix ``C U C^T``, and ``det C = 1`` gives
+    ``Pf(C U C^T) = Pf U``: this table serves every monic family."""
+    if EnsembleParams(N, s).N % 2 != 0:
         raise DomainError("Gram matrix requires even positive N")
-    if not s > N:
-        raise DomainError(f"requires s > N, got s={s}")
-    # moment table <z^a | z^b> for a, b < N
     U = monomial_moment(np.arange(N)[:, None], np.arange(N), s)
-    if basis is not None:
-        basis = tuple(basis)
-        if len(basis) != N:
-            raise DomainError("basis must contain N polynomials")
-        C = np.zeros((N, N))
-        for n, p in enumerate(basis):
-            if p.degree != n or abs(p.coeffs[-1] - 1.0) > 1e-12:
-                raise DomainError(f"basis element {n} is not monic of degree {n}")
-            C[n, :len(p.coeffs)] = p.coeffs
-        U = C @ U @ C.T
-    U = 0.5 * (U - U.T)       # exact antisymmetry
-    return GramMatrix(N, s, U, basis)
+    return 0.5 * (U - U.T)       # exact antisymmetry
 
 
-def gram_pf(N: int, s: float, basis=None) -> tuple[GramMatrix, float]:
+def gram_pf(N: int, s: float) -> tuple[np.ndarray, float]:
     """Gram matrix and its Pfaffian."""
-    G = gram_matrix(N, s, basis)
-    return G, float(pfaffian(G.entries).real)
+    G = gram_matrix(N, s)
+    return G, float(pfaffian(G).real)
 
 
 def chern_vaaler_f(N: int, s: float) -> float:
@@ -75,11 +54,7 @@ def chern_vaaler_f(N: int, s: float) -> float:
     Gram matrix of any monic family; ``(2/(N+1)) F((N+1)/lambda)`` is the
     volume of the degree-N star body at inverse radius ``lambda``.
     """
-    if _degree(N, "N") < 1:
-        raise DomainError("N must be positive")
-    if not s > N:
-        raise DomainError(f"requires s > N, got s={s}")
-    J = N // 2
+    J = EnsembleParams(N, s).N // 2
     c = 2.0 ** N
     for j in range(1, J + 1):
         c *= (2.0 * j / (2.0 * j + 1.0)) ** (N - 2 * j)

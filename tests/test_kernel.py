@@ -165,7 +165,7 @@ class TestKappaN:
         # inverse of the monomial Gram matrix
         N, s = 4, 9.0
         P = EnsembleParams(N, s)
-        mu = np.linalg.inv(gram_matrix(N, s).entries)
+        mu = np.linalg.inv(gram_matrix(N, s))
         for u, v in ((0.4, -0.7), (0.2, 0.9)):
             total = 0.0
             for m in range(1, N + 1):
@@ -265,7 +265,7 @@ class TestPfaffian:
     def test_trailing_swap_matches_full_swap(self, rng):
         # a pivot swap moves only the trailing block, rows and columns k:, as
         # the eliminated part is never read again: bit for bit the full swap
-        mats = [gram_matrix(N, s).entries for N, s in ((8, 9.0), (16, 32.0), (32, 33.0), (64, 128.0))]
+        mats = [gram_matrix(N, s) for N, s in ((8, 9.0), (16, 32.0), (32, 33.0), (64, 128.0))]
         for n in (2, 4, 6, 10, 16, 32, 64, 128):
             for _ in range(6):
                 A = rng.standard_normal((n, n))

@@ -347,3 +347,23 @@ class TestCoefficientTables:
             assert table.shape == (301, 301) and not table.flags.writeable
         # rows do not depend on the size of the table they are read from
         assert pi_pair(40, 700.0) == small
+
+    @pytest.mark.parametrize("n", [0, 1, 64, 300])
+    @pytest.mark.parametrize("alpha,beta", [(0.5, -0.5), (0.5, -1.5)])
+    def test_table_is_the_explicit_products(self, n, alpha, beta):
+        # the Toeplitz view times the columns gives c_k(alpha) c_{j-k}(beta)
+        # below the diagonal and +0.0 above it, byte for byte
+        polys._grown.cache_clear()
+        ca, cb = polys.gamma_ratio_table(n, alpha), polys.gamma_ratio_table(n, beta)
+        ref = np.zeros((n + 1, n + 1))
+        for j in range(n + 1):
+            for k in range(j + 1):
+                ref[j, k] = ca[k] * cb[j - k]
+        assert _p_table(n, alpha, beta).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n,s", [(0, 3.0), (4, 1.5), (4, 9.0), (30, 61.5), (30, math.inf)])
+    def test_odd_core_is_one_row(self, n, s):
+        # at s = 1.5 some factors (s - 2k - 2)/(4s) are negative
+        row = (polys._odd_factor(n, s) * _p_table(n, 0.5, -1.5))[n]
+        assert polys.pi_odd_core(n, s).tobytes() == row.tobytes()
+        assert pi_pair(n, s)[1].coeffs[1::2] == tuple(row)

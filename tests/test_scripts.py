@@ -42,7 +42,8 @@ def test_scripts_run_at_small_arguments():
     rows = [line.rsplit(None, 2) for line in lines[4:]]
     assert [r[0] for r in rows] == [f"matrix_kernel {k} N={N}" for N in (8, 64)
                                     for k in ("rr", "rc", "cc")] + [
-        "gram_matrix(64, 65)", "pi_pair(1, 9)", "k_zeta", "b_outside"]
+        "gram_matrix(64, 65)", "pi_pair(1, 9)", "pi_pair(1024, 2049) held",
+        "xi_handle mixed block", "k_zeta", "b_outside"]
     assert all(float(t) > 0 for r in rows for t in r[1:])
 
     lines = run("sampler_vs_kernel.py", "--samples", "200")
