@@ -4,7 +4,8 @@ For each ``--src`` directory (repeatable; default: this checkout's ``src``)
 runs ``--rounds`` child processes with ``OPENBLAS_NUM_THREADS=1``,
 reversing the order of the trees every other round, so that a drift of the
 machine's speed reaches all trees alike. A child makes one warm-up call per
-case, then times ``--repeats`` runs of ``--calls`` calls each. The table has
+case, then times ``--repeats`` runs of ``--calls`` calls each; a case that
+draws from a sampler chain starts a fresh chain for every run. The table has
 one row per case and one column per tree: the 10th percentile of the
 microseconds per call over every timed run of every round.
 
@@ -25,9 +26,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def cases():
-    """``(name, call)`` for every timed case, imported from the tree in use."""
+    """``(name, start)`` for every timed case, imported from the tree in use:
+    ``start()`` returns the call to time, anew for each timed run."""
     from mahler import limits, polys, volume
     from mahler.kernel import EnsembleParams, assemble_matrix, matrix_kernel
+    from mahler.mc import SamplerConfig, roots_classify, sample
+    from mahler.polys import PolyCoeffs
 
     out = []
     for N in (8, 64):
@@ -44,16 +48,30 @@ def cases():
                 limits.xi_handle(1.0, 1.0), [0.5, -0.3 + 0.4j], [0.2 + 0.3j, -0.4])),
             ("k_zeta", lambda: limits.k_zeta(1.0, zeta, 0.3 - 0.2j, -0.4 + 0.5j)),
             ("b_outside", lambda: limits.b_outside(2.5, 1.7, -2.2))]
-    return out
+    rng = np.random.default_rng(0)
+    for N in (2, 4, 20):
+        p = PolyCoeffs((*rng.uniform(-1.0, 1.0, N).tolist(), 1.0))
+        p.roots     # solved once, as the sampler hands it over
+        out.append((f"roots_classify N={N}", lambda p=p: roots_classify(p)))
+    starts = [(name, lambda call=call: call) for name, call in out]
+
+    def sampler_step():
+        """One ball-walk step at N = 4, s = 8 (its warm-up step, which builds
+        the chain, is not timed); the chain cannot run dry in a timed run."""
+        chain = sample(SamplerConfig(N=4, s=8.0, step_length=0.5, steps=10**9, burn_in=0))
+        next(chain)
+        return lambda: next(chain)
+    return starts + [("sample step N=4 s=8", sampler_step)]
 
 
 def child(repeats: int, calls: int) -> None:
     """Print ``{case: [us per call of each run]}`` as JSON."""
     result = {}
-    for name, call in cases():
-        call()
+    for name, start in cases():
+        start()()
         runs = []
         for _ in range(repeats):
+            call = start()
             t0 = time.perf_counter()
             for _ in range(calls):
                 call()

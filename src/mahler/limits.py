@@ -82,8 +82,8 @@ def k_zeta(lam: float, zeta: complex, z, w):
     ``omega(z conj(zeta)) omega(conj(w) zeta) (1/pi) int_0^1 x(1-lam x)
     e^{(z conj(zeta)+conj(w) zeta)x} dx``.
     """
-    if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
-        raise DomainError(f"the anchor zeta must be finite, got {zeta}")
+    if not abs(abs(zeta) - 1.0) <= 1e-12:      # LimitKernelSpec's tolerance; False at NaN
+        raise DomainError(f"the anchor zeta must lie on the unit circle, got {zeta}")
     zz = _finite(z) * np.conj(zeta)
     ww = np.conj(_finite(w)) * zeta
     x, wt = _unit_nodes()
@@ -433,6 +433,8 @@ def a_outside(c: float, x: float, y: float) -> float:
 def dsn_limit(lam: float, c: float, u, v):
     """Limit of ``|uv|^s (uv)^{-N} kappa_N(u,v)/(s-N)`` outside the disk;
     ``1/c = 0`` when ``c`` is infinite."""
+    if math.isnan(lam) or math.isnan(c):
+        raise DomainError(f"lam and c must not be NaN, got {lam}, {c}")
     _check_disk(False, u, v)
     return lam * _core(0.0 if math.isinf(c) else 1.0 / c, u, v) \
         / (sqrt_z2m1(u) * sqrt_z2m1(v))
@@ -565,9 +567,9 @@ def sum_inside_limit(a1: float, b1: float, a2: float, b2: float,
     """Limit of the product sums inside the disk when ``b1 + b2 + 1 < 0``:
     the circle average of the singular weight against the two binomial
     kernels, evaluated through its geometrically-convergent double series."""
-    if b1 + b2 + 1.0 >= 0.0:
+    if not b1 + b2 + 1.0 < 0.0:     # the negated tests are True at NaN
         raise DomainError("requires b1 + b2 + 1 < 0")
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
+    if not (abs(z) < 1.0 and abs(w) < 1.0):
         raise DomainError("arguments must lie in the open unit disk")
     j = np.arange(_INSIDE_TERMS)
     cz = gamma_ratio_table(_INSIDE_TERMS - 1, a1) * np.asarray(z) ** j

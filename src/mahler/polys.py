@@ -95,6 +95,8 @@ def _p_table(n: int, alpha: float, beta: float) -> np.ndarray:
 
 def p_poly(n: int, alpha: float, beta: float) -> PolyCoeffs:
     """Coefficients of ``P_n^{alpha,beta}``."""
+    if math.isnan(alpha) or math.isnan(beta):
+        raise DomainError(f"alpha and beta must not be NaN, got {alpha}, {beta}")
     return PolyCoeffs(tuple(_p_table(n, alpha, beta)[n]))
 
 
@@ -112,6 +114,8 @@ def p_eval_sequence(count: int, alpha: float, beta: float, z) -> np.ndarray:
     """
     if _degree(count, "count") < 1:
         raise DomainError(f"count must be positive, got {count}")
+    if math.isnan(alpha) or math.isnan(beta):
+        raise DomainError(f"alpha and beta must not be NaN, got {alpha}, {beta}")
     z = _finite(np.asarray(z, dtype=complex))
     out = np.empty((count,) + z.shape, dtype=complex)
     p_prev = np.ones_like(z)
@@ -165,6 +169,8 @@ def pi_pair(n: int, s: float) -> tuple[PolyCoeffs, PolyCoeffs]:
 
 def weight(s: float, z):
     """The ensemble weight ``max(1, |z|)^{-s}`` (vectorized, s may be inf)."""
+    if math.isnan(s):
+        raise DomainError("the weight's s must not be NaN")
     if math.isinf(s):
         return np.where(np.abs(z) <= 1.0 + 1e-15, 1.0, 0.0)
     return np.maximum(1.0, np.abs(z)) ** (-s)

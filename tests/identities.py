@@ -19,7 +19,9 @@ the eps antiderivative, the second route of ``volume.real_moment``, and its
 complex part by an angular Gauss rule inside an adaptive radial quadrature,
 the second route of ``volume.complex_moment``; and the Mahler measure as the
 circle average of ``log |p|`` (Jensen's formula), the second route of
-``mc.mahler_measure``."""
+``mc.mahler_measure``; and the root split by numpy array operations (masks,
+fancy indexing, an elementwise conjugate test), the second route of
+``mc.roots_classify``'s one pass over Python scalars."""
 
 import math
 
@@ -28,11 +30,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma, gammaln, rgamma
 
-from mahler.errors import DomainError, InfiniteValueError, PoleError, QuadratureError
+from mahler.errors import DomainError, InfiniteValueError, PairingError, PoleError, QuadratureError
 from mahler.kernel import (EnsembleParams, KernelValue2x2, _family, _tables,
                            intensity_complex, matrix_kernel)
 from mahler.limits import (_check_disk, _core, _edge, _jacobi_rule, _unit_nodes, _xi_side,
                            sqrt_minus_tau)
+from mahler.mc import _REAL_TOL, RootSet
 from mahler.polys import PolyCoeffs, eps_monomials, eps_poly, weight
 from mahler.quadrature import adaptive, fixed_panel, leg_nodes
 from mahler.specfun import _gamma_quotient, _is_nonpositive_integer, iota
@@ -288,6 +291,21 @@ def mahler_measure_jensen(p: PolyCoeffs, n: int = 512) -> float:
     lies near the circle."""
     theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
     return math.exp(float(np.mean(np.log(np.abs(p(np.exp(1j * theta)))))))
+
+
+def roots_classify_by_arrays(p: PolyCoeffs) -> RootSet:
+    """``mc.roots_classify`` by numpy array operations on ``p.roots``: the
+    same real test (``np.hypot`` rounds ``|r|`` as the scalar ``abs(r)``
+    does), the same split of the other roots by the sign of their imaginary
+    part, and the same exact-conjugate test in solver order."""
+    roots = p.roots
+    real = np.abs(roots.imag) <= _REAL_TOL * (1.0 + np.hypot(roots.real, roots.imag))
+    complexes = roots[~real]
+    upper = complexes.imag > 0
+    uppers, lowers = complexes[upper], complexes[~upper]
+    if uppers.size != lowers.size or np.count_nonzero(lowers != uppers.conj()):
+        raise PairingError("non-real roots are not exact conjugate pairs")
+    return RootSet(tuple(sorted(roots.real[real].tolist())), tuple(uppers.tolist()))
 
 
 def block_by_pairs(P: EnsembleParams, points) -> np.ndarray:

@@ -74,6 +74,20 @@ _BAD_CALLS = {
     "spec_nan_anchor": lambda: limits.LimitKernelSpec("circle_complex", anchor=_NAN),
     "dsn_limit_nan": lambda: limits.dsn_limit(1.0, 1.0, np.nan, 2.0),
     "dsn_limit_inside": lambda: limits.dsn_limit(1.0, 1.0, 0.5, 2.0),
+    # these returned NaN (or, for weight, 1.0) at a NaN parameter or point
+    "weight_nan_s": lambda: polys.weight(np.nan, 0.5),
+    "p_eval_nan_alpha": lambda: p_eval(3, np.nan, 0.5, 0.3),
+    "p_eval_nan_beta": lambda: p_eval(3, 0.5, np.nan, 0.3),
+    "p_poly_nan_alpha": lambda: polys.p_poly(3, np.nan, 0.5),
+    "p_poly_nan_beta": lambda: polys.p_poly(3, 0.5, np.nan),
+    "dsn_limit_nan_lam": lambda: limits.dsn_limit(np.nan, 1.0, 2.0, 3.0),
+    "dsn_limit_nan_c": lambda: limits.dsn_limit(1.0, np.nan, 2.0, 3.0),
+    "sum_inside_nan_z": lambda: limits.sum_inside_limit(0.5, -0.8, 1.5, -1.5, np.nan, 0.2),
+    "sum_inside_nan_w": lambda: limits.sum_inside_limit(0.5, -0.8, 1.5, -1.5, 0.3, np.nan),
+    "sum_inside_nan_b": lambda: limits.sum_inside_limit(0.5, np.nan, 1.5, -1.5, 0.3, 0.2),
+    # k_zeta(1, 2, 0.1, 0.2) returned 0.0397 for an anchor off the unit circle
+    "k_zeta_off_circle": lambda: limits.k_zeta(1.0, 2.0, 0.1, 0.2),
+    "k_zeta_inside_anchor": lambda: limits.k_zeta(1.0, 0.5j, 0.1, 0.2),
     "ratio_sums_zero": lambda: limits.ratio_sums_report([0]),
     "zero_check_nan": lambda: polys.zero_check(3, np.nan, 0.5),
     "mahler_measure_nan": lambda: mc.mahler_measure(PolyCoeffs((np.nan, 1.0))),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from identities import mahler_measure_jensen
+from identities import mahler_measure_jensen, roots_classify_by_arrays
 from mahler import mc
 from mahler.errors import ConditioningError, DomainError, PairingError
 from mahler.mc import (RootSet, SamplerConfig, mahler_measure, roots_classify, sample,
@@ -53,6 +53,40 @@ class TestMahlerMeasure:
             mahler_measure(PolyCoeffs((0.0,)))
 
 
+# a part of a root: ordinary values, signed zeros, tiny parts under the real
+# tolerance, and the non-finite values
+_PARTS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(
+    [0.0, -0.0, 1e-12, -1e-12, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _root_arrays(draw):
+    """Root arrays as a solver or a caller might fill them in: a float array,
+    or a complex one built from roots that come with their conjugate next
+    (in either order) or alone, optionally shuffled."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(_PARTS, max_size=8)), dtype=float)
+    roots = []
+    for re, im, kind in draw(st.lists(st.tuples(_PARTS, _PARTS, st.sampled_from(
+            ["pair", "swapped", "alone"])), max_size=5)):
+        z = complex(re, im)
+        roots += {"pair": [z, z.conjugate()], "swapped": [z.conjugate(), z],
+                  "alone": [z]}[kind]
+    if draw(st.booleans()):
+        roots = draw(st.permutations(roots))
+    return np.array(roots, dtype=complex)
+
+
+def _classified(classify, roots):
+    """``repr`` of the ``RootSet`` (bit-exact, NaN equal to NaN), or the error."""
+    p = PolyCoeffs((1.0,))
+    vars(p)["roots"] = roots
+    try:
+        return repr(classify(p))
+    except PairingError:
+        return "PairingError"
+
+
 class TestRootsClassify:
     def test_all_complex(self):
         rs = roots_classify(PolyCoeffs((1.0, 0.0, 0.0, 0.0, 1.0)))
@@ -92,6 +126,12 @@ class TestRootsClassify:
         vars(p)["roots"] = np.array(roots, dtype=complex)
         with pytest.raises(PairingError):
             roots_classify(p)
+
+    @given(_root_arrays())
+    @settings(max_examples=400, deadline=None)
+    def test_scalar_pass_matches_array_route(self, roots):
+        assert (_classified(roots_classify, roots)
+                == _classified(roots_classify_by_arrays, roots))
 
 
 def _reference_walk(cfg):
@@ -148,15 +188,26 @@ class TestSampler:
                                              for c in ref]
 
     def test_emitted_state_is_not_solved_again(self, monkeypatch):
+        # at thin=1 a rejected step re-emits the very same object, and an
+        # accepted one emits a new object; its roots are read-only throughout
         cfg = SamplerConfig(N=4, s=8.0, steps=300, burn_in=0, seed=4)
-        calls = []
+        calls, accepted, rejected, prev = [], 0, 0, None
         real_roots = np.roots
         monkeypatch.setattr(np, "roots",
                             lambda p: calls.append(1) or real_roots(p))
         for p in sample(cfg):
             roots_classify(p)
             mahler_measure(p)
+            assert not p.roots.flags.writeable
+            if prev is not None and p.coeffs == prev.coeffs:
+                assert p is prev
+                rejected += 1
+            elif prev is not None:
+                assert p is not prev
+                accepted += 1
+            prev = p
         assert calls == []
+        assert accepted > 10 and rejected > 10
         roots_classify(PolyCoeffs((0.5, -1.0, 0.25, 0.0, 1.0)))
         assert len(calls) == 1
 
