@@ -1,8 +1,9 @@
 """Growth of the expected real-root counts with the degree.
 
-Evaluates the exact Gamma-sum formulas for the expected number of real
-roots inside [-1, 1] and outside, at the critical weight s = N + 1, and
-compares against the (1/pi) log N law with a least-squares slope fit.
+Evaluates the exact expected number of real roots inside [-1, 1] and
+outside (``kernel.expected_counts``, any degree), at the critical weight
+s = N + 1, and compares against the (1/pi) log N law with a least-squares
+slope fit.
 
 Usage: python3 scripts/root_count_growth.py [--degrees 50,100,200,400,800]
 """
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from mahler.kernel import expected_in_exact, expected_out_exact
+from mahler.kernel import EnsembleParams, expected_counts
 
 
 def main() -> None:
@@ -24,8 +25,8 @@ def main() -> None:
     print(f"{'N':>6} {'E_in':>12} {'E_out':>12} {'(1/pi)logN':>12}")
     e_in = []
     for N in degrees:
-        ei = expected_in_exact(N, N + 1.0)
-        eo = expected_out_exact(N, N + 1.0)
+        P = EnsembleParams(N, N + 1.0)
+        ei, eo = expected_counts(P, "inside"), expected_counts(P, "outside")
         e_in.append(ei)
         print(f"{N:>6} {ei:>12.6f} {eo:>12.6f} "
               f"{math.log(N) / math.pi:>12.6f}")

@@ -1,8 +1,9 @@
 """Tabulate the star-body volume identity over a grid of (N, s).
 
-For each even degree N and weight exponent s, prints the closed rational
+For each degree N and weight exponent s, prints the closed rational
 product F(N, s), the Pfaffian of the skew-moment Gram matrix, and their
-relative difference, plus the monic limit s -> infinity.
+relative difference, plus the monic limit s -> infinity. At odd N the Gram
+matrix is bordered by the line masses of the weight.
 
 Usage: python3 scripts/volume_table.py [--max-N 8]
 """
@@ -19,7 +20,7 @@ def main() -> None:
     args = ap.parse_args()
 
     print(f"{'N':>3} {'s':>8} {'F(N,s)':>18} {'Pf(U)':>18} {'rel diff':>10}")
-    for N in range(2, args.max_N + 1, 2):
+    for N in range(1, args.max_N + 1):
         for s in (N + 1.0, N + 2.0, 2.0 * N, 4.0 * N, math.inf):
             f = chern_vaaler_f(N, s)
             _, pf = gram_pf(N, s)

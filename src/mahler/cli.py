@@ -7,9 +7,11 @@ one-point density field), ``convergence`` (finite-N vs limit error tables),
 ``sample`` (ball-walk Monte-Carlo draws), and ``validate`` (built-in
 self-check battery).
 
-Exit codes: 0 success, 1 numerical check failed, 2 invalid arguments. CSV
-uses '.' decimals, ``\\n`` line endings, and 17 significant digits; the
-literal ``inf`` is accepted wherever ``s`` is.
+Every output is opened in one place: ``--out PATH`` writes PATH, ``--out -``
+or no ``--out`` writes stdout. Exit codes: 0 success, 1 numerical check
+failed, 2 invalid arguments, an ``--out`` that cannot be opened among them.
+CSV uses '.' decimals, ``\\n`` line endings, 17 significant digits for floats
+and every digit of integers; ``inf`` is accepted wherever ``s`` is.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ import sys
 
 import numpy as np
 
-from . import kernel, limits, mc, volume
+from . import kernel, limits, mc, polys, volume
 from .errors import MahlerError
-from .mc import _fmt
 from .specfun import iota
 
 
@@ -41,12 +42,22 @@ def _parse_s(text: str) -> float:
 
 @contextlib.contextmanager
 def _output(path):
-    """The file at ``path`` opened for writing, or stdout for None or '-'."""
+    """The file at ``path`` opened for writing, or stdout for None or '-';
+    :class:`MahlerError` where the file cannot be opened."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", newline="\n") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", newline="\n")
+    except OSError as exc:
+        raise MahlerError(f"cannot write --out: {exc}") from None
+    with fh:
+        yield fh
+
+
+def _fmt(x) -> str:
+    """An integer as it is, any other number with 17 significant digits."""
+    return str(x) if isinstance(x, int) else format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +85,16 @@ def _grid(args):
 
 
 def _write_csv(path, header, rows) -> int:
-    """``header`` and then ``rows`` of numbers to ``path`` as CSV; the caller
-    computes every row first, so that an error leaves no output."""
+    """``header`` and then ``rows`` of numbers to ``path`` as CSV; the number
+    of rows. A list of rows is computed before the file opens, so an error
+    leaves no file; an iterator's rows are written as they come."""
+    n = 0
     with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(x) for x in row] for row in rows)
-    return 0
+        for n, row in enumerate(rows, 1):
+            writer.writerow(map(_fmt, row))
+    return n
 
 
 def run_kernel_grid(args) -> int:
@@ -91,9 +105,10 @@ def run_kernel_grid(args) -> int:
     K = kernel.assemble_matrix(kernel._handle(params), u, v)
     rows = [[z.real, z.imag, v.real, v.imag] + [p for e in entries for p in (e.real, e.imag)]
             for z, *entries in zip(u, K.e11, K.e12, K.e21, K.e22)]
-    return _write_csv(args.out, ["re_u", "im_u", "re_v", "im_v",
-                                 "e11_re", "e11_im", "e12_re", "e12_im",
-                                 "e21_re", "e21_im", "e22_re", "e22_im"], rows)
+    _write_csv(args.out, ["re_u", "im_u", "re_v", "im_v",
+                          "e11_re", "e11_im", "e12_re", "e12_im",
+                          "e21_re", "e21_im", "e22_re", "e22_im"], rows)
+    return 0
 
 
 # the options each intensity field reads, by --regime (None: finite N)
@@ -140,7 +155,8 @@ def run_intensity(args) -> int:
     field = _intensity_fn(args)
     re, im = _grid(args)
     rows = [[x, y, v] for y in im for x, v in zip(re, field(re, y))]
-    return _write_csv(args.out, ["re_z", "im_z", "intensity"], rows)
+    _write_csv(args.out, ["re_z", "im_z", "intensity"], rows)
+    return 0
 
 
 def run_convergence(args) -> int:
@@ -173,46 +189,30 @@ def run_sample(args) -> int:
     cfg = mc.SamplerConfig(N=args.N, s=_parse_s(args.s), step_length=args.step_length,
                            steps=args.steps, burn_in=args.burn_in,
                            thin=args.thin, seed=args.seed)
-    n = mc.write_samples_csv(args.out, cfg, mc.sample(cfg))
-    print(f"wrote {n} samples to {args.out}")
+    rows = ([cfg.seed, i, *p.coeffs] for i, p in enumerate(mc.sample(cfg)))
+    n = _write_csv(args.out, ["seed", "index", *(f"c{k}" for k in range(cfg.N + 1))], rows)
+    print(f"wrote {n} samples to {args.out}", file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
 
 
 def _validate_battery():
     """Self-check battery: (name, passed) pairs covering each module."""
-    checks = []
-
-    f_product = volume.chern_vaaler_f(4, 8.0)
-    _, pf_u = volume.gram_pf(4, 8.0)
-    checks.append(("volume identity N=4 s=8",
-                   abs(pf_u - f_product) <= 1e-8 * abs(f_product)))
-
-    from .polys import pi_pair
-    s = 11.0
-    ok = True
-    for n in range(3):
-        for m in range(3):
-            even, _ = pi_pair(n, s)
-            _, odd = pi_pair(m, s)
-            val = volume.bilinear(even, odd, s)
-            ok &= abs(val - (1.0 if n == m else 0.0)) <= 1e-12
-    checks.append(("skew-orthonormality indices <= 2, s=11", ok))
-
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((6, 6))
+    pairs = [polys.pi_pair(n, 11.0) for n in range(3)]
+    A = np.random.default_rng(0).standard_normal((6, 6))
     A = A - A.T
-    pf = kernel.pfaffian(A)
-    checks.append(("pfaffian squared equals determinant",
-                   abs(pf ** 2 - np.linalg.det(A)) <= 1e-8))
-
-    params = kernel.EnsembleParams(2, 5.0)
-    total = kernel.expected_counts(params, "all")
-    checks.append(("N=2 s=5 normalization", abs(total - 2.0) <= 1e-12))
-
-    e_in = kernel.expected_in_exact(2, 5.0)
-    checks.append(("N=2 closed-form inside count",
-                   abs(e_in - (2 * 5 - 1) / (3 * 5)) <= 1e-9))
-    return checks
+    P = kernel.EnsembleParams(2, 5.0)
+    return [
+        ("volume identity N=3,4 s=8", all(
+            math.isclose(volume.gram_pf(N, 8.0)[1], volume.chern_vaaler_f(N, 8.0), rel_tol=1e-8)
+            for N in (3, 4))),
+        ("skew-orthonormality indices <= 2, s=11", all(
+            abs(volume.bilinear(pairs[n][0], pairs[m][1], 11.0) - float(n == m)) <= 1e-12
+            for n in range(3) for m in range(3))),
+        ("pfaffian squared equals determinant",
+         abs(kernel.pfaffian(A) ** 2 - np.linalg.det(A)) <= 1e-8),
+        ("N=2 s=5 normalization", abs(kernel.expected_counts(P, "all") - 2.0) <= 1e-12),
+        ("N=2 closed-form inside count",
+         abs(kernel.expected_counts(P, "inside") - (2 * 5 - 1) / (3 * 5)) <= 1e-9)]
 
 
 def run_validate(args) -> int:

@@ -567,7 +567,9 @@ def sum_inside_limit(a1: float, b1: float, a2: float, b2: float,
     """Limit of the product sums inside the disk when ``b1 + b2 + 1 < 0``:
     the circle average of the singular weight against the two binomial
     kernels, evaluated through its geometrically-convergent double series."""
-    if not b1 + b2 + 1.0 < 0.0:     # the negated tests are True at NaN
+    if not all(math.isfinite(x) for x in (a1, b1, a2, b2)):
+        raise DomainError(f"parameters must be finite, got {(a1, b1, a2, b2)}")
+    if b1 + b2 + 1.0 >= 0.0:
         raise DomainError("requires b1 + b2 + 1 < 0")
     if not (abs(z) < 1.0 and abs(w) < 1.0):
         raise DomainError("arguments must lie in the open unit disk")

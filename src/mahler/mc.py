@@ -10,12 +10,12 @@ current state, which is what keeps the chain's invariant density correct.
 Each proposal is solved once, by the LAPACK ``dgeev`` call behind
 ``np.roots``; a non-finite Mahler measure raises ``ConditioningError``.
 ``roots_classify`` and ``mahler_measure`` read ``PolyCoeffs.roots``, which
-``sample`` fills in once for each state it emits.
+``sample`` fills in once for each state it emits. The module does no I/O:
+``mahler sample`` writes the draws.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -132,25 +132,3 @@ def roots_classify(p: PolyCoeffs) -> RootSet:
     if lowers != [u.conjugate() for u in uppers]:
         raise PairingError("non-real roots are not exact conjugate pairs")
     return RootSet(tuple(sorted(reals)), tuple(uppers))
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def write_samples_csv(path: str, cfg: SamplerConfig, samples) -> int:
-    """One row per polynomial: seed, step index, ascending coefficients."""
-    n = 0
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "index"] + [f"c{k}" for k in range(cfg.N + 1)])
-        for i, p in enumerate(samples):
-            writer.writerow([cfg.seed, i] + [_fmt(c) for c in p.coeffs])
-            n += 1
-    return n
-

@@ -51,11 +51,14 @@ class PolyCoeffs:
 
     @cached_property
     def roots(self) -> np.ndarray:
-        """Read-only roots, as ``np.roots`` of the trimmed coefficients; a
-        caller that has solved the polynomial may fill it in (``mc.sample``)."""
+        """Read-only roots, as ``np.roots`` of the trimmed coefficients
+        (``mc.sample`` fills them in itself); :class:`ConditioningError` where
+        a coefficient over the leading one, a companion-row entry, overflows."""
         c = np.trim_zeros(_finite(np.asarray(self.coeffs, dtype=float)), trim="b")
         if c.size == 0:
             raise DomainError("roots of the zero polynomial")
+        if float(np.abs(c).max()) / abs(float(c[-1])) == math.inf:
+            raise ConditioningError(f"coefficients over the leading one, {c[-1]:g}, overflow")
         roots = np.roots(c[::-1])
         roots.flags.writeable = False
         return roots

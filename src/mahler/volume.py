@@ -7,8 +7,9 @@ upper half-plane). Each part of a monomial pair, and their sum (the region
 ``"all"``, which the Gram matrix and :func:`bilinear` read), is a closed form
 from :func:`mahler.polys.region_moments`, the tables that the expected root
 counts also read. Polynomials are handled by bilinearity.
-The Pfaffian of the Gram matrix equals a finite rational product in ``s`` —
-the star-body volume, up to the factor ``2/(N+1)``.
+The Pfaffian of the Gram matrix (bordered by the line masses at odd ``N``)
+equals a finite rational product in ``s`` — the star-body volume, up to the
+factor ``2/(N+1)``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrabilityError
 from .kernel import EnsembleParams, pfaffian
-from .polys import PolyCoeffs, region_moments
+from .polys import PolyCoeffs, _eps_consts, region_moments
 
 
 def monomial_moment(a, b, s: float):
@@ -30,14 +31,20 @@ def monomial_moment(a, b, s: float):
 
 
 def gram_matrix(N: int, s: float) -> np.ndarray:
-    """Gram matrix of the monomials ``z^0 .. z^{N-1}`` under the skew form,
-    even ``N`` only: the antisymmetrised moment table. A monic family ``p_n =
-    sum_k C_nk z^k`` has the Gram matrix ``C U C^T``, and ``det C = 1`` gives
-    ``Pf(C U C^T) = Pf U``: this table serves every monic family."""
-    if EnsembleParams(N, s).N % 2 != 0:
-        raise DomainError("Gram matrix requires even positive N")
+    """Gram matrix of the monomials ``z^0 .. z^{N-1}`` under the skew form:
+    the moment table, exactly antisymmetric, bordered at odd ``N`` by the
+    column ``b_j = int x^j w dx`` (twice ``G_j(inf)`` of
+    :func:`mahler.polys.eps_monomials` at even ``j``, 0 at odd ``j``) and the
+    row ``-b``. A monic family ``p_n = sum_k C_nk z^k`` has the Gram matrix
+    ``C U C^T``, and ``det C = 1`` gives ``Pf(C U C^T) = Pf U``: this table
+    serves every monic family."""
+    N = EnsembleParams(N, s).N
     U = monomial_moment(np.arange(N)[:, None], np.arange(N), s)
-    return 0.5 * (U - U.T)       # exact antisymmetry
+    if N % 2 == 0:
+        return U
+    _, _, g_inf, even = _eps_consts(np.arange(N), s)    # odd j + 1: even j
+    b = 2.0 * np.where(even, g_inf, 0.0).ravel()
+    return np.block([[U, b[:, None]], [-b, 0.0]])
 
 
 def gram_pf(N: int, s: float) -> tuple[np.ndarray, float]:

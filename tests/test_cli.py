@@ -12,7 +12,9 @@ from mahler import kernel
 from mahler.cli import main
 from mahler.kernel import EnsembleParams, expected_in_exact, intensity_complex, intensity_real
 from mahler.limits import b_outside, kappa_xi
+from mahler.mc import SamplerConfig, sample
 from mahler.specfun import iota
+from mahler.volume import chern_vaaler_f
 
 
 def run(args):
@@ -34,8 +36,12 @@ class TestVolumeCommand:
         assert code == 0
         assert json.loads(out.read_text())["F_product"] == pytest.approx(4.0)
 
-    def test_odd_degree_rejected(self, capsys):
-        assert run(["volume", "--N", "3", "--s", "5"]) == 2
+    def test_odd_degree_identity(self, capsys):
+        # odd N exited 2 before; the bordered Gram matrix gives the product
+        assert run(["volume", "--N", "3", "--s", "8"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["Pf_U"] == pytest.approx(payload["F_product"], rel=1e-12)
+        assert payload["F_product"] == pytest.approx(chern_vaaler_f(3, 8.0), rel=0.0)
 
     def test_small_weight_rejected(self):
         assert run(["volume", "--N", "4", "--s", "3"]) == 2
@@ -266,6 +272,37 @@ class TestSampleCommand:
         assert run(["sample", "--N", "2", "--s", "abc", "--out",
                     str(out)]) == 2
 
+    def test_samples_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        assert run(["sample", "--N", "2", "--s", "5", "--steps", "120", "--burn-in", "20",
+                    "--seed", "9", "--out", str(path)]) == 0
+        n = int(capsys.readouterr().out.split()[1])
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "seed,index,c0,c1,c2"
+        assert len(lines) == n + 1
+        regenerated = list(sample(SamplerConfig(N=2, s=5.0, steps=120, burn_in=20, seed=9)))
+        first = lines[1].split(",")
+        assert float(first[2]) == regenerated[0].coeffs[0]
+
+    def test_dash_streams_to_stdout(self, tmp_path, capsys, monkeypatch):
+        # --out - created a file named '-'; the rows now go to stdout and the
+        # count line to stderr
+        monkeypatch.chdir(tmp_path)
+        file = tmp_path / "a.csv"
+        args = ["sample", "--N", "2", "--s", "5", "--steps", "200", "--burn-in", "50"]
+        assert run(args + ["--out", str(file)]) == 0
+        assert capsys.readouterr() == (f"wrote 150 samples to {file}\n", "")
+        assert run(args + ["--out", "-"]) == 0
+        assert capsys.readouterr() == (file.read_text(), "wrote 150 samples to -\n")
+        assert list(tmp_path.iterdir()) == [file]
+
+    def test_seed_keeps_every_digit(self, capsys):
+        seed = 2**60 + 1
+        assert run(["sample", "--N", "2", "--s", "5", "--steps", "3", "--burn-in", "0",
+                    "--seed", str(seed), "--out", "-"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [[str(seed), str(i)] for i in range(3)]
+
     @pytest.mark.parametrize("step", ["inf", "nan"])
     def test_non_finite_step_length_rejected(self, tmp_path, step):
         # a non-finite step would reach the eigensolver, which checks nothing
@@ -273,6 +310,23 @@ class TestSampleCommand:
         assert run(["sample", "--N", "2", "--s", "5", "--step-length", step,
                     "--out", str(out)]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--N", "2", "--s", "5"],
+    ["kernel-grid", "--N", "2", "--s", "5", "--re-steps", "2", "--im-steps", "2"],
+    ["intensity", "--N", "2", "--s", "5", "--re-steps", "2", "--im-steps", "2"],
+    ["convergence", "--N-list", "4,8"],
+    ["sample", "--N", "2", "--s", "5", "--steps", "20", "--burn-in", "0"]],
+    ids=lambda argv: argv[0])
+def test_unwritable_out_is_an_argument_error(argv, tmp_path, capsys):
+    # an --out in a missing directory ended in a traceback and exit 1
+    out = tmp_path / "missing" / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err and not out.parent.exists()
 
 
 class TestValidateCommand:

@@ -85,6 +85,11 @@ _BAD_CALLS = {
     "sum_inside_nan_z": lambda: limits.sum_inside_limit(0.5, -0.8, 1.5, -1.5, np.nan, 0.2),
     "sum_inside_nan_w": lambda: limits.sum_inside_limit(0.5, -0.8, 1.5, -1.5, 0.3, np.nan),
     "sum_inside_nan_b": lambda: limits.sum_inside_limit(0.5, np.nan, 1.5, -1.5, 0.3, 0.2),
+    "sum_inside_nan_a1": lambda: limits.sum_inside_limit(np.nan, -0.8, 1.5, -1.5, 0.3, 0.2),
+    "sum_inside_nan_a2": lambda: limits.sum_inside_limit(0.5, -0.8, np.nan, -1.5, 0.3, 0.2),
+    "sum_inside_inf_b": lambda: limits.sum_inside_limit(0.5, -np.inf, 1.5, -1.5, 0.3, 0.2),
+    # np.roots overflowed dividing by the leading coefficient, then raised LinAlgError
+    "roots_overflow": lambda: PolyCoeffs((1e300, 1.0, 1e-300)).roots,
     # k_zeta(1, 2, 0.1, 0.2) returned 0.0397 for an anchor off the unit circle
     "k_zeta_off_circle": lambda: limits.k_zeta(1.0, 2.0, 0.1, 0.2),
     "k_zeta_inside_anchor": lambda: limits.k_zeta(1.0, 0.5j, 0.1, 0.2),

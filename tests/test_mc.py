@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from identities import mahler_measure_jensen, roots_classify_by_arrays
 from mahler import mc
 from mahler.errors import ConditioningError, DomainError, PairingError
-from mahler.mc import (RootSet, SamplerConfig, mahler_measure, roots_classify, sample,
-                       write_samples_csv)
+from mahler.mc import RootSet, SamplerConfig, mahler_measure, roots_classify, sample
 from mahler.polys import PolyCoeffs
 
 
@@ -351,15 +350,3 @@ class TestSampler:
         sigma = ratio * math.sqrt(1.0 / in_a + 1.0 / in_b)
         assert abs(ratio - ref_ratio) <= 3.0 * sigma
 
-
-class TestCsvOutput:
-    def test_samples_round_trip(self, tmp_path):
-        cfg = SamplerConfig(N=2, s=5.0, steps=120, burn_in=20, seed=9)
-        path = tmp_path / "samples.csv"
-        n = write_samples_csv(str(path), cfg, sample(cfg))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "seed,index,c0,c1,c2"
-        assert len(lines) == n + 1
-        regenerated = list(sample(cfg))
-        first = lines[1].split(",")
-        assert float(first[2]) == regenerated[0].coeffs[0]

@@ -120,9 +120,17 @@ class TestGram:
         pf_shear = pfaffian(_change_basis(sheared, U)).real
         assert pf_shear == pytest.approx(pf_base, rel=1e-10)
 
-    def test_odd_dimension_guard(self):
-        with pytest.raises(DomainError):
-            gram_matrix(3, 9.0)
+    def test_odd_dimension_bordered(self):
+        # gram_matrix(3, s) raised before: at odd N the moment table is
+        # bordered by the line masses int x^j w dx, 0 at odd j
+        for s in (4.5, 9.0, math.inf):
+            G = gram_matrix(3, s)
+            mass = [2.0 * (1.0 / (j + 1) + (0.0 if math.isinf(s) else 1.0 / (s - j - 1)))
+                    for j in (0, 2)]
+            assert G.shape == (4, 4) and np.array_equal(G, -G.T)
+            assert np.array_equal(G[:3, :3], monomial_moment(np.arange(3)[:, None], range(3), s))
+            assert G[1, 3] == 0.0
+            assert G[[0, 2], 3] == pytest.approx(mass, rel=1e-15)
 
     def test_domain_guards(self):
         for N, s in ((4, 4.0), (0, 5.0), (2, math.nan)):
@@ -160,6 +168,15 @@ class TestVolumeIdentity:
         s = N + 1.0 if which == "plus1" else 2.0 * N
         _, pf = gram_pf(N, s)
         assert pf == pytest.approx(chern_vaaler_f(N, s), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["plus1", "plus1.5", "double", "inf"])
+    def test_pfaffian_equals_product_odd_N(self, kind):
+        # the bordered Gram matrix of every odd degree through 63, and 127, 255
+        for N in [*range(1, 64, 2), 127, 255]:
+            s = {"plus1": N + 1.0, "plus1.5": N + 1.5, "double": 2.0 * N + 1.0,
+                 "inf": math.inf}[kind]
+            _, pf = gram_pf(N, s)
+            assert pf == pytest.approx(chern_vaaler_f(N, s), rel=1e-12), N
 
     def test_ball_volume_relation(self):
         N, lam = 4, 0.5
