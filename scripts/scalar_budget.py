@@ -28,7 +28,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def cases():
     """``(name, start)`` for every timed case, imported from the tree in use:
     ``start()`` returns the call to time, anew for each timed run."""
-    from mahler import limits, polys, volume
+    from mahler import limits, polys, specfun, volume
     from mahler.kernel import EnsembleParams, assemble_matrix, matrix_kernel
     from mahler.mc import SamplerConfig, roots_classify, sample
     from mahler.polys import PolyCoeffs
@@ -41,13 +41,19 @@ def cases():
             out.append((f"matrix_kernel {label} N={N}",
                         lambda P=P, u=u, v=v: matrix_kernel(P, u, v)))
     zeta = complex(np.exp(0.7j))
+    # two real and two complex points on each side, as in the benchmark's fields
+    field = np.array([[6.1, -2.5, 1.5 - 3.0j, -4.2 + 0.7j], [-7.3, 0.4, -2.0 + 4.5j, 3.3 - 1.1j]])
     out += [("gram_matrix(64, 65)", lambda: volume.gram_matrix(64, 65.0)),
             ("pi_pair(1, 9)", lambda: polys.pi_pair(1, 9.0)),
             ("pi_pair(1024, 2049) held", lambda: polys.pi_pair(1024, 2049.0)),
             ("xi_handle mixed block", lambda: assemble_matrix(
                 limits.xi_handle(1.0, 1.0), [0.5, -0.3 + 0.4j], [0.2 + 0.3j, -0.4])),
             ("k_zeta", lambda: limits.k_zeta(1.0, zeta, 0.3 - 0.2j, -0.4 + 0.5j)),
-            ("b_outside", lambda: limits.b_outside(2.5, 1.7, -2.2))]
+            ("b_outside", lambda: limits.b_outside(2.5, 1.7, -2.2)),
+            ("kappa_xi field", lambda: limits.kappa_xi(1.0, 1.0, field[0], field[1])),
+            ("compare_report", lambda: limits.compare_report((7.3, 12.1, 33.3), (-0.3, 0.41))),
+            ("a_xi far pair", lambda: limits.a_xi(1.0, 1.0, -5.0, -7.5)),
+            ("big_m_pair |z|≈30", lambda: specfun.big_m_pair(30.0 * np.exp(2.2j)))]
     rng = np.random.default_rng(0)
     for N in (2, 4, 20):
         p = PolyCoeffs((*rng.uniform(-1.0, 1.0, N).tolist(), 1.0))

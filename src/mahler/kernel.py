@@ -26,7 +26,7 @@ from .errors import (DomainError, NotAntisymmetricError, OddDimensionError,
                      ResidualError)
 from .polys import (_degree, _eps_at, _eps_consts, _odd_factor, _p_table,
                     p_eval_sequence, region_moments, s_norm, weight)
-from .specfun import _finite, gammaln_signed, iota
+from .specfun import _finite, _frozen, gammaln_signed, iota
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,7 @@ class _Tables:
             s2 = np.array([s_norm(j, s) for j in range(self.J + 1)])
             self.s2J = s2[self.J]
             self.even[:self.J] -= np.outer(s2[:self.J] / self.s2J, self.even[self.J])
+        _frozen(self.even, self.odd, *(a for a in self.eps if a is not None))
 
 
 @lru_cache(maxsize=64)
@@ -278,9 +279,7 @@ def sum_k(N: int, a1: float, b1: float, a2: float, b2: float, z, w):
         new_total = total + term
         comp = (new_total - total) - term
         total = new_total
-    if np.ndim(z) == 0 and np.ndim(w) == 0:
-        return complex(total)
-    return total
+    return complex(total) if np.ndim(z) == 0 and np.ndim(w) == 0 else total
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import DomainError, InfiniteValueError
 from .kernel import EnsembleParams, Side, _handle, _skew_sum, assemble_matrix, skew_pair, sum_k
 from .quadrature import leg_nodes
-from .specfun import (_finite, _gamma_quotient, big_m_pair, e_gamma, e_pair, gamma_ratio,
-                      gamma_ratio_table, iota, omega)
+from .specfun import (_finite, _frozen, _gamma_quotient, big_m_pair, e_gamma, e_pair,
+                      gamma_ratio, gamma_ratio_table, iota, omega)
 
 _ORDER = 96          # all limit integrals over [0, 1] (integrands entire)
 _TAIL_ORDER = 48     # Gauss–Jacobi nodes of each outside tail integral
@@ -36,7 +36,14 @@ _INSIDE_TERMS = 200  # terms of each binomial series in sum_inside_limit
 @lru_cache(maxsize=1)
 def _unit_nodes():
     x, w = leg_nodes(_ORDER)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _frozen(0.5 * (x + 1.0), 0.5 * w)
+
+
+@lru_cache(maxsize=32)
+def _node_weights(lam: float) -> np.ndarray:
+    """``wt x (1 - lam x)`` on the unit nodes, the weights of :func:`k_zeta` and ``kappa_xi``."""
+    x, wt = _unit_nodes()
+    return _frozen(wt * x * (1.0 - lam * x))[0]
 
 
 @dataclass(frozen=True)
@@ -61,10 +68,9 @@ class LimitKernelSpec:
         if not 0.0 <= self.lam <= 1.0:
             raise DomainError("lam must lie in [0, 1]")
         a = complex(self.anchor)
-        if self.regime == "circle_complex":
-            if not (abs(abs(a) - 1.0) <= 1e-12 and abs(a.imag) >= 1e-12):
-                raise DomainError("circle_complex anchor must be on the "
-                                  "circle, off the real axis")
+        if self.regime == "circle_complex" and not (abs(abs(a) - 1.0) <= 1e-12
+                                                    and abs(a.imag) >= 1e-12):
+            raise DomainError("circle_complex anchor must be on the circle, off the real axis")
         if self.regime == "circle_real" and a not in (1.0 + 0j, -1.0 + 0j):
             raise DomainError(f"circle_real anchor xi must be +1 or -1, got {self.anchor}")
         if self.regime == "outside_disk" and not (self.c >= 1.0):
@@ -84,10 +90,8 @@ def k_zeta(lam: float, zeta: complex, z, w):
     """
     if not abs(abs(zeta) - 1.0) <= 1e-12:      # LimitKernelSpec's tolerance; False at NaN
         raise DomainError(f"the anchor zeta must lie on the unit circle, got {zeta}")
-    zz = _finite(z) * np.conj(zeta)
-    ww = np.conj(_finite(w)) * zeta
-    x, wt = _unit_nodes()
-    integral = (wt * x * (1.0 - lam * x) * np.exp(np.multiply.outer(zz + ww, x))).sum(axis=-1)
+    zz, ww = _finite(z) * np.conj(zeta), np.conj(_finite(w)) * zeta
+    integral = (_node_weights(lam) * np.exp((zz + ww)[..., None] * _unit_nodes()[0])).sum(-1)
     return omega(lam, zz) * omega(lam, ww) * integral / math.pi
 
 
@@ -109,16 +113,21 @@ def _xi_side(lam: float, xi: float, u):
 
 
 def kappa_xi(lam: float, xi: float, u, v):
-    """Scaled scalar kernel at the real anchor ``xi = +-1``; vectorized."""
-    tau, wt = _unit_nodes()
-    wu, Mu, Mpu = _xi_side(lam, xi, u)
-    wv, Mv, Mpv = _xi_side(lam, xi, v)
-    core = wt * tau * (1.0 - lam * tau)
-    integral = ((Mpu * Mv - Mu * Mpv) * core).sum(axis=-1)
-    val = wu * wv * (xi / 4.0) * integral
-    if np.ndim(val) == 0:
-        return complex(val)
-    return val
+    """Scaled scalar kernel at the real anchor ``xi = +-1``; vectorized. One :func:`big_m_pair`
+    call takes the nodes of each point of ``u`` and of ``v`` once, before they broadcast."""
+    n, sides = np.size(u), _xi_side(lam, xi, np.concatenate([np.ravel(u), np.ravel(v)]))
+    (wu, Mu, Mpu), (wv, Mv, Mpv) = ([f[part].reshape(np.shape(p) + f.shape[1:])[()] for f in sides]
+                                    for p, part in ((u, slice(n)), (v, slice(n, None))))
+    val = wu * wv * (xi / 4.0) * ((Mpu * Mv - Mu * Mpv) * _node_weights(lam)).sum(axis=-1)
+    return complex(val) if np.ndim(val) == 0 else val
+
+
+@lru_cache(maxsize=16)
+def _taylor(m: int):
+    """``t^n`` on the unit nodes, ``n < m``, and the index columns of the Taylor rows below."""
+    n = np.arange(m, dtype=float)
+    return _frozen(np.vander(_unit_nodes()[0], m, increasing=True), n[1:] + 0.5, n[1:] ** 2,
+                   n + 1.5, n + 1.0)
 
 
 def xi_handle(lam: float, xi: float):
@@ -164,12 +173,11 @@ def xi_handle(lam: float, xi: float):
         size = ((abs(c) + 9.0 * np.sqrt(abs(c)) + 25.0).astype(int) + 7) // 8 * 8
         with np.errstate(over="ignore", invalid="ignore"):
             for m in sorted(set(size[~far].tolist())):
-                g, n = np.flatnonzero((size == m) & ~far), np.arange(m, dtype=float)
-                cg, powers = c[g, None], np.vander(t, m, increasing=True)
+                g, (powers, half, square, up, one) = np.flatnonzero((size == m) & ~far), _taylor(m)
+                cg = c[g, None]
                 om = omega(lam, cg * t1)        # omega(c), then omega(c t) on the nodes
-                a = np.hstack([np.ones_like(cg), cg * (n[1:] + 0.5) / n[1:] ** 2])
-                a = np.cumprod(a, axis=1)[:, None]
-                coef = np.concatenate([a * (n + 1.5) / (n + 1.0), a], axis=1)
+                a = np.cumprod(np.hstack([np.ones_like(cg), cg * half / square]), axis=1)[:, None]
+                coef = np.concatenate([a * up / one, a], axis=1)
                 mu = (wt * om[:, 1:])[:, None] @ powers
                 rows[g] = np.concatenate([om[:, :1, None] * coef, -x[g, None, None] * mu * coef],
                                          axis=1) @ powers.T
@@ -241,13 +249,15 @@ def sqrt_minus_tau(tau):
 
 
 def _check_disk(inside: bool, *pts):
-    """Raise :class:`DomainError` unless all points are finite and lie in the
-    open unit disk (``inside``) or all outside the closed one; scalars or arrays."""
-    for z in pts:
-        r = np.abs(_finite(z))
-        if np.any(r >= 1.0 if inside else r <= 1.0):
+    """Raise :class:`DomainError` unless all points are finite and lie in the open
+    unit disk (``inside``) or all outside the closed one; scalars or arrays, their moduli."""
+    moduli = [np.abs(np.asarray(z)) for z in pts]
+    for z, r in zip(pts, moduli):      # a NaN modulus fails either test
+        if np.count_nonzero(r < 1.0 if inside else (r > 1.0) & (r < math.inf)) < r.size:
+            _finite(z)      # a non-finite point raises as one
             where = "inside the open" if inside else "outside the closed"
             raise DomainError(f"argument {z} not {where} unit disk")
+    return moduli
 
 
 def _disk_rows(pts):
@@ -321,9 +331,7 @@ def sqrt_z2m1(z):
     ``z < -1``."""
     z = np.asarray(z, dtype=complex)
     val = z * np.sqrt(1.0 - 1.0 / (z * z))
-    if val.ndim == 0:
-        return complex(val)
-    return val
+    return complex(val) if val.ndim == 0 else val
 
 
 def _core(k: float, u, v):
@@ -333,20 +341,15 @@ def _core(k: float, u, v):
     return (1.0 + k / d) * (v - u) / (math.pi * d)
 
 
-def _edge(c: float, z):
-    """``|z|^{-c} / sqrt(z^2 - 1)``, the factor each point contributes."""
-    return np.abs(z) ** -c / sqrt_z2m1(z)
-
-
 def b_outside(c: float, u, v):
     """Unscaled outside limit of the (phase-corrected) scalar kernel."""
     if not (c > 0):
         raise DomainError(f"b_outside requires c > 0, got {c}")
-    _check_disk(False, u, v)
+    ru, rv = _check_disk(False, u, v)
     if math.isinf(c):
         # c |uv|^{-c} -> 0 for |uv| > 1
         return 0.0 * (u * v)
-    return c * _core(1.0 / c, u, v) * _edge(c, u) * _edge(c, v)
+    return c * _core(1.0 / c, u, v) * (ru ** -c / sqrt_z2m1(u)) * (rv ** -c / sqrt_z2m1(v))
 
 
 @lru_cache(maxsize=32)
@@ -361,9 +364,7 @@ def _jacobi_rule(c: float):
     diag = np.append(b / (b + 2.0), b * b / (s[1:] * (s[1:] + 2.0)))
     off = 2.0 * n[1:] * (n[1:] + b) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
     x, vec = np.linalg.eigh(np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, -1))
-    w = vec[0] ** 2 / c
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return _frozen(x, vec[0] ** 2 / c)
 
 
 def outside_handle(c: float):
@@ -413,12 +414,13 @@ def outside_handle(c: float):
         xu = 0.5 * (e + x[:, None] ** 2 / e)
         W = np.zeros((2, _TAIL_ORDER + 1, z.size), z.dtype)
         Q = np.empty((_TAIL_ORDER + 1, z.size), z.dtype)
-        edge = _edge(c, z)
+        edge = np.abs(z) ** -c / sqrt_z2m1(z)      # e(z)
         W[0, 0], Q[0] = edge if z.dtype.kind == "c" else edge.real, z
         W[1][1:, real], Q[1:, real] = w[:, None] * xu ** -c, np.sign(y) * xu / x[:, None]
         if not real.all():
             zn = z[~real]
-            W[1][1, ~real], Q[1:, ~real] = iota(zn) * _edge(c, zn.conj()), zn.conj()
+            W[1][1, ~real] = iota(zn) * (np.abs(zn) ** -c / sqrt_z2m1(zn.conj()))
+            Q[1:, ~real] = zn.conj()
         beta = np.array([np.zeros(z.size), np.where(real, C * np.sign(z.real), 0.0)])
         return Side(W, Q, beta, np.array([W[0, 0], W[1].sum(axis=0)]), z.real, real), pair
     return handle
@@ -615,19 +617,15 @@ def compare_report(im_list=(5.0, 10.0, 20.0), re_list=(0.0, 0.5)) -> list[dict]:
     ``e^z z^{1/2}/Gamma(3/2)`` crosses the subdominant part
     ``(-z)^{-3/2}/Gamma(-1/2)``, so the error oscillates with period ``2 pi``
     in ``Im z`` with amplitude ``e^{Re z}/(2 pi Im z) + O(Im z^{-2})``; only
-    its envelope (the sup over one period) decreases.
+    its envelope (the sup over one period) decreases. All points take one :func:`big_m_pair` call.
     """
-    rows = []
-    for h in im_list:
-        errs = []
-        for x in re_list:
-            z = complex(x, h)
-            M, Mp = big_m_pair(z)      # at conj z, the conjugates
-            val = iota(z) / 4.0 * (Mp * M.conjugate() - M * Mp.conjugate())
-            errs.append(abs(val - math.exp(2.0 * x) / math.pi))
-        rows.append({"regime": "compare", "im": h,
-                     "sup_error": float(max(errs))})
-    return rows
+    z = [complex(x, h) for h in im_list for x in re_list]
+    M, Mp = (f.tolist() for f in big_m_pair(np.array(z, dtype=complex)))   # at conj z, conj M
+    errs = [abs(iota(p) / 4.0 * (dm * m.conjugate() - m * dm.conjugate())
+                - math.exp(2.0 * p.real) / math.pi) for p, m, dm in zip(z, M, Mp)]
+    k = len(re_list)
+    return [{"regime": "compare", "im": h, "sup_error": float(max(errs[i * k:(i + 1) * k]))}
+            for i, h in enumerate(im_list)]
 
 
 def full_report(N_list=(8, 16, 32)) -> dict:

@@ -52,9 +52,13 @@ class PolyCoeffs:
     @cached_property
     def roots(self) -> np.ndarray:
         """Read-only roots, as ``np.roots`` of the trimmed coefficients
-        (``mc.sample`` fills them in itself); :class:`ConditioningError` where
-        a coefficient over the leading one, a companion-row entry, overflows."""
-        c = np.trim_zeros(_finite(np.asarray(self.coeffs, dtype=float)), trim="b")
+        (``mc.sample`` fills them in itself); :class:`DomainError` unless they are
+        finite bools, integers or floats, :class:`ConditioningError` where a
+        coefficient over the leading one, a companion-row entry, overflows."""
+        c = np.asarray(self.coeffs)
+        if c.dtype.kind not in "biuf" or c.ndim != 1:
+            raise DomainError(f"coefficients must be real numbers, got {self.coeffs!r}")
+        c = np.trim_zeros(_finite(c), trim="b")
         if c.size == 0:
             raise DomainError("roots of the zero polynomial")
         if float(np.abs(c).max()) / abs(float(c[-1])) == math.inf:

@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, QuadratureError
+from .specfun import _frozen
 
 DEFAULT_ORDER = 64
 _MAX_PANELS = 4096
@@ -29,8 +30,8 @@ _MAX_PANELS = 4096
 
 @lru_cache(maxsize=32)
 def leg_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss–Legendre nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss–Legendre nodes and weights on [-1, 1], read-only."""
+    return _frozen(*np.polynomial.legendre.leggauss(order))
 
 
 def fixed_panel(f, a, b):

@@ -82,6 +82,13 @@ def gamma_ratio_table(n: int, alpha: float) -> np.ndarray:
     return gamma_ratio(np.arange(n + 1, dtype=float), alpha)
 
 
+def _frozen(*arrays) -> tuple:
+    """``arrays``, made read-only: the tables a cache hands to every later call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _finite(z) -> np.ndarray:
     """``z`` as a complex128 or float64 array; :class:`DomainError` unless finite."""
     z = np.asarray(z)
@@ -130,8 +137,7 @@ def _series_table(a: float, b: float, top: float, step: float):
             n = np.arange(n + 1.0)
             coefs = np.array([(n * step + a) / (n + b), (n + top) / ((n + b) * (n + 1.0))],
                              dtype=complex).T[:, :, None]
-            last.flags.writeable = coefs.flags.writeable = False
-            return last, coefs
+            return _frozen(last, coefs)
 
 
 def _series(a: float, b: float, top: float, step: float, w):
@@ -207,6 +213,13 @@ def hyp1f1_M(alpha: float, beta: float, z):
     return val.item() if val.ndim == 0 else val
 
 
+@functools.lru_cache(maxsize=8)
+def _midpoint_table(nodes: int):
+    """``c = cos^2(theta/2)`` at ``nodes`` midpoints, ``c (8c^3 - c^2 - c - 1)`` and ``2c^5``."""
+    c = np.cos((np.arange(nodes) + 0.5) * (0.5 * math.pi / nodes)) ** 2
+    return _frozen(c, c * (((8.0 * c - 1.0) * c - 1.0) * c - 1.0), 2.0 * c ** 5)
+
+
 def _m_pair_integral(z):
     """``(M(z), M'(z))`` for ``M = 1F1(3/2; 1; z)`` by the midpoint rule in ``theta``.
 
@@ -216,14 +229,14 @@ def _m_pair_integral(z):
     ``e^{zc} (8c^4 - c^3 - c^2 - c + 2zc^5)``, which does not cancel at ``c = 0`` when
     ``Re z < 0``; ``M'`` integrates its ``z``-derivative. The error falls geometrically
     in the node count (Trefethen & Weideman, SIAM Rev. 56 (2014)), here ``|z|/2 +
-    3 sqrt(|z|/2 + 1) + 14`` at the point's own ``|z|`` up to a multiple of 8.
+    3 sqrt(|z|/2 + 1) + 14`` at the point's own ``|z|`` up to a multiple of 8; a call reads
+    :func:`_midpoint_table` at the node counts its points take.
     """
     r = np.abs(z)
     k = -(-(r / 2.0 + 3.0 * np.sqrt(r / 2.0 + 1.0) + 14.0).astype(int) // 8) * 8
     m, d = np.empty_like(z), np.empty_like(z)
-    for nodes in range(k.min(), k.max() + 1, 8):
-        c = np.cos((np.arange(nodes) + 0.5) * (0.5 * math.pi / nodes)) ** 2
-        base, top = c * (((8.0 * c - 1.0) * c - 1.0) * c - 1.0), 2.0 * c ** 5
+    for nodes in np.unique(k).tolist():
+        c, base, top = _midpoint_table(nodes)
         idx = np.flatnonzero(k == nodes)
         for lo in range(0, idx.size, 16384 // nodes):    # (points x nodes) arrays of 256 KB
             sel = idx[lo:lo + 16384 // nodes]
@@ -300,10 +313,10 @@ def omega(lam: float, tau) -> float:
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"omega requires lam in [0, 1], got {lam}")
-    re = np.real(tau)
+    re = np.asarray(tau).real
     if lam == 0.0:
         return np.where(re <= 0.0, 1.0, 0.0)[()]
-    return np.exp(np.maximum(re, 0.0) / -lam)[()]
+    return np.exp(np.maximum(re, 0.0) / -lam)     # a ufunc gives a 0-d result as a scalar
 
 
 def iota(z):

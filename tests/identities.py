@@ -33,8 +33,8 @@ from scipy.special import gamma, gammaln, rgamma
 from mahler.errors import DomainError, InfiniteValueError, PairingError, PoleError, QuadratureError
 from mahler.kernel import (EnsembleParams, KernelValue2x2, _family, _tables,
                            intensity_complex, matrix_kernel)
-from mahler.limits import (_check_disk, _core, _edge, _jacobi_rule, _unit_nodes, _xi_side,
-                           sqrt_minus_tau)
+from mahler.limits import (_check_disk, _core, _jacobi_rule, _unit_nodes, _xi_side,
+                           sqrt_minus_tau, sqrt_z2m1)
 from mahler.mc import _REAL_TOL, RootSet
 from mahler.polys import PolyCoeffs, eps_monomials, eps_poly, weight
 from mahler.quadrature import adaptive, fixed_panel, leg_nodes
@@ -558,7 +558,7 @@ def outside_entries(c: float):
 
         (pu, wu, cu), (pv, wv, cv) = side(u), side(v)
         R = c * _core(1.0 / c, pu[:, None], pv[None, :])
-        eu, ev = _edge(c, pu[0]), _edge(c, pv[0])
+        eu, ev = (abs(p[0]) ** -c / sqrt_z2m1(p[0]) for p in (pu, pv))
         return _entries(
             u, v, lambda: (wu @ R[1:, 1:] @ wv + cv * wu.sum() - cu * wv.sum()).real,
             lambda: -eu * (R[0, 1:] @ wv + cv), lambda: ev * (cu - wu @ R[1:, 0]),

@@ -90,6 +90,12 @@ _BAD_CALLS = {
     "sum_inside_inf_b": lambda: limits.sum_inside_limit(0.5, -np.inf, 1.5, -1.5, 0.3, 0.2),
     # np.roots overflowed dividing by the leading coefficient, then raised LinAlgError
     "roots_overflow": lambda: PolyCoeffs((1e300, 1.0, 1e-300)).roots,
+    # a complex coefficient raised TypeError (a numpy complex one warned and
+    # dropped its imaginary part), a string one ValueError
+    "roots_complex": lambda: PolyCoeffs((1 + 1j, 1.0)).roots,
+    "roots_numpy_complex": lambda: PolyCoeffs((np.complex128(1 + 0j), 1.0)).roots,
+    "roots_string": lambda: PolyCoeffs(("a", 1.0)).roots,
+    "mahler_measure_complex": lambda: mc.mahler_measure(PolyCoeffs((1 + 1j, 1.0))),
     # k_zeta(1, 2, 0.1, 0.2) returned 0.0397 for an anchor off the unit circle
     "k_zeta_off_circle": lambda: limits.k_zeta(1.0, 2.0, 0.1, 0.2),
     "k_zeta_inside_anchor": lambda: limits.k_zeta(1.0, 0.5j, 0.1, 0.2),

@@ -532,6 +532,45 @@ class TestBlockRule:
         assemble_matrix(xi_handle(1.0, 1.0), u, v)
         assert tuple(calls) == sizes
 
+    @pytest.mark.parametrize("u,v", [
+        (0.5, -0.3 + 0.4j), (np.array([0.5 + 30.0j, -1.0 - 27.0j]), np.array([1.0, -2.0])),
+        (-0.4 + 0.2j, (np.linspace(-8.0, 8.0, 21)[:, None] + 1j * np.linspace(-5.0, 5.0, 21)))],
+        ids=["scalars", "heights", "scalar_by_441"])
+    def test_kappa_xi_one_confluent_call(self, monkeypatch, u, v):
+        # the nodes of u and of v in one big_m_pair call, each point once: a
+        # scalar u against 441 v takes 442 x 96 points, not 441 x 2 x 96; each
+        # value bit for bit its own scalar call
+        calls = []
+        big_m_pair = limits.big_m_pair
+        monkeypatch.setattr(limits, "big_m_pair", lambda z: calls.append(np.size(z)) or big_m_pair(z))
+        for lam, xi in ((1.0, 1.0), (0.5, -1.0)):
+            calls.clear()
+            val = kappa_xi(lam, xi, u, v)
+            assert calls == [(np.size(u) + np.size(v)) * 96]
+            ref = np.vectorize(lambda a, b: kappa_xi(lam, xi, complex(a), complex(b)),
+                               otypes=[complex])(u, v)
+            assert np.shape(val) == np.shape(ref) and np.array_equal(val, ref)
+
+    def test_compare_report_one_confluent_call(self, monkeypatch):
+        # one big_m_pair call for every (height, real part) pair, each row bit
+        # for bit the per-point scalar calls
+        heights, reals = (7.3, 12.1, 33.3), (-0.3, 0.41)
+        ref = []
+        for h in heights:
+            errs = []
+            for x in reals:
+                z = complex(x, h)
+                M, Mp = limits.big_m_pair(z)
+                val = iota(z) / 4.0 * (Mp * M.conjugate() - M * Mp.conjugate())
+                errs.append(abs(val - math.exp(2.0 * x) / math.pi))
+            ref.append(max(errs))
+        calls = []
+        big_m_pair = limits.big_m_pair
+        monkeypatch.setattr(limits, "big_m_pair", lambda z: calls.append(np.size(z)) or big_m_pair(z))
+        rows = compare_report(heights, reals)
+        assert calls == [6]
+        assert rows == [{"regime": "compare", "im": h, "sup_error": e} for h, e in zip(heights, ref)]
+
     @pytest.mark.parametrize("new,reals,uppers,tol", [
         pytest.param(*p.values[:1], *p.values[2:4], 1e-13 if p.id == "disk" else 1e-15, id=p.id)
         for p in _rules()])

@@ -329,6 +329,18 @@ class TestCoefficientTables:
         assert not _p_table(5, 0.5, -1.5).flags.writeable
         assert pi_pair(5, 13.0) == before
 
+    def test_every_cached_table_is_read_only(self):
+        # one in-place operation on an array a cache hands out would change
+        # every later evaluation that reads it
+        from mahler import limits, quadrature, specfun
+        tabs = kernel._tables(7, 9.5), kernel._tables(8, math.inf)
+        tables = [*quadrature.leg_nodes(64), *limits._unit_nodes(), limits._node_weights(0.5),
+                  *limits._taylor(32), *limits._jacobi_rule(2.5), *specfun._midpoint_table(24),
+                  *specfun._series_table(1.5, 1.0, 1.5, 1.0), _p_table(5, 0.5, -0.5),
+                  *(a for t in tabs for a in (t.even, t.odd, *t.eps) if a is not None)]
+        assert len(tables) == 29
+        assert all(isinstance(a, np.ndarray) and a.flags.writeable is False for a in tables)
+
     @pytest.mark.parametrize("N", [1, 15, 63])
     def test_odd_N_tables_leave_the_coefficients_alone(self, N):
         # odd N subtracts the top member from the even rows of its own copy

@@ -43,7 +43,8 @@ def test_scripts_run_at_small_arguments():
     assert [r[0] for r in rows] == [f"matrix_kernel {k} N={N}" for N in (8, 64)
                                     for k in ("rr", "rc", "cc")] + [
         "gram_matrix(64, 65)", "pi_pair(1, 9)", "pi_pair(1024, 2049) held",
-        "xi_handle mixed block", "k_zeta", "b_outside", "roots_classify N=2",
+        "xi_handle mixed block", "k_zeta", "b_outside", "kappa_xi field", "compare_report",
+        "a_xi far pair", "big_m_pair |z|≈30", "roots_classify N=2",
         "roots_classify N=4", "roots_classify N=20", "sample step N=4 s=8"]
     assert all(float(t) > 0 for r in rows for t in r[1:])
 

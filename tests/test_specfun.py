@@ -310,6 +310,21 @@ class TestBigMOracle:
         assert np.max(np.abs(expansion - midpoint)[0] / np.abs(expansion[0])) <= 1e-13
         assert np.max(np.abs(expansion - midpoint)[1] / np.abs(expansion[1])) <= 3e-13
 
+    def test_midpoint_rule_visits_only_its_node_counts(self, monkeypatch):
+        # |z| = 0.5 takes 24 nodes and |z| = 30 takes 48: the call reads those
+        # two rules and not 32 or 40, and each point keeps the bits of a rule
+        # built afresh for it alone
+        z = np.array([0.5j, 30.0 * np.exp(2.5j), -0.3 + 0.4j, -30.0 + 0.0j])
+        seen, table = [], specfun._midpoint_table
+        monkeypatch.setattr(specfun, "_midpoint_table", lambda n: seen.append(n) or table(n))
+        m, d = specfun._m_pair_integral(z)
+        assert seen == [24, 48]
+        for zz, mm, dd, nodes in zip(z, m, d, (24, 48, 24, 48)):
+            c = np.cos((np.arange(nodes) + 0.5) * (0.5 * math.pi / nodes)) ** 2
+            e = np.exp(zz * c)
+            f = (zz * 2.0 * c ** 5 + c * (((8.0 * c - 1.0) * c - 1.0) * c - 1.0)) * e
+            assert (mm, dd) == (f.sum() / nodes, (f * c + e * 2.0 * c ** 5).sum() / nodes)
+
     def test_cost_bounded_at_large_modulus(self, rng):
         z = 1e5 * np.exp(1j * rng.uniform(0.5 * math.pi, 1.5 * math.pi, 1000))
         start = time.perf_counter()
